@@ -18,7 +18,12 @@ from enum import Enum
 
 import numpy as np
 
-from .cones import SemialgebraicSystem, build_truncation, gram_reconstruct
+from .cones import (
+    SemialgebraicSystem,
+    build_truncation,
+    gram_reconstruct,
+    truncation_entries,
+)
 from .moments import MomentSequence, eig_range, localizing_matrix
 from .polynomials import Exponent, Polynomial, monomial_basis
 from .projection import default_solver_config
@@ -81,12 +86,9 @@ def membership(
         }
     )
     for alpha in monomial_basis(system.dimension, 2 * k):
-        entries = {}
-        for block in trunc.blocks:
-            items = block.basis.entries(alpha)
-            if items:
-                entries[block_ids[block.label]] = items
-        sdp.add_constraint(entries, f.coefficient(alpha))
+        sdp.add_constraint(
+            truncation_entries(trunc, block_ids, alpha), f.coefficient(alpha)
+        )
 
     sol = solve(sdp, cfg)
 
@@ -224,6 +226,7 @@ class PsatzResult:
     perturbed: Polynomial | None = None
     searched_up_to: int = 0
     inconclusive: list[tuple[int, int]] = field(default_factory=list)
+    solves: int = 0                            # membership solves run
 
     def __str__(self):
         if self.certified:
@@ -245,6 +248,7 @@ def psatz_search(
     n = system.dimension
     half_f = (f.degree + 1) // 2
     inconclusive: list[tuple[int, int]] = []
+    solves = 0
     for d in range(1, query.d_max + 1):
         pert = perturbation_polynomial(n, d, query.mode)
         candidate = f + pert.scale(query.epsilon)
@@ -254,6 +258,7 @@ def psatz_search(
             levels = list(range(max(half_f, d), query.d_max + 1))
         for level in levels:
             result = membership(candidate, system, level, config)
+            solves += 1
             if result.verdict is MembershipVerdict.IN_CONE:
                 return PsatzResult(
                     True,
@@ -263,11 +268,15 @@ def psatz_search(
                     perturbed=candidate,
                     searched_up_to=d,
                     inconclusive=inconclusive,
+                    solves=solves,
                 )
             if result.verdict is MembershipVerdict.INCONCLUSIVE:
                 inconclusive.append((d, level))
     return PsatzResult(
-        False, searched_up_to=query.d_max, inconclusive=inconclusive
+        False,
+        searched_up_to=query.d_max,
+        inconclusive=inconclusive,
+        solves=solves,
     )
 
 

@@ -289,7 +289,7 @@ def cmd_psatz(args) -> int:
     print(str(result))
     if result.certified:
         return EXIT_OK
-    if result.inconclusive and len(result.inconclusive) == result.searched_up_to:
+    if result.inconclusive and len(result.inconclusive) == result.solves:
         print("all membership solves were inconclusive", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_NOT_CERTIFIED

@@ -140,6 +140,20 @@ def build_truncation(system: SemialgebraicSystem, k: int) -> ConeTruncation:
     return ConeTruncation(system, k, tuple(blocks), tuple(excluded))
 
 
+def truncation_entries(
+    truncation: ConeTruncation,
+    block_ids: dict[tuple[int, ...], int],
+    alpha: Exponent,
+) -> dict[int, list[tuple[int, int, float]]]:
+    """SDP entries of the coefficient of x^alpha: B^J_alpha on each Gram block J."""
+    entries = {}
+    for block in truncation.blocks:
+        items = block.basis.entries(alpha)
+        if items:
+            entries[block_ids[block.label]] = items
+    return entries
+
+
 def gram_reconstruct(
     truncation: ConeTruncation, grams: Sequence[np.ndarray]
 ) -> Polynomial:
@@ -160,8 +174,12 @@ def gram_reconstruct(
                 f"Gram for block {block.label} has shape {gram.shape}, "
                 f"expected ({block.side}, {block.side})"
             )
+        # <X, B> over the stored upper triangle of the symmetric B.
+        sym = gram + gram.T
         for alpha in block.basis.nonzero_exponents():
-            v = float(np.tensordot(gram, block.basis.matrix(alpha)))
+            v = 0.0
+            for i, j, b in block.basis.entries(alpha):
+                v += b * float(gram[i, i] if i == j else sym[i, j])
             if v != 0.0:
                 coeffs[alpha] = coeffs.get(alpha, 0.0) + v
     return Polynomial(n, coeffs)

@@ -162,7 +162,9 @@ class BasisMatrixSet:
     """Matrices B_alpha with g(x) v_d(x) v_d(x)^T = sum_alpha x^alpha B_alpha.
 
     For g = 1 these reduce to the 0/1 indicator matrices of beta + gamma =
-    alpha over the order-d monomial basis.
+    alpha over the order-d monomial basis.  Each B_alpha is stored as its
+    upper-triangle (i, j, value) entries in row-major order; the dense
+    matrix is built only on request.
     """
 
     def __init__(self, generator: Polynomial, order: int):
@@ -173,46 +175,36 @@ class BasisMatrixSet:
         self.basis = monomial_basis(generator.dimension, order)
         self.side = len(self.basis)
         self.max_exponent_degree = 2 * order + generator.degree
-        matrices: dict[Exponent, np.ndarray] = {}
+        # Distinct generator terms send one (beta, gamma) pair to distinct
+        # alphas, so every position of B_alpha is written once, in row-major
+        # order, with a nonzero generator coefficient.
+        entries: dict[Exponent, list[tuple[int, int, float]]] = {}
+        terms = list(generator.terms.items())
         for bi, beta in enumerate(self.basis):
             for gi in range(bi, self.side):
                 gamma = self.basis[gi]
-                for delta, coeff in generator.terms.items():
+                for delta, coeff in terms:
                     alpha = tuple(b + g + d for b, g, d in zip(beta, gamma, delta))
-                    mat = matrices.get(alpha)
-                    if mat is None:
-                        mat = np.zeros((self.side, self.side))
-                        matrices[alpha] = mat
-                    mat[bi, gi] += coeff
-                    if gi != bi:
-                        mat[gi, bi] += coeff
-        self._matrices = matrices
+                    entries.setdefault(alpha, []).append((bi, gi, coeff))
+        self._entries = entries
 
     def exponents(self) -> list[Exponent]:
         """All alpha up to degree 2*order + deg(g), including zero matrices."""
         return monomial_basis(self.generator.dimension, self.max_exponent_degree)
 
     def nonzero_exponents(self) -> list[Exponent]:
-        return sorted(self._matrices, key=lambda a: (sum(a), a))
+        return sorted(self._entries, key=lambda a: (sum(a), a))
 
     def matrix(self, alpha: Exponent) -> np.ndarray:
-        mat = self._matrices.get(tuple(alpha))
-        if mat is None:
-            return np.zeros((self.side, self.side))
+        mat = np.zeros((self.side, self.side))
+        for i, j, v in self._entries.get(tuple(alpha), ()):
+            mat[i, j] = v
+            mat[j, i] = v
         return mat
 
     def entries(self, alpha: Exponent) -> list[tuple[int, int, float]]:
         """Upper-triangle (i, j, value) entries of B_alpha, i <= j."""
-        mat = self._matrices.get(tuple(alpha))
-        if mat is None:
-            return []
-        out = []
-        for i in range(self.side):
-            for j in range(i, self.side):
-                v = mat[i, j]
-                if v != 0.0:
-                    out.append((i, j, float(v)))
-        return out
+        return list(self._entries.get(tuple(alpha), ()))
 
 
 def build_basis_matrices(g: Polynomial, d: int) -> BasisMatrixSet:

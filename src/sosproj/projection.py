@@ -19,7 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import ConeTruncation, SemialgebraicSystem, build_truncation
+from .cones import (
+    ConeTruncation,
+    SemialgebraicSystem,
+    build_truncation,
+    truncation_entries,
+)
 from .moments import MomentSequence
 from .polynomials import (
     Exponent,
@@ -153,17 +158,6 @@ def _require_optimal(sol: SdpSolution, what: str) -> None:
     )
 
 
-def _truncation_entries(
-    trunc: ConeTruncation, block_ids: dict[tuple[int, ...], int], alpha: Exponent
-):
-    entries = {}
-    for block in trunc.blocks:
-        items = block.basis.entries(alpha)
-        if items:
-            entries[block_ids[block.label]] = items
-    return entries
-
-
 @dataclass
 class LambdaFormSdp:
     """The assembled lambda-form SDP plus the index maps to read it back."""
@@ -192,7 +186,7 @@ def build_lambda_form_sdp(problem: ProjectionProblem) -> LambdaFormSdp:
 
     pert_index = {key: p for p, (key, _a, _s) in enumerate(pert)}
     for alpha in monomial_basis(n, 2 * t):
-        entries = _truncation_entries(trunc, block_ids, alpha)
+        entries = truncation_entries(trunc, block_ids, alpha)
         hit = pert_by_alpha.get(alpha)
         if hit is not None:
             key, scale = hit
@@ -279,7 +273,7 @@ def project_general_form(
     )
 
     for alpha in monomial_basis(n, 2 * t):
-        h_entries = _truncation_entries(trunc, block_ids, alpha)
+        h_entries = truncation_entries(trunc, block_ids, alpha)
         if sum(alpha) <= 2 * d:
             i = low_index[alpha]
             falpha = f.coefficient(alpha)
@@ -376,22 +370,20 @@ def dual_moment_problem(
     for block in trunc.blocks:
         zb = z_ids[block.label]
         side = block.side
+        linkage: dict[tuple[int, int], list[tuple[int, float]]] = {}
+        for alpha in block.basis.nonzero_exponents():
+            i = aindex[alpha]
+            for r, c, coeff in block.basis.entries(alpha):
+                linkage.setdefault((r, c), []).append((i, coeff))
         for r in range(side):
             for c in range(r, side):
                 entries: dict[int, list[tuple[int, int, float]]] = {
                     zb: [(r, c, 1.0 if r == c else 0.5)]
                 }
-                ulist = []
-                vlist = []
-                for alpha in block.basis.nonzero_exponents():
-                    coeff = float(block.basis.matrix(alpha)[r, c])
-                    if coeff != 0.0:
-                        i = aindex[alpha]
-                        ulist.append((i, i, -coeff))
-                        vlist.append((i, i, coeff))
-                if ulist:
-                    entries[u_blk] = ulist
-                    entries[v_blk] = vlist
+                terms = linkage.get((r, c))
+                if terms:
+                    entries[u_blk] = [(i, i, -coeff) for i, coeff in terms]
+                    entries[v_blk] = [(i, i, coeff) for i, coeff in terms]
                 sdp.add_constraint(entries, 0.0)
 
     # Weight box: u_alpha + v_alpha + slack = w_alpha, so |y_alpha| <= w_alpha.

@@ -186,10 +186,15 @@ def _sym_eig_min(mat: np.ndarray) -> float:
     return float(np.linalg.eigvalsh((mat + mat.T) / 2.0)[0])
 
 
+def _inner(X: list[np.ndarray], S: list[np.ndarray]) -> float:
+    return sum(float(np.vdot(x, s)) for x, s in zip(X, S))
+
+
 class _Workspace:
     """Dense per-call data for one solve; nothing is shared across calls."""
 
-    def __init__(self, problem: SdpProblem, flip: bool, equilibrate: bool = True):
+    def __init__(self, problem: SdpProblem, equilibrate: bool = True):
+        self.flip = problem.sense == "max"
         self.blocks = problem.blocks
         self.m = problem.num_constraints
         self.psd = [
@@ -198,7 +203,7 @@ class _Workspace:
         self.diag = [
             i for i, s in enumerate(self.blocks) if s.kind is BlockKind.NONNEG_DIAG
         ]
-        sign = -1.0 if flip else 1.0
+        sign = -1.0 if self.flip else 1.0
         self.A: list[np.ndarray] = []
         self.C: list[np.ndarray] = []
         for blk, spec in enumerate(self.blocks):
@@ -230,6 +235,9 @@ class _Workspace:
         self.r_scale = np.ones(self.m)
         self.c_scale = 1.0
         self.b_scale = 1.0
+        # True when every scale is exactly 1, so that the scaled data is the
+        # user's data bit for bit.
+        self.unit_scaled = True
         if equilibrate:
             # Scalar cost/rhs normalization in user units first, then Ruiz
             # equilibration of the constraint data.  Convergence metrics are
@@ -245,6 +253,7 @@ class _Workspace:
             if b_peak > 0:
                 self.b_scale = b_peak
                 self.b = self.b / b_peak
+            self.unit_scaled = self.c_scale == 1.0 and self.b_scale == 1.0
             self._equilibrate()
         self.obj_scale = self.c_scale * self.b_scale
         self.row_unscale = self.b_scale / self.r_scale
@@ -274,6 +283,7 @@ class _Workspace:
         if self.m == 0:
             return
         for _ in range(rounds):
+            moved = False
             # Column pass: X -> T X T keeps PSD blocks PSD for diagonal T;
             # a uniform scalar is used per PSD block, entrywise on diag ones.
             for blk, spec in enumerate(self.blocks):
@@ -281,12 +291,14 @@ class _Workspace:
                     peak = float(np.max(np.abs(self.A[blk])))
                     if peak > 0:
                         factor = peak ** -0.25
+                        moved = moved or factor != 1.0
                         self.t_scale[blk] *= factor
                         self.A[blk] *= factor * factor
                         self.C[blk] *= factor * factor
                 else:
                     peaks = np.max(np.abs(self.A[blk]), axis=0)
                     factors = np.where(peaks > 0, peaks**-0.25, 1.0)
+                    moved = moved or bool(np.any(factors != 1.0))
                     self.t_scale[blk] *= factors
                     self.A[blk] *= (factors * factors)[None, :]
                     self.C[blk] *= factors * factors
@@ -297,11 +309,17 @@ class _Workspace:
                     row_peak, np.abs(self.A[blk].reshape(self.m, -1)).max(axis=1)
                 )
             factors = np.where(row_peak > 0, row_peak**-0.5, 1.0)
+            moved = moved or bool(np.any(factors != 1.0))
             self.r_scale *= factors
             for blk in range(len(self.blocks)):
                 shape = (self.m,) + (1,) * (self.A[blk].ndim - 1)
                 self.A[blk] *= factors.reshape(shape)
             self.b *= factors
+            if not moved:
+                # A round of unit factors leaves the data as it was, so every
+                # later round would repeat it.
+                break
+            self.unit_scaled = False
 
     def unscale_primal(self, X: list[np.ndarray]) -> list[np.ndarray]:
         """Map a solver-space primal point back to the user's variables."""
@@ -355,6 +373,46 @@ class _Workspace:
         return math.sqrt(sum(float(np.sum(x * x)) for x in X))
 
 
+def _row_buffer(ws: _Workspace) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One (m, sum of block widths) array and its per-block views.
+
+    A PSD block of side s owns s*s columns, viewed as (m, s, s); a diagonal
+    block owns s columns.  The buffer's layout is that of
+    np.hstack([rows_blk.reshape(m, -1) for each block]).
+    """
+    widths = [
+        spec.side * spec.side if spec.kind is BlockKind.PSD else spec.side
+        for spec in ws.blocks
+    ]
+    rows = np.empty((ws.m, sum(widths)))
+    views = []
+    start = 0
+    for spec, width in zip(ws.blocks, widths):
+        view = rows[:, start:start + width]
+        if spec.kind is BlockKind.PSD:
+            view = view.reshape(ws.m, spec.side, spec.side)
+        views.append(view)
+        start += width
+    return rows, views
+
+
+def _scale_rows(
+    ws: _Workspace,
+    G: list[np.ndarray | None],
+    w_diag: list[np.ndarray | None],
+    views: list[np.ndarray],
+) -> None:
+    """Write the scaled rows G^T A_i G (diagonal blocks: w * a_i) into views."""
+    for blk, spec in enumerate(ws.blocks):
+        if spec.kind is BlockKind.PSD:
+            g = G[blk]
+            np.einsum(
+                "ki,mij,jl->mkl", g.T, ws.A[blk], g, optimize=True, out=views[blk]
+            )
+        else:
+            np.multiply(ws.A[blk], w_diag[blk][None, :], out=views[blk])
+
+
 def _max_step_psd(chol_lower: np.ndarray, delta: np.ndarray) -> float:
     """Largest t with X + t*delta PSD, given X = L L^T."""
     tmp = sla.solve_triangular(chol_lower, delta, lower=True)
@@ -378,11 +436,18 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
     Runs the interior-point method below, and on an inconclusive outcome
     retries once with the data equilibration toggled: the two scalings
     follow different trajectories and degenerate instances frequently
-    freeze on one but not the other.  Conclusive verdicts (optimal or a
-    validated ray) are never second-guessed.
+    freeze on one but not the other.  The retry is skipped when
+    equilibration scales nothing, since both runs then see the same data.
+    Conclusive verdicts (optimal or a validated ray) are never
+    second-guessed.
     """
     cfg = config or SolverConfig()
-    first = _solve_once(problem, cfg)
+    if problem.num_constraints == 0 and not problem.objective:
+        raise SdpModelError("problem needs at least one constraint or objective")
+    if problem.num_constraints == 0:
+        raise SdpModelError("unconstrained problems are not supported")
+    ws = _Workspace(problem, equilibrate=cfg.equilibrate)
+    first = _solve_once(ws, cfg)
     if first.status in (
         SdpStatus.OPTIMAL,
         SdpStatus.INFEASIBLE,
@@ -391,8 +456,13 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
         return first
     from dataclasses import replace
 
+    unit_scaled = ws.unit_scaled
+    del ws  # free the first run's dense data before building the second
     retry_cfg = replace(cfg, equilibrate=not cfg.equilibrate)
-    second = _solve_once(problem, retry_cfg)
+    ws = _Workspace(problem, equilibrate=retry_cfg.equilibrate)
+    if unit_scaled and ws.unit_scaled:
+        return first
+    second = _solve_once(ws, retry_cfg)
     if second.status in (
         SdpStatus.OPTIMAL,
         SdpStatus.INFEASIBLE,
@@ -408,7 +478,7 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
     return first if first_merit <= second_merit else second
 
 
-def _solve_once(problem: SdpProblem, cfg: SolverConfig) -> SdpSolution:
+def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
     """One interior-point run on the homogeneous self-dual embedding.
 
     The iterate (x, y, s, tau, kappa) starts strictly feasible for the
@@ -416,12 +486,6 @@ def _solve_once(problem: SdpProblem, cfg: SolverConfig) -> SdpSolution:
     measure.  A vanishing tau with positive kappa yields an infeasibility
     or unboundedness certificate instead of an optimum.
     """
-    if problem.num_constraints == 0 and not problem.objective:
-        raise SdpModelError("problem needs at least one constraint or objective")
-    if problem.num_constraints == 0:
-        raise SdpModelError("unconstrained problems are not supported")
-    flip = problem.sense == "max"
-    ws = _Workspace(problem, flip, equilibrate=cfg.equilibrate)
     m = ws.m
     nu1 = ws.nu + 1.0
 
@@ -431,7 +495,9 @@ def _solve_once(problem: SdpProblem, cfg: SolverConfig) -> SdpSolution:
         [ws.A[blk].reshape(m, -1) for blk in range(len(ws.blocks))]
     )
     gram_AAT = gram_rows @ gram_rows.T
+    del gram_rows
     gram_scale = max(1.0, float(np.max(np.diag(gram_AAT))))
+    rows, row_views = _row_buffer(ws)
     repair_chol = None
     reg0 = 1e-14
     while reg0 <= 1e-8:
@@ -502,7 +568,7 @@ def _solve_once(problem: SdpProblem, cfg: SolverConfig) -> SdpSolution:
         )
 
     def _pack(status: SdpStatus, message: str) -> SdpSolution:
-        sign = -1.0 if flip else 1.0
+        sign = -1.0 if ws.flip else 1.0
         Xd, yd, Sd = _dehom()
         Xu = ws.unscale_primal(Xd)
         yu, Su = ws.unscale_dual(yd, Sd)
@@ -738,15 +804,7 @@ def _solve_once(problem: SdpProblem, cfg: SolverConfig) -> SdpSolution:
             return np.concatenate([np.asarray(b).reshape(-1) for b in blocks_in])
 
         # Scaled constraints; Schur complement M = rows rows^T (+ reg).
-        row_parts = []
-        for blk, spec in enumerate(ws.blocks):
-            if spec.kind is BlockKind.PSD:
-                g = G[blk]
-                ahat = np.einsum("ki,mij,jl->mkl", g.T, ws.A[blk], g, optimize=True)
-                row_parts.append(ahat.reshape(m, -1))
-            else:
-                row_parts.append(ws.A[blk] * w_diag[blk][None, :])
-        rows = np.hstack(row_parts)
+        _scale_rows(ws, G, w_diag, row_views)
         schur = rows @ rows.T
         schur = (schur + schur.T) / 2.0
 
@@ -927,23 +985,46 @@ def _solve_once(problem: SdpProblem, cfg: SolverConfig) -> SdpSolution:
 
 def check_certificate(problem: SdpProblem, sol: SdpSolution) -> CertificateReport:
     """Recompute residuals and eigenvalue margins straight from problem data."""
-    ws = _Workspace(problem, flip=False, equilibrate=False)
-    resid = ws.apply_A(sol.x_blocks) - ws.b
-    ATy = ws.apply_AT(sol.y)
+    X = [np.asarray(x, dtype=float) for x in sol.x_blocks]
+    y = np.asarray(sol.y, dtype=float)
+    b = np.array([rhs for _e, rhs in problem.constraints])
+    C = [
+        problem.dense_coefficient(problem.objective, blk)
+        for blk in range(len(problem.blocks))
+    ]
+    # <A_i, X> and A^T y from the stored upper-triangle entries: an
+    # off-diagonal entry v at (i, j) stands for v at (i, j) and at (j, i).
+    AX = np.zeros(len(b))
+    ATy = [np.zeros_like(c) for c in C]
+    for ci, (entries, _rhs) in enumerate(problem.constraints):
+        for blk, items in entries.items():
+            x, at = X[blk], ATy[blk]
+            for i, j, v in items:
+                if x.ndim == 1:
+                    AX[ci] += v * x[i]
+                    at[i] += y[ci] * v
+                elif i == j:
+                    AX[ci] += v * x[i, i]
+                    at[i, i] += y[ci] * v
+                else:
+                    AX[ci] += v * (x[i, j] + x[j, i])
+                    at[i, j] += y[ci] * v
+                    at[j, i] += y[ci] * v
+    resid = AX - b
     # Dual slack implied by y alone, independent of the solver's S iterate:
     # C - A^T y for minimization, A^T y - C for maximization.
     if problem.sense == "min":
-        S_implied = [c - a for c, a in zip(ws.C, ATy)]
+        S_implied = [c - a for c, a in zip(C, ATy)]
     else:
-        S_implied = [a - c for c, a in zip(ws.C, ATy)]
-    pobj = ws.inner(ws.C, sol.x_blocks)
-    dobj = float(ws.b @ sol.y)
+        S_implied = [a - c for c, a in zip(C, ATy)]
+    pobj = _inner(C, X)
+    dobj = float(b @ y)
     return CertificateReport(
-        constraint_residual=float(np.max(np.abs(resid))) if ws.m else 0.0,
+        constraint_residual=float(np.max(np.abs(resid))) if len(b) else 0.0,
         primal_min_eigs=tuple(_sym_eig_min(x) for x in sol.x_blocks),
         dual_min_eigs=tuple(_sym_eig_min(s) for s in S_implied),
         primal_objective=pobj,
         dual_objective=dobj,
         duality_gap=pobj - dobj if problem.sense == "min" else dobj - pobj,
-        complementarity=ws.inner(sol.x_blocks, S_implied),
+        complementarity=_inner(X, S_implied),
     )

@@ -1,5 +1,7 @@
 import numpy as np
 
+from sosproj import certificates as certificates_module
+from sosproj.certificates import MembershipResult, MembershipVerdict
 from sosproj.cli import main
 from sosproj.moments import MomentSequence, format_moment_text
 from sosproj.projection import format_certificate_document, parse_certificate
@@ -229,3 +231,33 @@ def test_certify_not_in_cone_writes_verdict(tmp_path, capsys):
     text = out_path.read_text()
     assert text.startswith("VERDICT\nnot_in_cone level 3")
     assert "SEPARATING_MOMENTS" in text
+
+
+def test_psatz_all_inconclusive_exits_numerical(monkeypatch, capsys):
+    # Every membership solve inconclusive: exit 2, not "searched, not
+    # certified" (3), whatever the number of (d, level) pairs searched.
+    def fake_membership(f, system, k, config=None):
+        return MembershipResult(MembershipVerdict.INCONCLUSIVE, k, message="forced")
+
+    monkeypatch.setattr(certificates_module, "membership", fake_membership)
+    code, out, err = run(
+        capsys, "psatz", "--f", MOTZKIN, "--eps", "0.01", "--dmax", "4"
+    )
+    assert code == 2
+    assert out == "NotFoundUpTo(4)\n"
+    assert "inconclusive" in err
+
+
+def test_psatz_some_inconclusive_exits_not_certified(monkeypatch, capsys):
+    verdicts = iter([MembershipVerdict.INCONCLUSIVE])
+
+    def fake_membership(f, system, k, config=None):
+        verdict = next(verdicts, MembershipVerdict.NOT_IN_CONE)
+        return MembershipResult(verdict, k, message="forced")
+
+    monkeypatch.setattr(certificates_module, "membership", fake_membership)
+    code, out, _err = run(
+        capsys, "psatz", "--f", MOTZKIN, "--eps", "0.01", "--dmax", "4"
+    )
+    assert code == 3
+    assert out == "NotFoundUpTo(4)\n"

@@ -3,10 +3,12 @@ import pytest
 
 from sosproj.moments import build_basis_matrices
 from sosproj.polynomials import Polynomial, monomial_basis, parse_polynomial
+from sosproj import sdp as sdp_module
 from sosproj.sdp import (
     BlockKind,
     SdpModelError,
     SdpProblem,
+    SdpSolution,
     SdpStatus,
     SolverConfig,
     check_certificate,
@@ -204,3 +206,52 @@ def test_check_certificate_is_independent():
     rep_after = check_certificate(prob, sol)
     assert rep_before.dual_min_eigs == rep_after.dual_min_eigs
     assert rep_before.constraint_residual == rep_after.constraint_residual
+
+
+def _count_solve_once(monkeypatch):
+    """Make every interior-point run inconclusive and count the runs."""
+    calls = []
+
+    def fake(ws, cfg):
+        calls.append(cfg.equilibrate)
+        return SdpSolution(
+            status=SdpStatus.MAX_ITER,
+            x_blocks=[],
+            y=np.zeros(ws.m),
+            s_blocks=[],
+            primal_objective=0.0,
+            dual_objective=0.0,
+            gap=1.0,
+            relative_gap=1.0,
+            primal_residual=1.0,
+            dual_residual=1.0,
+            iterations=1,
+            message="forced",
+        )
+
+    monkeypatch.setattr(sdp_module, "_solve_once", fake)
+    return calls
+
+
+def test_retry_skipped_when_equilibration_scales_nothing(monkeypatch):
+    # Unit objective, rhs and coefficients: every equilibration scale is 1,
+    # so the toggled run would repeat the first one bit for bit.
+    calls = _count_solve_once(monkeypatch)
+    solve(trace_toy(), DEFAULT)
+    assert calls == [True]
+    calls.clear()
+    solve(trace_toy(), SolverConfig(equilibrate=False))
+    assert calls == [False]
+
+
+def test_retry_runs_when_equilibration_rescales(monkeypatch):
+    prob = SdpProblem()
+    blk = prob.add_psd_block(2)
+    prob.set_objective({blk: [(0, 0, 1.0), (1, 1, 1.0)]})
+    prob.add_constraint({blk: [(0, 0, 1.0)]}, 2.0)  # rhs scale 2
+    calls = _count_solve_once(monkeypatch)
+    solve(prob, DEFAULT)
+    assert calls == [True, False]
+    calls.clear()
+    solve(prob, SolverConfig(equilibrate=False))
+    assert calls == [False, True]
