@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from sosproj import certificates, projection
 from sosproj.cones import SemialgebraicSystem
 from sosproj.polynomials import WeightSequence, parse_polynomial
 from sosproj.projection import ProjectionProblem, build_lambda_form_sdp
@@ -37,10 +38,66 @@ def projection_fixture():
     return build_lambda_form_sdp(problem).sdp
 
 
+class _Captured(Exception):
+    def __init__(self, problem):
+        super().__init__("captured")
+        self.problem = problem
+
+
+def _captured_sdp(module, run):
+    """The SDP that `run` hands to `module.solve`, captured unsolved."""
+
+    def stub(problem, config=None):
+        raise _Captured(problem)
+
+    saved = module.solve
+    module.solve = stub
+    try:
+        run()
+    except _Captured as exc:
+        return exc.problem
+    finally:
+        module.solve = saved
+    raise AssertionError("no SDP reached the solver")
+
+
+def _ball_quartic_problem():
+    f = parse_polynomial("x1^4 - x1 + 1/3", 1)
+    g = parse_polynomial("1 - x1^2", 1)
+    return ProjectionProblem(
+        f, SemialgebraicSystem(1, (g,)), WeightSequence.l1(), 2
+    )
+
+
+def general_form_fixture():
+    problem = _ball_quartic_problem()
+    return _captured_sdp(
+        projection, lambda: projection.project_general_form(problem)
+    )
+
+
+def dual_moment_fixture():
+    problem = _ball_quartic_problem()
+    return _captured_sdp(
+        projection, lambda: projection.dual_moment_problem(problem)
+    )
+
+
+def membership_fixture():
+    problem = _ball_quartic_problem()
+    return _captured_sdp(
+        certificates,
+        lambda: certificates.membership(problem.f, problem.system, 2),
+    )
+
+
 FIXTURES = {
     "trace_toy.dat-s": trace_toy,
     "mixed_blocks.dat-s": mixed_blocks,
     "projection_quartic.dat-s": projection_fixture,
+    "general_form_ball.dat-s": general_form_fixture,
+    "dual_moment_ball.dat-s": dual_moment_fixture,
+    "membership_ball.dat-s": membership_fixture,
 }
 
 
