@@ -16,8 +16,8 @@ from .polynomials import (
     weighted_norm,
 )
 from .moments import (
+    BasisMatrixSet,
     MomentSequence,
-    build_basis_matrices,
     carleman_diagnostic,
     dual_norm,
     kmoment_condition_check,

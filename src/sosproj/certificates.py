@@ -12,22 +12,16 @@ decide the underlying "for every eps" statements.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .cones import (
-    SemialgebraicSystem,
-    build_truncation,
-    gram_reconstruct,
-    truncation_entries,
-)
+from .cones import SemialgebraicSystem, build_truncation, gram_reconstruct, gram_sdp
 from .moments import MomentSequence, eig_range, localizing_matrix
-from .polynomials import Exponent, Polynomial, monomial_basis
-from .projection import default_solver_config
-from .sdp import SdpProblem, SdpStatus, SolverConfig, solve
+from .polynomials import Polynomial, WeightKind, monomial_basis
+from .projection import default_solver_config, perturbation_basis
+from .sdp import SdpStatus, SolverConfig, solve
 
 
 class MembershipVerdict(Enum):
@@ -75,28 +69,21 @@ def membership(
     cfg = config or default_solver_config()
     trunc = build_truncation(system, k)
 
-    sdp = SdpProblem()
-    block_ids = {}
-    for block in trunc.blocks:
-        block_ids[block.label] = sdp.add_psd_block(block.side)
-    sdp.set_objective(
+    gs = gram_sdp(trunc)
+    gs.sdp.set_objective(
         {
-            block_ids[b.label]: [(i, i, 1.0) for i in range(b.side)]
+            gs.block_ids[b.label]: [(i, i, 1.0) for i in range(b.side)]
             for b in trunc.blocks
         }
     )
     for alpha in monomial_basis(system.dimension, 2 * k):
-        sdp.add_constraint(
-            truncation_entries(trunc, block_ids, alpha), f.coefficient(alpha)
-        )
+        gs.sdp.add_constraint(gs.entries(alpha), f.coefficient(alpha))
 
-    sol = solve(sdp, cfg)
+    sol = solve(gs.sdp, cfg)
 
     if sol.status is SdpStatus.OPTIMAL:
-        grams = {
-            b.label: sol.x_blocks[block_ids[b.label]] for b in trunc.blocks
-        }
-        recon = gram_reconstruct(trunc, [grams[b.label] for b in trunc.blocks])
+        grams = gs.grams(sol)
+        recon = gram_reconstruct(trunc, list(grams.values()))
         diff = recon - f
         err = max((abs(c) for c in diff.terms.values()), default=0.0)
         min_eigs = {}
@@ -187,17 +174,14 @@ class PerturbationKind(Enum):
 def perturbation_polynomial(
     n: int, d: int, kind: PerturbationKind
 ) -> Polynomial:
-    terms: dict[Exponent, float] = {(0,) * n: 1.0}
+    """The matching norm's perturbation basis, summed (lw: tower, l1: top power)."""
     if kind is PerturbationKind.EXP_PARTIAL_SUM:
-        for i in range(n):
-            for k in range(1, d + 1):
-                alpha = tuple(2 * k if j == i else 0 for j in range(n))
-                terms[alpha] = 1.0 / math.factorial(2 * k)
+        weight = WeightKind.LW
     else:
-        for i in range(n):
-            alpha = tuple(2 * d if j == i else 0 for j in range(n))
-            terms[alpha] = 1.0
-    return Polynomial(n, terms)
+        weight = WeightKind.L1
+    return Polynomial(
+        n, {alpha: scale for _key, alpha, scale in perturbation_basis(n, d, weight)}
+    )
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from .certificates import (
     psatz_search,
 )
 from .cones import ConeKind, SemialgebraicSystem, parse_system_text
-from .moments import kmoment_condition_check, parse_moment_text
+from .moments import format_moment_text, kmoment_condition_check, parse_moment_text
 from .polynomials import (
     PolynomialError,
     WeightSequence,
@@ -28,6 +28,7 @@ from .polynomials import (
     parse_polynomial,
 )
 from .projection import (
+    ProjectionCertificate,
     ProjectionFailure,
     ProjectionProblem,
     build_lambda_form_sdp,
@@ -62,13 +63,17 @@ class RunConfig:
     gap_tol: float = 1e-6
     format: str = "text"
     out: str | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.feas_tol <= 0 or self.gap_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.d < 1:
             raise ValueError("d must be >= 1")
+        # Config-file values do not pass through argparse's choices.
+        if self.format not in ("text", "structured"):
+            raise ValueError(f"format must be text or structured, got {self.format!r}")
+        if self.norm not in ("l1", "lw"):
+            raise ValueError(f"norm must be l1 or lw, got {self.norm!r}")
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
@@ -93,7 +98,7 @@ class RunConfig:
             if key not in typed:
                 raise ValueError(f"unknown config key {key!r}")
             if isinstance(val, str):
-                if key in ("d", "dmax", "seed"):
+                if key in ("d", "dmax"):
                     val = int(val)
                 elif key == "t":
                     val = None if val in ("", "none") else int(val)
@@ -155,21 +160,8 @@ def _load_config(args) -> RunConfig:
     cfg = RunConfig()
     if getattr(args, "config", None):
         cfg = RunConfig.from_file(args.config)
-    overrides = {
-        key: getattr(args, key, None)
-        for key in (
-            "norm",
-            "cone",
-            "d",
-            "t",
-            "eps",
-            "dmax",
-            "format",
-            "out",
-            "feas_tol",
-            "gap_tol",
-        )
-    }
+    # Every RunConfig field has a flag of the same name; set flags win.
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
     return cfg.merged(overrides)
 
 
@@ -232,47 +224,30 @@ def cmd_certify(args) -> int:
     f = _parse_f(args, system)
     result = membership(f, system, cfg.d, cfg.solver_config())
     print(f"verdict {result.verdict.value} level {result.level}")
-    if result.verdict is MembershipVerdict.IN_CONE:
+    if result.verdict is MembershipVerdict.INCONCLUSIVE:
+        print(f"inconclusive: {result.message}")
+        return EXIT_NUMERICAL
+    in_cone = result.verdict is MembershipVerdict.IN_CONE
+    if in_cone:
         print(f"reconstruction_error {result.reconstruction_error:.3e}")
-        if cfg.out or cfg.format == "structured":
-            from .projection import ProjectionCertificate
-
-            cert = ProjectionCertificate(
-                norm_kind=WeightSequence.from_name(cfg.norm).kind,
-                d=cfg.d,
-                t=cfg.d,
-                p_value=0.0,
-                projection=f,
-                grams=result.grams,
-            )
-            _emit(
-                format_certificate(cert, verdict=f"in_cone level {cfg.d}"), cfg
-            )
-        return EXIT_OK
-    if result.verdict is MembershipVerdict.NOT_IN_CONE:
+        verdict = f"in_cone level {cfg.d}"
+    else:
         print(f"separation L_y(f) = {result.separation:.6e}")
-        if cfg.out or cfg.format == "structured":
-            from .moments import format_moment_text
-            from .projection import ProjectionCertificate
-
-            cert = ProjectionCertificate(
-                norm_kind=WeightSequence.from_name(cfg.norm).kind,
-                d=cfg.d,
-                t=cfg.d,
-                p_value=0.0,
-                projection=f,
-                grams={},
-            )
-            verdict = (
-                f"not_in_cone level {cfg.d} separation "
-                f"{result.separation:.17g}"
-            )
-            body = format_certificate(cert, verdict=verdict)
+        verdict = f"not_in_cone level {cfg.d} separation {result.separation:.17g}"
+    if cfg.out or cfg.format == "structured":
+        cert = ProjectionCertificate(
+            norm_kind=WeightSequence.from_name(cfg.norm).kind,
+            d=cfg.d,
+            t=cfg.d,
+            p_value=0.0,
+            projection=f,
+            grams=result.grams or {},
+        )
+        body = format_certificate(cert, verdict=verdict)
+        if not in_cone:
             body += "SEPARATING_MOMENTS\n" + format_moment_text(result.separating)
-            _emit(body, cfg)
-        return EXIT_NOT_CERTIFIED
-    print(f"inconclusive: {result.message}")
-    return EXIT_NUMERICAL
+        _emit(body, cfg)
+    return EXIT_OK if in_cone else EXIT_NOT_CERTIFIED
 
 
 def cmd_psatz(args) -> int:

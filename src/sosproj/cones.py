@@ -17,8 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .moments import BasisMatrixSet, build_basis_matrices
+from .moments import BasisMatrixSet
 from .polynomials import Exponent, Polynomial
+from .sdp import BlockEntries, SdpProblem, SdpSolution
 
 # Subset products blow up as 2^m; refuse preorderings past this many generators.
 PREORDER_CAP = 12
@@ -80,9 +81,6 @@ class SemialgebraicSystem:
             g = g * self.generators[j - 1]
         return g
 
-    def contains(self, point, tol: float = 0.0) -> bool:
-        return all(g.evaluate(point) >= -tol for g in self.generators)
-
 
 @dataclass(frozen=True)
 class ConeBlock:
@@ -135,23 +133,49 @@ def build_truncation(system: SemialgebraicSystem, k: int) -> ConeTruncation:
             excluded.append((label, v))
             continue
         blocks.append(
-            ConeBlock(label, product, order, build_basis_matrices(product, order))
+            ConeBlock(label, product, order, BasisMatrixSet(product, order))
         )
     return ConeTruncation(system, k, tuple(blocks), tuple(excluded))
 
 
-def truncation_entries(
-    truncation: ConeTruncation,
-    block_ids: dict[tuple[int, ...], int],
-    alpha: Exponent,
-) -> dict[int, list[tuple[int, int, float]]]:
-    """SDP entries of the coefficient of x^alpha: B^J_alpha on each Gram block J."""
-    entries = {}
-    for block in truncation.blocks:
-        items = block.basis.entries(alpha)
-        if items:
-            entries[block_ids[block.label]] = items
-    return entries
+@dataclass
+class GramSdp:
+    """A coefficient-matching SDP over the Gram blocks of a truncation.
+
+    Nonnegative-diagonal blocks come first, at indices 0, 1, ...; then one
+    PSD block per truncation block, at the index `block_ids` gives its label.
+    """
+
+    sdp: SdpProblem
+    truncation: ConeTruncation
+    block_ids: dict[tuple[int, ...], int]
+
+    def entries(self, alpha: Exponent) -> BlockEntries:
+        """SDP entries of the coefficient of x^alpha: B^J_alpha on each Gram block J."""
+        entries = {}
+        for block in self.truncation.blocks:
+            items = block.basis.entries(alpha)
+            if items:
+                entries[self.block_ids[block.label]] = items
+        return entries
+
+    def grams(self, sol: SdpSolution) -> dict[tuple[int, ...], np.ndarray]:
+        """The solution's Gram matrix of each truncation block, by label."""
+        return {
+            block.label: sol.x_blocks[self.block_ids[block.label]]
+            for block in self.truncation.blocks
+        }
+
+
+def gram_sdp(truncation: ConeTruncation, diag_sides: Sequence[int] = ()) -> GramSdp:
+    """Empty GramSdp: the given nonnegative-diagonal blocks, then the Gram blocks."""
+    sdp = SdpProblem()
+    for side in diag_sides:
+        sdp.add_diag_block(side)
+    block_ids = {
+        block.label: sdp.add_psd_block(block.side) for block in truncation.blocks
+    }
+    return GramSdp(sdp, truncation, block_ids)
 
 
 def gram_reconstruct(

@@ -153,11 +153,6 @@ def eig_range(mat: np.ndarray) -> tuple[float, float]:
     return (float(vals[0]), float(vals[-1]))
 
 
-def is_psd(mat: np.ndarray, tol: float = PSD_TOL) -> bool:
-    lmin, lmax = eig_range(mat)
-    return lmin >= -tol * max(1.0, abs(lmax))
-
-
 class BasisMatrixSet:
     """Matrices B_alpha with g(x) v_d(x) v_d(x)^T = sum_alpha x^alpha B_alpha.
 
@@ -205,10 +200,6 @@ class BasisMatrixSet:
     def entries(self, alpha: Exponent) -> list[tuple[int, int, float]]:
         """Upper-triangle (i, j, value) entries of B_alpha, i <= j."""
         return list(self._entries.get(tuple(alpha), ()))
-
-
-def build_basis_matrices(g: Polynomial, d: int) -> BasisMatrixSet:
-    return BasisMatrixSet(g, d)
 
 
 def moment_matrix(y: MomentSequence, d: int) -> np.ndarray:
@@ -372,9 +363,6 @@ class CarlemanReport:
     num_terms: int
     variables: tuple[CarlemanVariableReport, ...]
     bound_m: float                     # max_k L_y(x_i^{2k}) / (2k)! on the base y
-
-    def partial_sum(self, variable: int) -> float:
-        return self.variables[variable - 1].partial_sums[-1]
 
 
 def carleman_diagnostic(

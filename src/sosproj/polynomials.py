@@ -12,7 +12,7 @@ import math
 import re
 from enum import Enum
 from math import comb
-from typing import Iterable, Mapping
+from typing import Mapping
 
 Exponent = tuple[int, ...]
 
@@ -87,10 +87,6 @@ def monomial_basis(n: int, d: int) -> list[Exponent]:
     for deg in range(d + 1):
         extend([], deg, n)
     return out
-
-
-def basis_index(basis: Iterable[Exponent]) -> dict[Exponent, int]:
-    return {alpha: i for i, alpha in enumerate(basis)}
 
 
 class Polynomial:

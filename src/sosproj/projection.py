@@ -19,12 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import (
-    ConeTruncation,
-    SemialgebraicSystem,
-    build_truncation,
-    truncation_entries,
-)
+from .cones import GramSdp, SemialgebraicSystem, build_truncation, gram_sdp
 from .moments import MomentSequence
 from .polynomials import (
     Exponent,
@@ -34,7 +29,6 @@ from .polynomials import (
     monomial_basis,
 )
 from .sdp import (
-    SdpProblem,
     SdpSolution,
     SdpStatus,
     SolverConfig,
@@ -45,7 +39,7 @@ from .sdp import (
 # residual near roundoff, and the gap polishes well past gap_tol whenever
 # the instance allows it.
 def default_solver_config() -> SolverConfig:
-    return SolverConfig(feas_tol=1e-8, gap_tol=1e-6, max_iter=200)
+    return SolverConfig(feas_tol=1e-8, gap_tol=1e-6)
 
 
 # Computed lambda entries at or below this are flagged as effectively zero;
@@ -159,13 +153,10 @@ def _require_optimal(sol: SdpSolution, what: str) -> None:
 
 
 @dataclass
-class LambdaFormSdp:
+class LambdaFormSdp(GramSdp):
     """The assembled lambda-form SDP plus the index maps to read it back."""
 
-    sdp: SdpProblem
-    truncation: ConeTruncation
     lam_block: int
-    block_ids: dict[tuple[int, ...], int]
     pert: list[tuple[tuple[int, int], Exponent, float]]
     pert_index: dict[tuple[int, int], int]
 
@@ -176,24 +167,23 @@ def build_lambda_form_sdp(problem: ProjectionProblem) -> LambdaFormSdp:
     trunc = build_truncation(system, t)
     pert = perturbation_basis(n, d, w.kind)
     pert_by_alpha = {alpha: (key, scale) for key, alpha, scale in pert}
-
-    sdp = SdpProblem()
-    lam_blk = sdp.add_diag_block(len(pert))
-    block_ids = {}
-    for block in trunc.blocks:
-        block_ids[block.label] = sdp.add_psd_block(block.side)
-    sdp.set_objective({lam_blk: [(p, p, 1.0) for p in range(len(pert))]})
-
     pert_index = {key: p for p, (key, _a, _s) in enumerate(pert)}
+    base = gram_sdp(trunc, (len(pert),))
+    built = LambdaFormSdp(
+        base.sdp, base.truncation, base.block_ids, 0, pert, pert_index
+    )
+    lam_blk = built.lam_block
+    built.sdp.set_objective({lam_blk: [(p, p, 1.0) for p in range(len(pert))]})
+
     for alpha in monomial_basis(n, 2 * t):
-        entries = truncation_entries(trunc, block_ids, alpha)
+        entries = built.entries(alpha)
         hit = pert_by_alpha.get(alpha)
         if hit is not None:
             key, scale = hit
             p = pert_index[key]
             entries.setdefault(lam_blk, []).append((p, p, -scale))
-        sdp.add_constraint(entries, f.coefficient(alpha))
-    return LambdaFormSdp(sdp, trunc, lam_blk, block_ids, pert, pert_index)
+        built.sdp.add_constraint(entries, f.coefficient(alpha))
+    return built
 
 
 def project_lambda_form(
@@ -204,8 +194,7 @@ def project_lambda_form(
     f, w = problem.f, problem.norm
     n, d, t = problem.system.dimension, problem.d, problem.t
     built = build_lambda_form_sdp(problem)
-    trunc, lam_blk = built.truncation, built.lam_block
-    block_ids, pert, pert_index = built.block_ids, built.pert, built.pert_index
+    lam_blk, pert, pert_index = built.lam_block, built.pert, built.pert_index
 
     sol = solve(built.sdp, cfg)
     _require_optimal(sol, "lambda-form projection")
@@ -223,10 +212,6 @@ def project_lambda_form(
         if value != 0.0:
             shift[alpha] = shift.get(alpha, 0.0) + value
     projection = f + Polynomial(n, shift)
-    grams = {
-        block.label: sol.x_blocks[block_ids[block.label]]
-        for block in trunc.blocks
-    }
     dual_moments = MomentSequence(
         n,
         2 * t,
@@ -239,7 +224,7 @@ def project_lambda_form(
         t=t,
         p_value=float(sol.primal_objective),
         projection=projection,
-        grams=grams,
+        grams=built.grams(sol),
         lambda0=lambda0,
         lambda_ik=lambda_ik,
         dual_moments=dual_moments,
@@ -261,19 +246,15 @@ def project_general_form(
     low = monomial_basis(n, 2 * d)
     low_index = {alpha: i for i, alpha in enumerate(low)}
 
-    sdp = SdpProblem()
-    lam_blk = sdp.add_diag_block(len(low))
-    sp_blk = sdp.add_diag_block(len(low))
-    sm_blk = sdp.add_diag_block(len(low))
-    block_ids = {}
-    for block in trunc.blocks:
-        block_ids[block.label] = sdp.add_psd_block(block.side)
+    gs = gram_sdp(trunc, (len(low),) * 3)
+    sdp = gs.sdp
+    lam_blk, sp_blk, sm_blk = range(3)
     sdp.set_objective(
         {lam_blk: [(i, i, w.weight(alpha)) for i, alpha in enumerate(low)]}
     )
 
     for alpha in monomial_basis(n, 2 * t):
-        h_entries = truncation_entries(trunc, block_ids, alpha)
+        h_entries = gs.entries(alpha)
         if sum(alpha) <= 2 * d:
             i = low_index[alpha]
             falpha = f.coefficient(alpha)
@@ -297,14 +278,10 @@ def project_general_form(
 
     from .cones import gram_reconstruct
 
-    gram_list = [sol.x_blocks[block_ids[b.label]] for b in trunc.blocks]
-    projection = gram_reconstruct(trunc, gram_list)
+    grams = gs.grams(sol)
+    projection = gram_reconstruct(trunc, list(grams.values()))
     residuals = {
         alpha: float(sol.x_blocks[lam_blk][i]) for alpha, i in low_index.items()
-    }
-    grams = {
-        block.label: sol.x_blocks[block_ids[block.label]]
-        for block in trunc.blocks
     }
     return ProjectionCertificate(
         norm_kind=w.kind,
@@ -351,13 +328,9 @@ def dual_moment_problem(
     aindex = {alpha: i for i, alpha in enumerate(alphas)}
     N = len(alphas)
 
-    sdp = SdpProblem()
-    u_blk = sdp.add_diag_block(N)
-    v_blk = sdp.add_diag_block(N)
-    box_blk = sdp.add_diag_block(N)
-    z_ids = {}
-    for block in trunc.blocks:
-        z_ids[block.label] = sdp.add_psd_block(block.side)
+    gs = gram_sdp(trunc, (N, N, N))
+    sdp = gs.sdp
+    u_blk, v_blk, box_blk = range(3)
 
     # minimize L_y(f) = sum f_alpha (u_alpha - v_alpha); report the negation.
     obj = {
@@ -368,7 +341,7 @@ def dual_moment_problem(
 
     # Localizing-matrix linkage: Z_J[b,g] = sum_alpha B^J_alpha[b,g] y_alpha.
     for block in trunc.blocks:
-        zb = z_ids[block.label]
+        zb = gs.block_ids[block.label]
         side = block.side
         linkage: dict[tuple[int, int], list[tuple[int, float]]] = {}
         for alpha in block.basis.nonzero_exponents():
@@ -471,37 +444,6 @@ def _label_parse(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(","))
 
 
-def format_certificate(
-    cert: ProjectionCertificate, verdict: str | None = None
-) -> str:
-    lines: list[str] = []
-    if verdict is not None:
-        lines.append("VERDICT")
-        lines.append(verdict)
-    lines.append("LAMBDA")
-    if cert.lambda0 is not None:
-        lines.append(f"lambda0 {_fmt(cert.lambda0)}")
-        for (i, k), v in sorted(cert.lambda_ik.items()):
-            lines.append(f"lambda {i} {k} {_fmt(v)}")
-        flag = "true" if cert.lambda_effectively_zero else "false"
-        lines.append(f"effectively_zero_at_{_fmt(LAMBDA_ZERO_FLAG)} {flag}")
-    if cert.residuals is not None:
-        for alpha in sorted(cert.residuals, key=lambda a: (sum(a), a)):
-            coords = " ".join(str(x) for x in alpha)
-            lines.append(f"residual {coords} {_fmt(cert.residuals[alpha])}")
-    lines.append("GRAMS")
-    for label in sorted(cert.grams, key=lambda L: (len(L), L)):
-        gram = np.asarray(cert.grams[label])
-        lines.append(f"block {_label_str(label)} side {gram.shape[0]}")
-        for row in gram:
-            lines.append(" ".join(_fmt(v) for v in row))
-    lines.append("P_VALUE")
-    lines.append(_fmt(cert.p_value))
-    lines.append("PROJECTION")
-    lines.append(str(cert.projection))
-    return "\n".join(lines) + "\n"
-
-
 @dataclass
 class CertificateDocument:
     """Parsed form of the certificate text; formats back byte-identically."""
@@ -584,6 +526,33 @@ def parse_certificate(text: str) -> CertificateDocument:
         p_value,
         projection_text,
     )
+
+
+def format_certificate(
+    cert: ProjectionCertificate, verdict: str | None = None
+) -> str:
+    zero_flag_line = None
+    if cert.lambda0 is not None:
+        flag = "true" if cert.lambda_effectively_zero else "false"
+        zero_flag_line = f"effectively_zero_at_{_fmt(LAMBDA_ZERO_FLAG)} {flag}"
+    residuals = sorted(
+        (cert.residuals or {}).items(), key=lambda item: (sum(item[0]), item[0])
+    )
+    grams = [
+        (label, np.asarray(cert.grams[label]))
+        for label in sorted(cert.grams, key=lambda L: (len(L), L))
+    ]
+    doc = CertificateDocument(
+        verdict,
+        cert.lambda0,
+        cert.lambda_ik or {},
+        zero_flag_line,
+        residuals,
+        grams,
+        cert.p_value,
+        str(cert.projection),
+    )
+    return format_certificate_document(doc)
 
 
 def format_certificate_document(doc: CertificateDocument) -> str:

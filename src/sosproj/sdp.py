@@ -13,7 +13,7 @@ A^T y + S = 0 and b^T y = 1, which certifies that no feasible X exists.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -21,6 +21,25 @@ import scipy.linalg as sla
 
 Entry = tuple[int, int, float]
 BlockEntries = dict[int, list[Entry]]
+
+# Fraction of the distance to the cone boundary that each step covers.
+STEP_FRACTION = 0.98
+# Lower clamp on the Mehrotra centering parameter sigma.
+SIGMA_MIN = 1e-8
+# Upper clamp on sigma, and its value when the complementarity mu is zero.
+SIGMA_MAX = 0.99999
+# Schur-diagonal regularization, relative to the largest diagonal entry.
+REG_INIT = 1e-12
+# Cap of the regularization ladder, which grows x10 per failed factorization.
+REG_MAX = 1e-8
+# Objective magnitude past which the iterate is checked for a certifying ray.
+INFEAS_OBJ_THRESHOLD = 1e8
+# Relative residual below which a ray certifies infeasibility or unboundedness.
+RAY_TOL = 1e-7
+# Iterations without a 10% merit improvement before a run counts as stalled.
+STALL_PATIENCE = 25
+# Iteration cap of one interior-point run.
+MAX_ITER = 200
 
 
 class BlockKind(Enum):
@@ -121,23 +140,11 @@ class SdpProblem:
 class SolverConfig:
     feas_tol: float = 1e-7
     gap_tol: float = 1e-6
-    max_iter: int = 200
-    step_fraction: float = 0.98      # fraction to boundary; adapts upward
-    sigma_min: float = 1e-8
-    sigma_max: float = 0.99999
-    reg_init: float = 1e-12          # static Schur-diagonal regularization
-    reg_max: float = 1e-8            # retry ladder cap (x10 per retry)
-    infeas_obj_threshold: float = 1e8
-    ray_tol: float = 1e-7
-    stall_patience: int = 25
     equilibrate: bool = True
-    verbose: bool = False
 
     def __post_init__(self):
         if self.feas_tol <= 0 or self.gap_tol <= 0:
             raise SdpModelError("tolerances must be positive")
-        if self.max_iter < 1:
-            raise SdpModelError("max_iter must be >= 1")
 
 
 class SdpStatus(Enum):
@@ -146,6 +153,10 @@ class SdpStatus(Enum):
     UNBOUNDED = "unbounded"
     MAX_ITER = "max_iter"
     NUMERICAL_FAILURE = "numerical_failure"
+
+
+# Statuses that solve() returns without a retry.
+CONCLUSIVE = (SdpStatus.OPTIMAL, SdpStatus.INFEASIBLE, SdpStatus.UNBOUNDED)
 
 
 @dataclass
@@ -257,11 +268,6 @@ class _Workspace:
             self._equilibrate()
         self.obj_scale = self.c_scale * self.b_scale
         self.row_unscale = self.b_scale / self.r_scale
-        self.norm_b = float(np.linalg.norm(self.b))
-        self.norm_C = math.sqrt(sum(float(np.sum(c * c)) for c in self.C))
-        self.norm_A = np.sqrt(
-            sum((a.reshape(self.m, -1) ** 2).sum(axis=1) for a in self.A)
-        )
 
     def primal_residual_user(self, ry: np.ndarray) -> float:
         """User-space norm of a scaled-space primal residual vector."""
@@ -448,14 +454,8 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
         raise SdpModelError("unconstrained problems are not supported")
     ws = _Workspace(problem, equilibrate=cfg.equilibrate)
     first = _solve_once(ws, cfg)
-    if first.status in (
-        SdpStatus.OPTIMAL,
-        SdpStatus.INFEASIBLE,
-        SdpStatus.UNBOUNDED,
-    ):
+    if first.status in CONCLUSIVE:
         return first
-    from dataclasses import replace
-
     unit_scaled = ws.unit_scaled
     del ws  # free the first run's dense data before building the second
     retry_cfg = replace(cfg, equilibrate=not cfg.equilibrate)
@@ -463,11 +463,7 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
     if unit_scaled and ws.unit_scaled:
         return first
     second = _solve_once(ws, retry_cfg)
-    if second.status in (
-        SdpStatus.OPTIMAL,
-        SdpStatus.INFEASIBLE,
-        SdpStatus.UNBOUNDED,
-    ):
+    if second.status in CONCLUSIVE:
         second.message += " (after retry with toggled equilibration)"
         return second
     # Neither attempt concluded; hand back the tighter of the two.
@@ -602,7 +598,7 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
         res = math.sqrt(
             sum(float(np.sum((a + sb) ** 2)) for a, sb in zip(resid, rS))
         )
-        if res > cfg.ray_tol * (1.0 + float(np.linalg.norm(ry_))):
+        if res > RAY_TOL * (1.0 + float(np.linalg.norm(ry_))):
             return None
         for s_blk in rS:
             lmin = _sym_eig_min(s_blk)
@@ -613,22 +609,20 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
         obj_scale = ws.c_scale * ws.b_scale
         return yu / obj_scale, [sb / obj_scale for sb in Su]
 
-    def _try_primal_ray() -> list[np.ndarray] | None:
-        """Normalized recession direction certifying dual infeasibility."""
+    def _has_primal_ray() -> bool:
+        """Whether x is a recession direction certifying dual infeasibility."""
         obj = ws.inner(ws.C, x)
         if not np.isfinite(obj) or obj >= 0.0:
-            return None
+            return False
         rX = [xb / (-obj) for xb in x]
         res = float(np.linalg.norm(ws.apply_A(rX)))
-        if res > cfg.ray_tol * (1.0 + ws.norm_blocks(rX)):
-            return None
+        if res > RAY_TOL * (1.0 + ws.norm_blocks(rX)):
+            return False
         for x_blk in rX:
             lmin = _sym_eig_min(x_blk)
             if lmin < -1e-8 * max(1.0, float(np.max(np.abs(x_blk)))):
-                return None
-        Xu = ws.unscale_primal(rX)
-        obj_scale = ws.c_scale * ws.b_scale
-        return [xb / obj_scale for xb in Xu]
+                return False
+        return True
 
     def _restore_best() -> None:
         nonlocal x, y, s, tau, kappa, relp, reld, pobj, dobj
@@ -636,8 +630,8 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
             return
         x, y, s, tau, kappa, relp, reld, pobj, dobj = snapshot
 
-    def _finish(failure_status: SdpStatus, message: str) -> SdpSolution:
-        """Exit without full convergence: prefer a ray, then the best iterate."""
+    def _ray_exit(message: str) -> SdpSolution | None:
+        """The exit through a validated ray, if the iterate yields one."""
         nonlocal ray
         candidate = _try_dual_ray()
         if candidate is not None:
@@ -646,18 +640,24 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
                 SdpStatus.INFEASIBLE,
                 f"{message}; improving ray certifies primal infeasibility",
             )
-        candidate_x = _try_primal_ray()
-        if candidate_x is not None:
+        if _has_primal_ray():
             return _pack(
                 SdpStatus.UNBOUNDED,
                 f"{message}; feasible improving ray certifies unboundedness",
             )
+        return None
+
+    def _finish(failure_status: SdpStatus, message: str) -> SdpSolution:
+        """Exit without full convergence: prefer a ray, then the best iterate."""
+        exit_sol = _ray_exit(message)
+        if exit_sol is not None:
+            return exit_sol
         _restore_best()
         if best_gap_feasible <= cfg.gap_tol:
             return _pack(SdpStatus.OPTIMAL, f"converged (best iterate; {message})")
         return _pack(failure_status, message)
 
-    for it in range(cfg.max_iter):
+    for it in range(MAX_ITER):
         iterations = it + 1
         ATy = ws.apply_AT(y)
         rx = [a + sb - c * tau for a, sb, c in zip(ATy, s, ws.C)]
@@ -674,13 +674,6 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
         relmu = (
             ws.inner(x, s) * ws.obj_scale / (tau * tau * (1.0 + abs(pobj)))
         )
-
-        if cfg.verbose:
-            print(
-                f"  it={it:3d} mu={mu:9.3e} relp={relp:9.3e} reld={reld:9.3e} "
-                f"gap={relgap:9.3e} tau={tau:8.2e} kap={kappa:8.2e} "
-                f"pobj={pobj:+.9e} dobj={dobj:+.9e}"
-            )
 
         feasible_now = relp <= cfg.feas_tol and reld <= cfg.feas_tol
         gap_now = min(relgap, relmu)
@@ -722,28 +715,16 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
         # the scaled dual objective diverges.
         if it >= 3 and (
             tau < 1e-2 * min(1.0, kappa)
-            or dobj > cfg.infeas_obj_threshold
-            or pobj < -cfg.infeas_obj_threshold
+            or dobj > INFEAS_OBJ_THRESHOLD
+            or pobj < -INFEAS_OBJ_THRESHOLD
         ):
-            candidate = _try_dual_ray()
-            if candidate is not None:
-                ray = candidate
-                return _pack(
-                    SdpStatus.INFEASIBLE,
-                    "vanishing tau; improving ray certifies primal "
-                    "infeasibility",
-                )
-            candidate_x = _try_primal_ray()
-            if candidate_x is not None:
-                return _pack(
-                    SdpStatus.UNBOUNDED,
-                    "vanishing tau; feasible improving ray certifies "
-                    "unboundedness",
-                )
+            exit_sol = _ray_exit("vanishing tau")
+            if exit_sol is not None:
+                return exit_sol
 
         # Long non-improving phases do occur on curved central paths; only
         # give up after substantial patience.
-        if stagnant >= cfg.stall_patience:
+        if stagnant >= STALL_PATIENCE:
             return _finish(
                 SdpStatus.MAX_ITER,
                 "progress stalled before reaching the requested tolerance",
@@ -808,7 +789,7 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
         schur = rows @ rows.T
         schur = (schur + schur.T) / 2.0
 
-        reg = cfg.reg_init
+        reg = REG_INIT
         diag_scale = max(1.0, float(np.max(np.diag(schur))))
         chol = None
         while True:
@@ -819,7 +800,7 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
                 break
             except np.linalg.LinAlgError:
                 reg *= 10.0
-                if reg > cfg.reg_max:
+                if reg > REG_MAX:
                     break
         if chol is None:
             return _finish(
@@ -917,8 +898,8 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
             + (tau + alpha_aff * dtau_a) * (kappa + alpha_aff * dkappa_a)
         ) / nu1
         mu_aff = max(mu_aff, 0.0)
-        sigma = (mu_aff / mu) ** 3 if mu > 0 else cfg.sigma_max
-        sigma = min(max(sigma, cfg.sigma_min), cfg.sigma_max)
+        sigma = (mu_aff / mu) ** 3 if mu > 0 else SIGMA_MAX
+        sigma = min(max(sigma, SIGMA_MIN), SIGMA_MAX)
 
         Rc = []
         for blk, spec in enumerate(ws.blocks):
@@ -939,7 +920,7 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
             return _finish(SdpStatus.NUMERICAL_FAILURE, "singular reduced system")
         dx, dy, ds, dtau, dkappa, _dxh, _dsh = comb
 
-        alpha = min(1.0, cfg.step_fraction * _max_step(dx, ds, dtau, dkappa))
+        alpha = min(1.0, STEP_FRACTION * _max_step(dx, ds, dtau, dkappa))
         if alpha < 1e-4:
             # Rescue: a pure centering direction at the current mu restores
             # room to move when the combined step jams on the cone boundary.
@@ -957,7 +938,7 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
             if center is not None:
                 dxc, dyc, dsc, dtc, dkc, _h1, _h2 = center
                 alpha_c = min(
-                    1.0, cfg.step_fraction * _max_step(dxc, dsc, dtc, dkc)
+                    1.0, STEP_FRACTION * _max_step(dxc, dsc, dtc, dkc)
                 )
                 if alpha_c > alpha:
                     dx, dy, ds, dtau, dkappa = dxc, dyc, dsc, dtc, dkc
@@ -980,7 +961,7 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
         tau = tau + alpha * dtau
         kappa = kappa + alpha * dkappa
 
-    return _finish(SdpStatus.MAX_ITER, f"no convergence in {cfg.max_iter} iterations")
+    return _finish(SdpStatus.MAX_ITER, f"no convergence in {MAX_ITER} iterations")
 
 
 def check_certificate(problem: SdpProblem, sol: SdpSolution) -> CertificateReport:

@@ -19,8 +19,8 @@ from sosproj.certificates import (
     psatz_search,
 )
 from sosproj.moments import (
+    BasisMatrixSet,
     MomentSequence,
-    build_basis_matrices,
     carleman_diagnostic,
     eig_range,
     localizing_matrix,
@@ -178,7 +178,7 @@ def test_criterion_5_matrix_construction_oracles():
             n, 2 * d + g.degree, lambda a: float(rng.uniform(-1, 1))
         )
         entrywise = localizing_matrix(y, g, d)
-        B = build_basis_matrices(g, d)
+        B = BasisMatrixSet(g, d)
         summed = np.zeros_like(entrywise)
         for alpha in B.nonzero_exponents():
             summed += y.value(alpha) * B.matrix(alpha)

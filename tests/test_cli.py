@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from sosproj import certificates as certificates_module
+from sosproj import cli as cli_module
 from sosproj.certificates import MembershipResult, MembershipVerdict
 from sosproj.cli import main
 from sosproj.moments import MomentSequence, format_moment_text
@@ -78,6 +80,24 @@ def test_structured_output_round_trips(capsys):
     start = out.index("LAMBDA")
     doc = parse_certificate(out[start:])
     assert format_certificate_document(doc) == out[start:]
+
+
+def test_certify_structured_output_round_trips(capsys):
+    code, out, _err = run(
+        capsys,
+        "certify",
+        "--f",
+        "(1+x1+x2)^2",
+        "--d",
+        "1",
+        "--format",
+        "structured",
+    )
+    assert code == 0
+    text = out[out.index("VERDICT\n"):]
+    assert text.startswith("VERDICT\nin_cone level 1")
+    assert "P_VALUE\n0\n" in text
+    assert format_certificate_document(parse_certificate(text)) == text
 
 
 def test_bad_polynomial_exit_code(capsys):
@@ -193,6 +213,27 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     code, _out, err = run(capsys, "project", "--f", "0", "--config", str(cfg))
     assert code == 1
     assert "bogus" in err
+
+
+@pytest.mark.parametrize("command", ["certify", "project"])
+@pytest.mark.parametrize("line", ["format = structurd", "norm = l2"])
+def test_config_value_outside_choices_rejected(
+    tmp_path, capsys, monkeypatch, command, line
+):
+    # Config-file values skip argparse's choices; they must still be checked
+    # before any solve runs.
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve ran with a rejected config")
+
+    monkeypatch.setattr(cli_module, "membership", no_solve)
+    monkeypatch.setattr(cli_module, "project_lambda_form", no_solve)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    code, _out, err = run(
+        capsys, command, "--f", "x1^2", "--config", str(cfg)
+    )
+    assert code == 1
+    assert "input error" in err
 
 
 def test_project_with_system_file(tmp_path, capsys):

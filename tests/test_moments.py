@@ -5,10 +5,10 @@ import pytest
 
 from sosproj.cones import SemialgebraicSystem
 from sosproj.moments import (
+    BasisMatrixSet,
     DegreeRangeError,
     MomentDataError,
     MomentSequence,
-    build_basis_matrices,
     carleman_diagnostic,
     dual_norm,
     format_moment_text,
@@ -82,7 +82,7 @@ def test_riesz_degree_error():
 
 
 def test_basis_matrices_unit_n1():
-    B = build_basis_matrices(Polynomial.constant(1, 1.0), 1)
+    B = BasisMatrixSet(Polynomial.constant(1, 1.0), 1)
     assert np.array_equal(B.matrix((0,)), [[1.0, 0.0], [0.0, 0.0]])
     assert np.array_equal(B.matrix((1,)), [[0.0, 1.0], [1.0, 0.0]])
     assert np.array_equal(B.matrix((2,)), [[0.0, 0.0], [0.0, 1.0]])
@@ -91,8 +91,8 @@ def test_basis_matrices_unit_n1():
 def test_basis_matrices_shifted_generator():
     # g = 1 - x^2 gives B_alpha = B0_alpha - B0_{alpha+2} entrywise.
     g = parse_polynomial("1 - x1^2", 1)
-    B = build_basis_matrices(g, 1)
-    B0 = build_basis_matrices(Polynomial.constant(1, 1.0), 1)
+    B = BasisMatrixSet(g, 1)
+    B0 = BasisMatrixSet(Polynomial.constant(1, 1.0), 1)
     for a in range(5):
         expected = B0.matrix((a,)) - (B0.matrix((a - 2,)) if a >= 2 else 0.0)
         assert np.allclose(B.matrix((a,)), expected)
@@ -102,7 +102,7 @@ def test_basis_matrices_shifted_generator():
 def test_basis_matrices_reconstruction_identity(n, d):
     # sum_alpha B_alpha p^alpha must equal g(p) v(p) v(p)^T at random points.
     g = random_poly(n, 2, RNG)
-    B = build_basis_matrices(g, d)
+    B = BasisMatrixSet(g, d)
     basis = monomial_basis(n, d)
     norm_g = sum(abs(c) for c in g.terms.values())
     for _ in range(20):
@@ -180,7 +180,7 @@ def test_localizing_entrywise_equals_basis_matrix_sum():
             n, max_deg, lambda a: float(rng.uniform(-1, 1))
         )
         M1 = localizing_matrix(y, g, d)
-        B = build_basis_matrices(g, d)
+        B = BasisMatrixSet(g, d)
         M2 = np.zeros_like(M1)
         for alpha in B.nonzero_exponents():
             M2 += y.value(alpha) * B.matrix(alpha)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sosproj.moments import build_basis_matrices
+from sosproj.moments import BasisMatrixSet
 from sosproj.polynomials import Polynomial, monomial_basis, parse_polynomial
 from sosproj import sdp as sdp_module
 from sosproj.sdp import (
@@ -28,7 +28,7 @@ def trace_toy():
 
 
 def sos_membership_problem(f, n, k):
-    B = build_basis_matrices(Polynomial.constant(n, 1.0), k)
+    B = BasisMatrixSet(Polynomial.constant(n, 1.0), k)
     prob = SdpProblem()
     blk = prob.add_psd_block(B.side)
     prob.set_objective({blk: [(i, i, 1.0) for i in range(B.side)]})
