@@ -138,17 +138,22 @@ class ProjectionCertificate:
 def _require_optimal(sol: SdpSolution, what: str) -> None:
     if sol.status is SdpStatus.OPTIMAL:
         return
+    achieved = (
+        f"relp {sol.primal_residual:.2e}, reld {sol.dual_residual:.2e}, "
+        f"relgap {sol.relative_gap:.2e}"
+    )
     if sol.status is SdpStatus.INFEASIBLE:
         # The lifted feasible set is never empty, so a reported infeasibility
         # can only be numerical.
         raise ProjectionFailure(
             f"{what}: solver reported infeasibility, which the lifted "
             f"formulation excludes; treating as numerical failure "
-            f"({sol.message})",
+            f"({achieved}; {sol.message})",
             sol,
         )
     raise ProjectionFailure(
-        f"{what}: solver status {sol.status.value} ({sol.message})", sol
+        f"{what}: solver status {sol.status.value} ({achieved}; {sol.message})",
+        sol,
     )
 
 

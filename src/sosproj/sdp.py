@@ -40,6 +40,9 @@ RAY_TOL = 1e-7
 STALL_PATIENCE = 25
 # Iteration cap of one interior-point run.
 MAX_ITER = 200
+# A failed run whose best iterate meets gap_tol with residuals within this
+# multiple of feas_tol is returned as INACCURATE instead of being retried.
+INACCURATE_FACTOR = 10.0
 
 
 class BlockKind(Enum):
@@ -153,10 +156,14 @@ class SdpStatus(Enum):
     UNBOUNDED = "unbounded"
     MAX_ITER = "max_iter"
     NUMERICAL_FAILURE = "numerical_failure"
+    # Stopped short of feas_tol, but near convergence (see INACCURATE_FACTOR).
+    INACCURATE = "inaccurate"
 
 
-# Statuses that solve() returns without a retry.
+# Statuses that settle the problem: an optimum or a validated ray.
 CONCLUSIVE = (SdpStatus.OPTIMAL, SdpStatus.INFEASIBLE, SdpStatus.UNBOUNDED)
+# Statuses that solve() returns without a retry.
+NO_RETRY = CONCLUSIVE + (SdpStatus.INACCURATE,)
 
 
 @dataclass
@@ -439,13 +446,13 @@ def _max_step_diag(x: np.ndarray, dx: np.ndarray) -> float:
 def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolution:
     """Solve the block SDP; deterministic for fixed input and config.
 
-    Runs the interior-point method below, and on an inconclusive outcome
-    retries once with the data equilibration toggled: the two scalings
-    follow different trajectories and degenerate instances frequently
-    freeze on one but not the other.  The retry is skipped when
-    equilibration scales nothing, since both runs then see the same data.
-    Conclusive verdicts (optimal or a validated ray) are never
-    second-guessed.
+    Runs the interior-point method below, and on a failed outcome retries
+    once with the data equilibration toggled: the two scalings follow
+    different trajectories and degenerate instances frequently freeze on
+    one but not the other.  The retry is skipped when equilibration scales
+    nothing, since both runs then see the same data.  Conclusive verdicts
+    (optimal or a validated ray) are never second-guessed, and neither is
+    an inaccurate run, which stopped next to the optimum.
     """
     cfg = config or SolverConfig()
     if problem.num_constraints == 0 and not problem.objective:
@@ -454,13 +461,14 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
         raise SdpModelError("unconstrained problems are not supported")
     ws = _Workspace(problem, equilibrate=cfg.equilibrate)
     first = _solve_once(ws, cfg)
-    if first.status in CONCLUSIVE:
+    # An unequilibrated workspace is always unit-scaled, so the toggled run
+    # repeats the first one exactly when the equilibrated one scales nothing.
+    if first.status in NO_RETRY or (cfg.equilibrate and ws.unit_scaled):
         return first
-    unit_scaled = ws.unit_scaled
     del ws  # free the first run's dense data before building the second
     retry_cfg = replace(cfg, equilibrate=not cfg.equilibrate)
     ws = _Workspace(problem, equilibrate=retry_cfg.equilibrate)
-    if unit_scaled and ws.unit_scaled:
+    if retry_cfg.equilibrate and ws.unit_scaled:
         return first
     second = _solve_once(ws, retry_cfg)
     if second.status in CONCLUSIVE:
@@ -655,7 +663,17 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
         _restore_best()
         if best_gap_feasible <= cfg.gap_tol:
             return _pack(SdpStatus.OPTIMAL, f"converged (best iterate; {message})")
-        return _pack(failure_status, message)
+        sol = _pack(failure_status, message)
+        if sol.relative_gap <= cfg.gap_tol and max(
+            sol.primal_residual, sol.dual_residual
+        ) <= INACCURATE_FACTOR * cfg.feas_tol:
+            sol.status = SdpStatus.INACCURATE
+            sol.message = (
+                f"{message}; best iterate within {INACCURATE_FACTOR:g}x feas_tol "
+                f"(relp {sol.primal_residual:.2e}, reld {sol.dual_residual:.2e}, "
+                f"relgap {sol.relative_gap:.2e})"
+            )
+        return sol
 
     for it in range(MAX_ITER):
         iterations = it + 1
@@ -786,8 +804,7 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
 
         # Scaled constraints; Schur complement M = rows rows^T (+ reg).
         _scale_rows(ws, G, w_diag, row_views)
-        schur = rows @ rows.T
-        schur = (schur + schur.T) / 2.0
+        schur = rows @ rows.T  # exactly symmetric: numpy computes it by syrk
 
         reg = REG_INIT
         diag_scale = max(1.0, float(np.max(np.diag(schur))))

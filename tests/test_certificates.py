@@ -83,11 +83,12 @@ def test_membership_degree_guard():
         membership(MOTZKIN, PLANE, 2)
 
 
-def test_membership_inconclusive_on_solver_trouble(monkeypatch):
-    # A failed solve must never masquerade as a refutation.
+def _forced_solve(status):
+    """A stand-in for solve that ends every run in status."""
+
     def fake_solve(problem, config=None):
         return SdpSolution(
-            status=SdpStatus.MAX_ITER,
+            status=status,
             x_blocks=[],
             y=np.zeros(problem.num_constraints),
             s_blocks=[],
@@ -101,9 +102,31 @@ def test_membership_inconclusive_on_solver_trouble(monkeypatch):
             message="forced",
         )
 
-    monkeypatch.setattr(certificates_module, "solve", fake_solve)
+    return fake_solve
+
+
+def test_membership_inconclusive_on_solver_trouble(monkeypatch):
+    # A failed solve must never masquerade as a refutation.
+    monkeypatch.setattr(
+        certificates_module, "solve", _forced_solve(SdpStatus.MAX_ITER)
+    )
     res = membership(parse_polynomial("1 + x1^2", 1), SemialgebraicSystem(1, ()), 1)
     assert res.verdict is MembershipVerdict.INCONCLUSIVE
+
+
+def test_inaccurate_solve_is_inconclusive(monkeypatch):
+    # Near convergence is not a validated certificate either way.
+    monkeypatch.setattr(
+        certificates_module, "solve", _forced_solve(SdpStatus.INACCURATE)
+    )
+    res = membership(parse_polynomial("1 + x1^2", 1), SemialgebraicSystem(1, ()), 1)
+    assert res.verdict is MembershipVerdict.INCONCLUSIVE
+    assert res.solver_status is SdpStatus.INACCURATE
+    assert res.message.startswith("solver status inaccurate")
+    result = psatz_search(PsatzQuery(MOTZKIN, PLANE, 1e-2, 3))
+    assert not result.certified
+    assert result.inconclusive == [(1, 3), (2, 3), (3, 3)]
+    assert result.solves == 3
 
 
 def test_perturbation_polynomials():

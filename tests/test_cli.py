@@ -3,10 +3,12 @@ import pytest
 
 from sosproj import certificates as certificates_module
 from sosproj import cli as cli_module
+from sosproj import projection as projection_module
 from sosproj.certificates import MembershipResult, MembershipVerdict
 from sosproj.cli import main
 from sosproj.moments import MomentSequence, format_moment_text
 from sosproj.projection import format_certificate_document, parse_certificate
+from sosproj.sdp import SdpSolution, SdpStatus
 
 MOTZKIN = "x1^2*x2^2*(x1^2+x2^2-1)+1/27"
 
@@ -302,3 +304,32 @@ def test_psatz_some_inconclusive_exits_not_certified(monkeypatch, capsys):
     )
     assert code == 3
     assert out == "NotFoundUpTo(4)\n"
+
+
+def test_project_inaccurate_exits_numerical(monkeypatch, capsys):
+    # An inaccurate solve is no projection: exit 2, with the achieved
+    # residuals next to the status on stderr.
+    def fake_solve(problem, config=None):
+        return SdpSolution(
+            status=SdpStatus.INACCURATE,
+            x_blocks=[],
+            y=np.zeros(problem.num_constraints),
+            s_blocks=[],
+            primal_objective=0.0,
+            dual_objective=0.0,
+            gap=2e-8,
+            relative_gap=2e-8,
+            primal_residual=3e-8,
+            dual_residual=4e-9,
+            iterations=22,
+            message="forced",
+        )
+
+    monkeypatch.setattr(projection_module, "solve", fake_solve)
+    code, out, err = run(capsys, "project", "--f", MOTZKIN, "--d", "3")
+    assert code == 2
+    assert out == ""
+    assert (
+        "solver status inaccurate (relp 3.00e-08, reld 4.00e-09, "
+        "relgap 2.00e-08; forced)" in err
+    )

@@ -208,14 +208,14 @@ def test_check_certificate_is_independent():
     assert rep_before.constraint_residual == rep_after.constraint_residual
 
 
-def _count_solve_once(monkeypatch):
-    """Make every interior-point run inconclusive and count the runs."""
+def _count_solve_once(monkeypatch, status=SdpStatus.MAX_ITER):
+    """Make every interior-point run end in status and count the runs."""
     calls = []
 
     def fake(ws, cfg):
         calls.append(cfg.equilibrate)
         return SdpSolution(
-            status=SdpStatus.MAX_ITER,
+            status=status,
             x_blocks=[],
             y=np.zeros(ws.m),
             s_blocks=[],
@@ -244,14 +244,103 @@ def test_retry_skipped_when_equilibration_scales_nothing(monkeypatch):
     assert calls == [False]
 
 
-def test_retry_runs_when_equilibration_rescales(monkeypatch):
+def test_skipped_retry_builds_no_second_workspace(monkeypatch):
+    built = []
+
+    class CountingWorkspace(sdp_module._Workspace):
+        def __init__(self, problem, equilibrate=True):
+            built.append(equilibrate)
+            super().__init__(problem, equilibrate)
+
+    monkeypatch.setattr(sdp_module, "_Workspace", CountingWorkspace)
+    calls = _count_solve_once(monkeypatch)
+    solve(trace_toy(), DEFAULT)
+    assert calls == [True]
+    assert built == [True]
+
+
+def rescaled_toy():
     prob = SdpProblem()
     blk = prob.add_psd_block(2)
     prob.set_objective({blk: [(0, 0, 1.0), (1, 1, 1.0)]})
     prob.add_constraint({blk: [(0, 0, 1.0)]}, 2.0)  # rhs scale 2
+    return prob
+
+
+def test_retry_runs_when_equilibration_rescales(monkeypatch):
+    prob = rescaled_toy()
     calls = _count_solve_once(monkeypatch)
     solve(prob, DEFAULT)
     assert calls == [True, False]
     calls.clear()
     solve(prob, SolverConfig(equilibrate=False))
     assert calls == [False, True]
+
+
+def test_inaccurate_run_is_not_retried(monkeypatch):
+    # Equilibration rescales this problem, so a failed run would be retried;
+    # an inaccurate one stopped next to the optimum and is returned as is.
+    prob = rescaled_toy()
+    calls = _count_solve_once(monkeypatch, SdpStatus.INACCURATE)
+    assert solve(prob, DEFAULT).status is SdpStatus.INACCURATE
+    assert calls == [True]
+    calls.clear()
+    solve(prob, SolverConfig(equilibrate=False))
+    assert calls == [False]
+
+
+def _fail_cholesky_after(monkeypatch, calls: int) -> None:
+    """Make every np.linalg.cholesky call after the first `calls` fail."""
+    real = np.linalg.cholesky
+    count = [0]
+
+    def cholesky(a):
+        count[0] += 1
+        if count[0] > calls:
+            raise np.linalg.LinAlgError("forced factorization failure")
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+
+
+# The boundary Gram problem converges in 7 iterations.  Its iterates 2 to 6
+# have relp, reld and relgap near 2e-2, 4e-4, 7e-6, 1.5e-7 and 3e-9, so with
+# feas_tol 2e-8 the fifth iterate is within 10x feas_tol but not within it.
+NEAR = SolverConfig(feas_tol=2e-8, gap_tol=1e-6)
+
+
+def _boundary_workspace():
+    prob = sos_membership_problem(parse_polynomial("(1+x1+x2)^2", 2), 2, 1)
+    return sdp_module._Workspace(prob, equilibrate=True)
+
+
+def test_late_factorization_failure_is_inaccurate(monkeypatch):
+    # One PSD block takes two Cholesky factorizations per iteration, so the
+    # fifth iteration's factorization is the first to fail.
+    _fail_cholesky_after(monkeypatch, 8)
+    sol = sdp_module._solve_once(_boundary_workspace(), NEAR)
+    assert sol.status is SdpStatus.INACCURATE
+    assert sol.iterations == 5
+    assert sol.message.startswith("block factorization failed; ")
+    assert sol.relative_gap <= NEAR.gap_tol
+    assert NEAR.feas_tol < max(sol.primal_residual, sol.dual_residual)
+    assert max(sol.primal_residual, sol.dual_residual) <= 10 * NEAR.feas_tol
+
+
+def test_early_failure_keeps_its_status(monkeypatch):
+    _fail_cholesky_after(monkeypatch, 2)
+    sol = sdp_module._solve_once(_boundary_workspace(), NEAR)
+    assert sol.status is SdpStatus.NUMERICAL_FAILURE
+    assert sol.message == "block factorization failed"
+    assert sol.primal_residual > 10 * NEAR.feas_tol
+
+
+@pytest.mark.parametrize(
+    "max_iter, status",
+    [(2, SdpStatus.MAX_ITER), (5, SdpStatus.INACCURATE)],
+)
+def test_iteration_cap_near_and_far_from_tolerance(monkeypatch, max_iter, status):
+    monkeypatch.setattr(sdp_module, "MAX_ITER", max_iter)
+    sol = sdp_module._solve_once(_boundary_workspace(), NEAR)
+    assert sol.status is status
+    assert sol.message.startswith(f"no convergence in {max_iter} iterations")
