@@ -28,6 +28,7 @@ from .polynomials import (
     parse_polynomial,
 )
 from .projection import (
+    LAMBDA_ZERO_FLAG,
     ProjectionCertificate,
     ProjectionFailure,
     ProjectionProblem,
@@ -211,7 +212,10 @@ def cmd_project(args) -> int:
     print(f"p_value {cert.p_value:.12e}")
     print(f"lambda0 {cert.lambda0:.6e} {lam_bits}")
     if cert.lambda_effectively_zero:
-        print("lambda effectively zero at 1e-07; f is in the cone numerically")
+        print(
+            f"lambda effectively zero at {LAMBDA_ZERO_FLAG:g}; "
+            "f is in the cone numerically"
+        )
     certificate = format_certificate(cert)
     if cfg.out or cfg.format == "structured":
         _emit(certificate, cfg)

@@ -13,7 +13,7 @@ A^T y + S = 0 and b^T y = 1, which certifies that no feasible X exists.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -41,8 +41,10 @@ STALL_PATIENCE = 25
 # Iteration cap of one interior-point run.
 MAX_ITER = 200
 # A failed run whose best iterate meets gap_tol with residuals within this
-# multiple of feas_tol is returned as INACCURATE instead of being retried.
+# multiple of feas_tol is returned as INACCURATE.
 INACCURATE_FACTOR = 10.0
+# Cap on Ruiz equilibration rounds; a round of unit factors ends it sooner.
+EQUILIBRATE_ROUNDS = 8
 
 
 class BlockKind(Enum):
@@ -143,7 +145,6 @@ class SdpProblem:
 class SolverConfig:
     feas_tol: float = 1e-7
     gap_tol: float = 1e-6
-    equilibrate: bool = True
 
     def __post_init__(self):
         if self.feas_tol <= 0 or self.gap_tol <= 0:
@@ -158,12 +159,6 @@ class SdpStatus(Enum):
     NUMERICAL_FAILURE = "numerical_failure"
     # Stopped short of feas_tol, but near convergence (see INACCURATE_FACTOR).
     INACCURATE = "inaccurate"
-
-
-# Statuses that settle the problem: an optimum or a validated ray.
-CONCLUSIVE = (SdpStatus.OPTIMAL, SdpStatus.INFEASIBLE, SdpStatus.UNBOUNDED)
-# Statuses that solve() returns without a retry.
-NO_RETRY = CONCLUSIVE + (SdpStatus.INACCURATE,)
 
 
 @dataclass
@@ -211,7 +206,7 @@ def _inner(X: list[np.ndarray], S: list[np.ndarray]) -> float:
 class _Workspace:
     """Dense per-call data for one solve; nothing is shared across calls."""
 
-    def __init__(self, problem: SdpProblem, equilibrate: bool = True):
+    def __init__(self, problem: SdpProblem):
         self.flip = problem.sense == "max"
         self.blocks = problem.blocks
         self.m = problem.num_constraints
@@ -253,26 +248,21 @@ class _Workspace:
         self.r_scale = np.ones(self.m)
         self.c_scale = 1.0
         self.b_scale = 1.0
-        # True when every scale is exactly 1, so that the scaled data is the
-        # user's data bit for bit.
-        self.unit_scaled = True
-        if equilibrate:
-            # Scalar cost/rhs normalization in user units first, then Ruiz
-            # equilibration of the constraint data.  Convergence metrics are
-            # always evaluated in the user's units, independent of both.
-            c_peak = max(
-                (float(np.max(np.abs(c))) for c in self.C if c.size), default=0.0
-            )
-            if c_peak > 0:
-                self.c_scale = c_peak
-                for c in self.C:
-                    c /= c_peak
-            b_peak = float(np.max(np.abs(self.b))) if self.m else 0.0
-            if b_peak > 0:
-                self.b_scale = b_peak
-                self.b = self.b / b_peak
-            self.unit_scaled = self.c_scale == 1.0 and self.b_scale == 1.0
-            self._equilibrate()
+        # Scalar cost/rhs normalization in user units first, then Ruiz
+        # equilibration of the constraint data.  Convergence metrics are
+        # always evaluated in the user's units, independent of both.
+        c_peak = max(
+            (float(np.max(np.abs(c))) for c in self.C if c.size), default=0.0
+        )
+        if c_peak > 0:
+            self.c_scale = c_peak
+            for c in self.C:
+                c /= c_peak
+        b_peak = float(np.max(np.abs(self.b))) if self.m else 0.0
+        if b_peak > 0:
+            self.b_scale = b_peak
+            self.b = self.b / b_peak
+        self._equilibrate()
         self.obj_scale = self.c_scale * self.b_scale
         self.row_unscale = self.b_scale / self.r_scale
 
@@ -292,10 +282,10 @@ class _Workspace:
             total += float(np.sum(block * block))
         return self.c_scale * math.sqrt(total)
 
-    def _equilibrate(self, rounds: int = 8) -> None:
+    def _equilibrate(self) -> None:
         if self.m == 0:
             return
-        for _ in range(rounds):
+        for _ in range(EQUILIBRATE_ROUNDS):
             moved = False
             # Column pass: X -> T X T keeps PSD blocks PSD for diagonal T;
             # a uniform scalar is used per PSD block, entrywise on diag ones.
@@ -332,7 +322,6 @@ class _Workspace:
                 # A round of unit factors leaves the data as it was, so every
                 # later round would repeat it.
                 break
-            self.unit_scaled = False
 
     def unscale_primal(self, X: list[np.ndarray]) -> list[np.ndarray]:
         """Map a solver-space primal point back to the user's variables."""
@@ -444,42 +433,13 @@ def _max_step_diag(x: np.ndarray, dx: np.ndarray) -> float:
 
 
 def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolution:
-    """Solve the block SDP; deterministic for fixed input and config.
+    """Solve the block SDP with one interior-point run.
 
-    Runs the interior-point method below, and on a failed outcome retries
-    once with the data equilibration toggled: the two scalings follow
-    different trajectories and degenerate instances frequently freeze on
-    one but not the other.  The retry is skipped when equilibration scales
-    nothing, since both runs then see the same data.  Conclusive verdicts
-    (optimal or a validated ray) are never second-guessed, and neither is
-    an inaccurate run, which stopped next to the optimum.
+    Deterministic for fixed input and config.
     """
-    cfg = config or SolverConfig()
-    if problem.num_constraints == 0 and not problem.objective:
-        raise SdpModelError("problem needs at least one constraint or objective")
     if problem.num_constraints == 0:
-        raise SdpModelError("unconstrained problems are not supported")
-    ws = _Workspace(problem, equilibrate=cfg.equilibrate)
-    first = _solve_once(ws, cfg)
-    # An unequilibrated workspace is always unit-scaled, so the toggled run
-    # repeats the first one exactly when the equilibrated one scales nothing.
-    if first.status in NO_RETRY or (cfg.equilibrate and ws.unit_scaled):
-        return first
-    del ws  # free the first run's dense data before building the second
-    retry_cfg = replace(cfg, equilibrate=not cfg.equilibrate)
-    ws = _Workspace(problem, equilibrate=retry_cfg.equilibrate)
-    if retry_cfg.equilibrate and ws.unit_scaled:
-        return first
-    second = _solve_once(ws, retry_cfg)
-    if second.status in CONCLUSIVE:
-        second.message += " (after retry with toggled equilibration)"
-        return second
-    # Neither attempt concluded; hand back the tighter of the two.
-    first_merit = max(first.primal_residual, first.dual_residual, first.relative_gap)
-    second_merit = max(
-        second.primal_residual, second.dual_residual, second.relative_gap
-    )
-    return first if first_merit <= second_merit else second
+        raise SdpModelError("problem needs at least one constraint")
+    return _solve_once(_Workspace(problem), config or SolverConfig())
 
 
 def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
@@ -854,7 +814,7 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
         u1 = _schur_solve(ws.b + q)
         denom_D = float((q - ws.b) @ u1) - h - kappa / tau
 
-        def _direction(eta: float, Rc_hat, rc_tk: float):
+        def _direction(eta: float, Rc_hat, rc_tk: float, repair: bool = True):
             rc_flat = _flat(Rc_hat)
             g2 = eta * ry - rows @ rc_flat - eta * (rows @ rxhat_flat)
             u2 = _schur_solve(g2)
@@ -876,7 +836,8 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
             dshat = _scale_down(ds)
             dxhat = [rc - dsh for rc, dsh in zip(Rc_hat, dshat)]
             dx = _scale_up(dxhat)
-            dx = _repair(dx, eta * ry + ws.b * dtau)
+            if repair:
+                dx = _repair(dx, eta * ry + ws.b * dtau)
             dkappa = (rc_tk - kappa * dtau) / tau
             return dx, dy, ds, dtau, dkappa, dxhat, dshat
 
@@ -951,15 +912,20 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
                     )
                 else:
                     Rc_center.append((mu - sig**2) / sig)
-            center = _direction(0.0, Rc_center, mu - tau * kappa)
-            if center is not None:
-                dxc, dyc, dsc, dtc, dkc, _h1, _h2 = center
-                alpha_c = min(
-                    1.0, STEP_FRACTION * _max_step(dxc, dsc, dtc, dkc)
-                )
-                if alpha_c > alpha:
-                    dx, dy, ds, dtau, dkappa = dxc, dyc, dsc, dtc, dkc
-                    alpha = alpha_c
+            # The feasibility repair ignores the cone and can itself keep
+            # the step jammed; then the centering step goes without it.
+            for repair in (True, False):
+                center = _direction(0.0, Rc_center, mu - tau * kappa, repair)
+                if center is not None:
+                    dxc, dyc, dsc, dtc, dkc, _h1, _h2 = center
+                    alpha_c = min(
+                        1.0, STEP_FRACTION * _max_step(dxc, dsc, dtc, dkc)
+                    )
+                    if alpha_c > alpha:
+                        dx, dy, ds, dtau, dkappa = dxc, dyc, dsc, dtc, dkc
+                        alpha = alpha_c
+                if alpha >= 1e-4:
+                    break
         if not np.isfinite(alpha):
             return _finish(SdpStatus.NUMERICAL_FAILURE, "nonfinite step length")
         if alpha < 1e-10:

@@ -1,8 +1,19 @@
 import numpy as np
 import pytest
 
+from sosproj.cones import parse_system_text
 from sosproj.moments import BasisMatrixSet
-from sosproj.polynomials import Polynomial, monomial_basis, parse_polynomial
+from sosproj.polynomials import (
+    Polynomial,
+    WeightSequence,
+    monomial_basis,
+    parse_polynomial,
+)
+from sosproj.projection import (
+    ProjectionProblem,
+    build_lambda_form_sdp,
+    default_solver_config,
+)
 from sosproj import sdp as sdp_module
 from sosproj.sdp import (
     BlockKind,
@@ -208,12 +219,14 @@ def test_check_certificate_is_independent():
     assert rep_before.constraint_residual == rep_after.constraint_residual
 
 
-def _count_solve_once(monkeypatch, status=SdpStatus.MAX_ITER):
-    """Make every interior-point run end in status and count the runs."""
+@pytest.mark.parametrize("status", list(SdpStatus))
+def test_one_run_per_solve(monkeypatch, status):
+    # Every outcome, conclusive or not, is returned from one interior-point
+    # run; nothing is solved a second time.
     calls = []
 
     def fake(ws, cfg):
-        calls.append(cfg.equilibrate)
+        calls.append(ws.m)
         return SdpSolution(
             status=status,
             x_blocks=[],
@@ -230,63 +243,31 @@ def _count_solve_once(monkeypatch, status=SdpStatus.MAX_ITER):
         )
 
     monkeypatch.setattr(sdp_module, "_solve_once", fake)
-    return calls
-
-
-def test_retry_skipped_when_equilibration_scales_nothing(monkeypatch):
-    # Unit objective, rhs and coefficients: every equilibration scale is 1,
-    # so the toggled run would repeat the first one bit for bit.
-    calls = _count_solve_once(monkeypatch)
-    solve(trace_toy(), DEFAULT)
-    assert calls == [True]
-    calls.clear()
-    solve(trace_toy(), SolverConfig(equilibrate=False))
-    assert calls == [False]
-
-
-def test_skipped_retry_builds_no_second_workspace(monkeypatch):
-    built = []
-
-    class CountingWorkspace(sdp_module._Workspace):
-        def __init__(self, problem, equilibrate=True):
-            built.append(equilibrate)
-            super().__init__(problem, equilibrate)
-
-    monkeypatch.setattr(sdp_module, "_Workspace", CountingWorkspace)
-    calls = _count_solve_once(monkeypatch)
-    solve(trace_toy(), DEFAULT)
-    assert calls == [True]
-    assert built == [True]
-
-
-def rescaled_toy():
     prob = SdpProblem()
     blk = prob.add_psd_block(2)
     prob.set_objective({blk: [(0, 0, 1.0), (1, 1, 1.0)]})
-    prob.add_constraint({blk: [(0, 0, 1.0)]}, 2.0)  # rhs scale 2
-    return prob
+    prob.add_constraint({blk: [(0, 0, 1.0)]}, 2.0)  # equilibration rescales it
+    sol = solve(prob, DEFAULT)
+    assert sol.status is status
+    assert sol.message == "forced"
+    assert calls == [1]
 
 
-def test_retry_runs_when_equilibration_rescales(monkeypatch):
-    prob = rescaled_toy()
-    calls = _count_solve_once(monkeypatch)
-    solve(prob, DEFAULT)
-    assert calls == [True, False]
-    calls.clear()
-    solve(prob, SolverConfig(equilibrate=False))
-    assert calls == [False, True]
-
-
-def test_inaccurate_run_is_not_retried(monkeypatch):
-    # Equilibration rescales this problem, so a failed run would be retried;
-    # an inaccurate one stopped next to the optimum and is returned as is.
-    prob = rescaled_toy()
-    calls = _count_solve_once(monkeypatch, SdpStatus.INACCURATE)
-    assert solve(prob, DEFAULT).status is SdpStatus.INACCURATE
-    assert calls == [True]
-    calls.clear()
-    solve(prob, SolverConfig(equilibrate=False))
-    assert calls == [False]
+def test_jammed_centering_rescue_steps_without_repair():
+    # x1^4 on the unit disk, lw weights, d = 2 (m = 15, blocks [5, 6, 3]).
+    # With the feasibility repair on every direction, the run jams at
+    # iteration 13: the repair keeps pushing one lambda entry off the
+    # boundary and the steps collapse (numerical_failure, relgap 4.7e-6).
+    system = parse_system_text("n 2\ncone quadratic\ng: 1 - x1^2 - x2^2\n")
+    problem = ProjectionProblem(
+        parse_polynomial("x1^4", 2), system, WeightSequence.lw(), 2
+    )
+    lam = build_lambda_form_sdp(problem)
+    ws = sdp_module._Workspace(lam.sdp)
+    assert ws.m == 15
+    assert [spec.side for spec in lam.sdp.blocks] == [5, 6, 3]
+    sol = sdp_module._solve_once(ws, default_solver_config())
+    assert sol.status is SdpStatus.OPTIMAL, sol.message
 
 
 def _fail_cholesky_after(monkeypatch, calls: int) -> None:
@@ -311,7 +292,7 @@ NEAR = SolverConfig(feas_tol=2e-8, gap_tol=1e-6)
 
 def _boundary_workspace():
     prob = sos_membership_problem(parse_polynomial("(1+x1+x2)^2", 2), 2, 1)
-    return sdp_module._Workspace(prob, equilibrate=True)
+    return sdp_module._Workspace(prob)
 
 
 def test_late_factorization_failure_is_inaccurate(monkeypatch):
