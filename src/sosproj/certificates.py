@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .cones import SemialgebraicSystem, build_truncation, gram_reconstruct, gram_sdp
-from .moments import MomentSequence, eig_range, localizing_matrix
+from .moments import MomentSequence, eig_range, localizing_matrix, psd_accepted
 from .polynomials import Polynomial, WeightKind, monomial_basis
 from .projection import default_solver_config, perturbation_basis
 from .sdp import SdpStatus, SolverConfig, solve
@@ -91,29 +91,23 @@ def membership(
         for label, gram in grams.items():
             lmin, lmax = eig_range(np.atleast_2d(gram))
             min_eigs[label] = lmin
-            if lmin < -1e-8 * max(1.0, abs(lmax)):
+            if not psd_accepted(lmin, lmax):
                 eig_ok = False
         scale = 1.0 + max(abs(c) for c in f.terms.values()) if f.terms else 1.0
-        if err <= 1e-6 * scale and eig_ok:
-            return MembershipResult(
-                MembershipVerdict.IN_CONE,
-                k,
-                grams=grams,
-                reconstruction_error=err,
-                gram_min_eigs=min_eigs,
-                solver_status=sol.status,
-                solver_iterations=sol.iterations,
-                message="Gram reconstruction validated",
-            )
+        valid = err <= 1e-6 * scale and eig_ok
         return MembershipResult(
-            MembershipVerdict.INCONCLUSIVE,
+            MembershipVerdict.IN_CONE if valid else MembershipVerdict.INCONCLUSIVE,
             k,
             grams=grams,
             reconstruction_error=err,
             gram_min_eigs=min_eigs,
             solver_status=sol.status,
             solver_iterations=sol.iterations,
-            message="solver claimed optimality but revalidation failed",
+            message=(
+                "Gram reconstruction validated"
+                if valid
+                else "solver claimed optimality but revalidation failed"
+            ),
         )
 
     if sol.status is SdpStatus.INFEASIBLE and sol.ray is not None:
@@ -131,28 +125,22 @@ def membership(
             mat = localizing_matrix(separating, block.product, block.sos_order)
             lmin, lmax = eig_range(mat)
             sep_eigs[block.label] = lmin
-            if lmin < -1e-8 * max(1.0, abs(lmax)):
+            if not psd_accepted(lmin, lmax):
                 eig_ok = False
-        if sep_value < 0 and eig_ok:
-            return MembershipResult(
-                MembershipVerdict.NOT_IN_CONE,
-                k,
-                separating=separating,
-                separation=sep_value,
-                separating_min_eigs=sep_eigs,
-                solver_status=sol.status,
-                solver_iterations=sol.iterations,
-                message="separating functional validated",
-            )
+        valid = sep_value < 0 and eig_ok
         return MembershipResult(
-            MembershipVerdict.INCONCLUSIVE,
+            MembershipVerdict.NOT_IN_CONE if valid else MembershipVerdict.INCONCLUSIVE,
             k,
             separating=separating,
             separation=sep_value,
             separating_min_eigs=sep_eigs,
             solver_status=sol.status,
             solver_iterations=sol.iterations,
-            message="infeasibility ray failed revalidation",
+            message=(
+                "separating functional validated"
+                if valid
+                else "infeasibility ray failed revalidation"
+            ),
         )
 
     return MembershipResult(
@@ -275,7 +263,10 @@ def seq_closure_probe(
     """Minimal certificate level for f + eps(1 + sum x_i^{2d}) as eps drops.
 
     Only a finite eps table can be produced; membership of f itself in the
-    sequential closure would need every eps > 0 at a single d.
+    sequential closure would need every eps > 0 at a single d.  A row reads
+    None when no level up to t_max certifies, and also when a level below
+    the first certifying one was inconclusive: the minimal level is then
+    unknown, and a higher one would overstate it.
     """
     if any(e <= 0 for e in eps_list):
         raise ValueError("eps values must be positive")
@@ -289,9 +280,10 @@ def seq_closure_probe(
         t_start = (candidate.degree + 1) // 2
         found: int | None = None
         for t in range(t_start, t_max + 1):
-            result = membership(candidate, system, t, config)
-            if result.verdict is MembershipVerdict.IN_CONE:
+            verdict = membership(candidate, system, t, config).verdict
+            if verdict is MembershipVerdict.IN_CONE:
                 found = t
+            if verdict is not MembershipVerdict.NOT_IN_CONE:
                 break
         rows.append((eps, found))
     return rows

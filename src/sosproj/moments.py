@@ -25,7 +25,7 @@ from .polynomials import (
     total_degree,
 )
 
-# A symmetric matrix is accepted as PSD iff lmin >= -PSD_TOL * max(1, lmax).
+# A symmetric matrix is accepted as PSD iff lmin >= -PSD_TOL * max(1, |lmax|).
 PSD_TOL = 1e-8
 
 
@@ -153,6 +153,11 @@ def eig_range(mat: np.ndarray) -> tuple[float, float]:
     return (float(vals[0]), float(vals[-1]))
 
 
+def psd_accepted(lmin: float, lmax: float) -> bool:
+    """The PSD acceptance rule, given a matrix's eig_range."""
+    return lmin >= -PSD_TOL * max(1.0, abs(lmax))
+
+
 class BasisMatrixSet:
     """Matrices B_alpha with g(x) v_d(x) v_d(x)^T = sum_alpha x^alpha B_alpha.
 
@@ -259,7 +264,7 @@ class SupportTestVerdict:
 
 
 def support_nonnegativity_test(
-    y: MomentSequence, f: Polynomial, d: int, tol: float = PSD_TOL
+    y: MomentSequence, f: Polynomial, d: int
 ) -> SupportTestVerdict:
     """Check M_k(f y) PSD for k = 0..d; first violation wins."""
     if 2 * d + f.degree > y.max_degree:
@@ -271,7 +276,7 @@ def support_nonnegativity_test(
     for k in range(d + 1):
         mat = localizing_matrix(y, f, k)
         lmin, lmax = eig_range(mat)
-        if lmin < -tol * max(1.0, abs(lmax)):
+        if not psd_accepted(lmin, lmax):
             return SupportTestVerdict(False, k, lmin)
         last_min = lmin
     return SupportTestVerdict(True, d, last_min)
@@ -313,7 +318,7 @@ class KMomentReport:
 
 
 def kmoment_condition_check(
-    y: MomentSequence, system, d: int, tol: float = PSD_TOL
+    y: MomentSequence, system, d: int
 ) -> KMomentReport:
     """Necessary conditions for y to come from a measure on the set of system.
 
@@ -336,7 +341,7 @@ def kmoment_condition_check(
             continue
         mat = localizing_matrix(y, g, order)
         lmin, lmax = eig_range(mat)
-        ok = lmin >= -tol * max(1.0, abs(lmax))
+        ok = psd_accepted(lmin, lmax)
         check = GeneratorCheck(j, order, lmin, lmax, ok)
         checks.append(check)
         if not ok and violated is None:

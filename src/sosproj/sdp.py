@@ -8,6 +8,9 @@ block.  Free variables are not supported; formulate with slacks.
 
 Primal infeasibility is reported with a dual improving ray (y, S): S PSD,
 A^T y + S = 0 and b^T y = 1, which certifies that no feasible X exists.
+Every SDP sosproj builds minimizes an objective that is bounded below, so
+there is no maximization sense and no unboundedness exit: a problem that is
+unbounded below ends without convergence.
 """
 
 from __future__ import annotations
@@ -32,9 +35,7 @@ SIGMA_MAX = 0.99999
 REG_INIT = 1e-12
 # Cap of the regularization ladder, which grows x10 per failed factorization.
 REG_MAX = 1e-8
-# Objective magnitude past which the iterate is checked for a certifying ray.
-INFEAS_OBJ_THRESHOLD = 1e8
-# Relative residual below which a ray certifies infeasibility or unboundedness.
+# Relative residual below which a ray certifies infeasibility.
 RAY_TOL = 1e-7
 # Iterations without a 10% merit improvement before a run counts as stalled.
 STALL_PATIENCE = 25
@@ -65,10 +66,7 @@ class SdpModelError(ValueError):
 class SdpProblem:
     """Equality-constrained block SDP: objective, constraints, block layout."""
 
-    def __init__(self, sense: str = "min"):
-        if sense not in ("min", "max"):
-            raise SdpModelError(f"sense must be 'min' or 'max', got {sense!r}")
-        self.sense = sense
+    def __init__(self):
         self.blocks: list[BlockSpec] = []
         self.constraints: list[tuple[BlockEntries, float]] = []
         self.objective: BlockEntries = {}
@@ -154,7 +152,6 @@ class SolverConfig:
 class SdpStatus(Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
     MAX_ITER = "max_iter"
     NUMERICAL_FAILURE = "numerical_failure"
     # Stopped short of feas_tol, but near convergence (see INACCURATE_FACTOR).
@@ -169,7 +166,7 @@ class SdpSolution:
     s_blocks: list[np.ndarray]
     primal_objective: float
     dual_objective: float
-    gap: float                      # |pobj - dobj| in the user's sense
+    gap: float                      # |pobj - dobj|
     relative_gap: float
     primal_residual: float          # relative equality violation
     dual_residual: float
@@ -187,15 +184,13 @@ class CertificateReport:
     dual_min_eigs: tuple[float, ...]    # of S = C - A^T y, per block
     primal_objective: float
     dual_objective: float
-    duality_gap: float                  # pobj - dobj (min sense)
+    duality_gap: float                  # pobj - dobj
     complementarity: float              # <X, S>
 
 
 def _sym_eig_min(mat: np.ndarray) -> float:
     if mat.ndim == 1:
-        return float(mat.min()) if mat.size else 0.0
-    if mat.shape[0] == 0:
-        return 0.0
+        return float(mat.min())
     return float(np.linalg.eigvalsh((mat + mat.T) / 2.0)[0])
 
 
@@ -207,7 +202,6 @@ class _Workspace:
     """Dense per-call data for one solve; nothing is shared across calls."""
 
     def __init__(self, problem: SdpProblem):
-        self.flip = problem.sense == "max"
         self.blocks = problem.blocks
         self.m = problem.num_constraints
         self.psd = [
@@ -216,7 +210,6 @@ class _Workspace:
         self.diag = [
             i for i, s in enumerate(self.blocks) if s.kind is BlockKind.NONNEG_DIAG
         ]
-        sign = -1.0 if self.flip else 1.0
         self.A: list[np.ndarray] = []
         self.C: list[np.ndarray] = []
         for blk, spec in enumerate(self.blocks):
@@ -233,7 +226,7 @@ class _Workspace:
                     for i, _j, v in entries.get(blk, []):
                         vecs[ci, i] = v
                 self.A.append(vecs)
-            self.C.append(sign * problem.dense_coefficient(problem.objective, blk))
+            self.C.append(problem.dense_coefficient(problem.objective, blk))
         self.b = np.array([rhs for _e, rhs in problem.constraints])
         self.nu = sum(s.side for s in self.blocks)
         # Cone-preserving Ruiz equilibration: X' = T X T with diagonal T > 0
@@ -371,9 +364,6 @@ class _Workspace:
             total += float(X[blk] @ S[blk])
         return total
 
-    def norm_blocks(self, X: list[np.ndarray]) -> float:
-        return math.sqrt(sum(float(np.sum(x * x)) for x in X))
-
 
 def _row_buffer(ws: _Workspace) -> tuple[np.ndarray, list[np.ndarray]]:
     """One (m, sum of block widths) array and its per-block views.
@@ -447,8 +437,8 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
 
     The iterate (x, y, s, tau, kappa) starts strictly feasible for the
     embedding and residuals shrink proportionally to the complementarity
-    measure.  A vanishing tau with positive kappa yields an infeasibility
-    or unboundedness certificate instead of an optimum.
+    measure.  A vanishing tau with positive kappa yields a dual improving
+    ray, an infeasibility certificate, instead of an optimum.
     """
     m = ws.m
     nu1 = ws.nu + 1.0
@@ -461,26 +451,15 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
     gram_AAT = gram_rows @ gram_rows.T
     del gram_rows
     gram_scale = max(1.0, float(np.max(np.diag(gram_AAT))))
+    # The row buffer is allocated before the factorization on purpose: placed
+    # after it, the allocator raises ladder peak RSS for identical iterates.
     rows, row_views = _row_buffer(ws)
-    repair_chol = None
-    reg0 = 1e-14
-    while reg0 <= 1e-8:
-        try:
-            repair_chol = sla.cho_factor(
-                gram_AAT + reg0 * gram_scale * np.eye(m), lower=True
-            )
-            break
-        except np.linalg.LinAlgError:
-            reg0 *= 100.0
-
-    def _identity() -> list[np.ndarray]:
-        out = []
-        for spec in ws.blocks:
-            if spec.kind is BlockKind.PSD:
-                out.append(np.eye(spec.side))
-            else:
-                out.append(np.ones(spec.side))
-        return out
+    try:
+        repair_chol = sla.cho_factor(
+            gram_AAT + 1e-14 * gram_scale * np.eye(m), lower=True
+        )
+    except np.linalg.LinAlgError:
+        raise SdpModelError("constraint rows are numerically dependent") from None
 
     def _shift_to_cone(blocks: list[np.ndarray]) -> list[np.ndarray]:
         """v + (1 + max(0, -lambda_min(v))) e per block, guaranteeing PD."""
@@ -498,17 +477,10 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
     # Least-squares initial point in the spirit of conelp: the min-norm
     # solution of A x = b shifted into the cone, and the least-squares
     # dual pair (y, c - A^T y) shifted likewise.
-    if repair_chol is not None:
-        u0 = sla.cho_solve(repair_chol, ws.b)
-        x = _shift_to_cone(ws.apply_AT(u0))
-        y = sla.cho_solve(repair_chol, ws.apply_A(ws.C))
-        s = _shift_to_cone(
-            [c - a for c, a in zip(ws.C, ws.apply_AT(y))]
-        )
-    else:
-        x = _identity()
-        y = np.zeros(m)
-        s = _identity()
+    u0 = sla.cho_solve(repair_chol, ws.b)
+    x = _shift_to_cone(ws.apply_AT(u0))
+    y = sla.cho_solve(repair_chol, ws.apply_A(ws.C))
+    s = _shift_to_cone([c - a for c, a in zip(ws.C, ws.apply_AT(y))])
     tau = 1.0
     kappa = 1.0
 
@@ -532,20 +504,18 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
         )
 
     def _pack(status: SdpStatus, message: str) -> SdpSolution:
-        sign = -1.0 if ws.flip else 1.0
         Xd, yd, Sd = _dehom()
         Xu = ws.unscale_primal(Xd)
         yu, Su = ws.unscale_dual(yd, Sd)
-        po, do = sign * pobj, sign * dobj
-        gap = abs(po - do)
-        relgap = gap / (1.0 + abs(po) + abs(do))
+        gap = abs(pobj - dobj)
+        relgap = gap / (1.0 + abs(pobj) + abs(dobj))
         return SdpSolution(
             status=status,
             x_blocks=[np.array(b) for b in Xu],
-            y=sign * yu,
+            y=yu,
             s_blocks=[np.array(b) for b in Su],
-            primal_objective=po,
-            dual_objective=do,
+            primal_objective=pobj,
+            dual_objective=dobj,
             gap=gap,
             relative_gap=relgap,
             primal_residual=relp if np.isfinite(relp) else np.inf,
@@ -577,21 +547,6 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
         obj_scale = ws.c_scale * ws.b_scale
         return yu / obj_scale, [sb / obj_scale for sb in Su]
 
-    def _has_primal_ray() -> bool:
-        """Whether x is a recession direction certifying dual infeasibility."""
-        obj = ws.inner(ws.C, x)
-        if not np.isfinite(obj) or obj >= 0.0:
-            return False
-        rX = [xb / (-obj) for xb in x]
-        res = float(np.linalg.norm(ws.apply_A(rX)))
-        if res > RAY_TOL * (1.0 + ws.norm_blocks(rX)):
-            return False
-        for x_blk in rX:
-            lmin = _sym_eig_min(x_blk)
-            if lmin < -1e-8 * max(1.0, float(np.max(np.abs(x_blk)))):
-                return False
-        return True
-
     def _restore_best() -> None:
         nonlocal x, y, s, tau, kappa, relp, reld, pobj, dobj
         if snapshot is None:
@@ -601,19 +556,13 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
     def _ray_exit(message: str) -> SdpSolution | None:
         """The exit through a validated ray, if the iterate yields one."""
         nonlocal ray
-        candidate = _try_dual_ray()
-        if candidate is not None:
-            ray = candidate
-            return _pack(
-                SdpStatus.INFEASIBLE,
-                f"{message}; improving ray certifies primal infeasibility",
-            )
-        if _has_primal_ray():
-            return _pack(
-                SdpStatus.UNBOUNDED,
-                f"{message}; feasible improving ray certifies unboundedness",
-            )
-        return None
+        ray = _try_dual_ray()
+        if ray is None:
+            return None
+        return _pack(
+            SdpStatus.INFEASIBLE,
+            f"{message}; improving ray certifies primal infeasibility",
+        )
 
     def _finish(failure_status: SdpStatus, message: str) -> SdpSolution:
         """Exit without full convergence: prefer a ray, then the best iterate."""
@@ -689,13 +638,8 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
                 _restore_best()
                 return _pack(SdpStatus.OPTIMAL, "converged")
 
-        # Certificate checks: meaningful once tau shrinks against kappa or
-        # the scaled dual objective diverges.
-        if it >= 3 and (
-            tau < 1e-2 * min(1.0, kappa)
-            or dobj > INFEAS_OBJ_THRESHOLD
-            or pobj < -INFEAS_OBJ_THRESHOLD
-        ):
+        # The ray check is meaningful once tau shrinks against kappa.
+        if it >= 3 and tau < 1e-2 * min(1.0, kappa):
             exit_sol = _ray_exit("vanishing tau")
             if exit_sol is not None:
                 return exit_sol
@@ -792,8 +736,6 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
 
         def _repair(dx_blocks, target: np.ndarray):
             """Correct dx so A dx = target holds to roundoff."""
-            if repair_chol is None:
-                return dx_blocks
             defect = target - ws.apply_A(dx_blocks)
             corr = ws.apply_AT(sla.cho_solve(repair_chol, defect))
             out = []
@@ -879,20 +821,30 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
         sigma = (mu_aff / mu) ** 3 if mu > 0 else SIGMA_MAX
         sigma = min(max(sigma, SIGMA_MIN), SIGMA_MAX)
 
-        Rc = []
-        for blk, spec in enumerate(ws.blocks):
-            sig = sigv[blk]
-            if spec.kind is BlockKind.PSD:
-                e = (sig[:, None] + sig[None, :]) / 2.0
-                c2 = (
-                    dxhat_a[blk] @ dshat_a[blk] + dshat_a[blk] @ dxhat_a[blk]
-                ) / 2.0
-                target = sigma * mu * np.eye(spec.side) - np.diag(sig**2) - c2
-                Rc.append(target / e)
-            else:
-                c2 = dxhat_a[blk] * dshat_a[blk]
-                Rc.append((sigma * mu - sig**2 - c2) / sig)
-        rc_tk = sigma * mu - tau * kappa - dtau_a * dkappa_a
+        def _rc(target_mu: float, second_order: bool):
+            """Scaled complementarity right-hand side toward target_mu; with
+            second_order, less the predictor's second-order term (Mehrotra)."""
+            out = []
+            for blk, spec in enumerate(ws.blocks):
+                sig = sigv[blk]
+                if spec.kind is BlockKind.PSD:
+                    target = target_mu * np.eye(spec.side) - np.diag(sig**2)
+                    if second_order:
+                        target = target - (
+                            dxhat_a[blk] @ dshat_a[blk] + dshat_a[blk] @ dxhat_a[blk]
+                        ) / 2.0
+                    out.append(target / ((sig[:, None] + sig[None, :]) / 2.0))
+                else:
+                    target = target_mu - sig**2
+                    if second_order:
+                        target = target - dxhat_a[blk] * dshat_a[blk]
+                    out.append(target / sig)
+            rc_tk = target_mu - tau * kappa
+            if second_order:
+                rc_tk = rc_tk - dtau_a * dkappa_a
+            return out, rc_tk
+
+        Rc, rc_tk = _rc(sigma * mu, True)
         comb = _direction(1.0 - sigma, Rc, rc_tk)
         if comb is None:
             return _finish(SdpStatus.NUMERICAL_FAILURE, "singular reduced system")
@@ -902,20 +854,11 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
         if alpha < 1e-4:
             # Rescue: a pure centering direction at the current mu restores
             # room to move when the combined step jams on the cone boundary.
-            Rc_center = []
-            for blk, spec in enumerate(ws.blocks):
-                sig = sigv[blk]
-                if spec.kind is BlockKind.PSD:
-                    e = (sig[:, None] + sig[None, :]) / 2.0
-                    Rc_center.append(
-                        (mu * np.eye(spec.side) - np.diag(sig**2)) / e
-                    )
-                else:
-                    Rc_center.append((mu - sig**2) / sig)
+            Rc_center, rc_center_tk = _rc(mu, False)
             # The feasibility repair ignores the cone and can itself keep
             # the step jammed; then the centering step goes without it.
             for repair in (True, False):
-                center = _direction(0.0, Rc_center, mu - tau * kappa, repair)
+                center = _direction(0.0, Rc_center, rc_center_tk, repair)
                 if center is not None:
                     dxc, dyc, dsc, dtc, dkc, _h1, _h2 = center
                     alpha_c = min(
@@ -975,12 +918,9 @@ def check_certificate(problem: SdpProblem, sol: SdpSolution) -> CertificateRepor
                     at[i, j] += y[ci] * v
                     at[j, i] += y[ci] * v
     resid = AX - b
-    # Dual slack implied by y alone, independent of the solver's S iterate:
-    # C - A^T y for minimization, A^T y - C for maximization.
-    if problem.sense == "min":
-        S_implied = [c - a for c, a in zip(C, ATy)]
-    else:
-        S_implied = [a - c for c, a in zip(C, ATy)]
+    # Dual slack C - A^T y implied by y alone, independent of the solver's
+    # S iterate.
+    S_implied = [c - a for c, a in zip(C, ATy)]
     pobj = _inner(C, X)
     dobj = float(b @ y)
     return CertificateReport(
@@ -989,6 +929,6 @@ def check_certificate(problem: SdpProblem, sol: SdpSolution) -> CertificateRepor
         dual_min_eigs=tuple(_sym_eig_min(s) for s in S_implied),
         primal_objective=pobj,
         dual_objective=dobj,
-        duality_gap=pobj - dobj if problem.sense == "min" else dobj - pobj,
+        duality_gap=pobj - dobj,
         complementarity=_inner(X, S_implied),
     )

@@ -21,8 +21,6 @@ def _fmt(v: float) -> str:
 
 def export_sdpa(problem: SdpProblem, comments: tuple[str, ...] = ()) -> str:
     """Serialize to SDPA sparse format; deterministic entry order."""
-    if problem.sense != "min":
-        raise SdpModelError("SDPA export is defined for minimization problems")
     lines: list[str] = []
     for comment in comments:
         lines.append(f'"{comment}')

@@ -3,6 +3,7 @@ import pytest
 
 from sosproj.cones import SemialgebraicSystem, build_truncation, gram_reconstruct
 from sosproj.certificates import (
+    MembershipResult,
     MembershipVerdict,
     PerturbationKind,
     PsatzQuery,
@@ -207,6 +208,26 @@ def test_seq_closure_motzkin_levels_nondecreasing():
 def test_seq_closure_negative_never_certifies():
     rows = seq_closure_probe(Polynomial.constant(1, -1.0), SEGMENT, 1, [0.5, 0.1], 3)
     assert all(t is None for _eps, t in rows)
+
+
+def test_seq_closure_stops_at_inconclusive_level(monkeypatch):
+    # An inconclusive level below the first certifying one leaves the
+    # minimal level unknown: the row reads None, not the higher level.
+    verdicts = {
+        1e-1: [MembershipVerdict.NOT_IN_CONE, MembershipVerdict.IN_CONE],
+        1e-2: [MembershipVerdict.INCONCLUSIVE, MembershipVerdict.IN_CONE],
+    }
+    calls = []
+
+    def fake_membership(f, system, t, config=None):
+        eps = f.coefficient((6, 0))  # the lift is eps * (1 + x1^6 + x2^6)
+        calls.append((eps, t))
+        return MembershipResult(verdicts[eps][t - 3], t)
+
+    monkeypatch.setattr(certificates_module, "membership", fake_membership)
+    rows = seq_closure_probe(MOTZKIN, PLANE, 3, [1e-1, 1e-2], 4)
+    assert rows == [(1e-1, 4), (1e-2, None)]
+    assert calls == [(1e-1, 3), (1e-1, 4), (1e-2, 3)]
 
 
 def test_seq_closure_validates_eps_list():

@@ -137,15 +137,6 @@ def test_diag_block_negative_size_line():
     assert lines[2] == "-3 2"
 
 
-def test_export_requires_min_sense():
-    p = SdpProblem(sense="max")
-    blk = p.add_psd_block(1)
-    p.set_objective({blk: [(0, 0, 1.0)]})
-    p.add_constraint({blk: [(0, 0, 1.0)]}, 1.0)
-    with pytest.raises(SdpModelError):
-        export_sdpa(p)
-
-
 def test_parse_rejects_malformed():
     with pytest.raises(SdpModelError):
         parse_sdpa("1\n1\n")
