@@ -1,16 +1,17 @@
 """Command-line front end.
 
-Subcommands: project, certify, psatz, moments-check, export-sdpa, and
-repro-motzkin.  Exit codes are uniform: 0 success, 1 bad input, 2 numerical
-failure, 3 searched-but-not-certified (or tolerance failure).  A config
-file of key=value lines may set defaults; explicit flags win.
+Each subcommand in COMMANDS takes only the options it reads; OPTIONS gives
+each option's type, choices and default once.  Exit codes: 0 success, 1 bad
+input, 2 numerical failure, 3 searched but not certified (or tolerance
+failure).  A key=value config file may set defaults; explicit flags win.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import replace
+from typing import Callable, NamedTuple
 
 from .certificates import (
     MembershipVerdict,
@@ -20,8 +21,9 @@ from .certificates import (
     psatz_search,
 )
 from .cones import ConeKind, SemialgebraicSystem, parse_system_text
-from .moments import format_moment_text, kmoment_condition_check, parse_moment_text
+from .moments import kmoment_condition_check, parse_moment_text
 from .polynomials import (
+    Polynomial,
     PolynomialError,
     WeightSequence,
     max_variable_index,
@@ -33,6 +35,7 @@ from .projection import (
     ProjectionFailure,
     ProjectionProblem,
     build_lambda_form_sdp,
+    default_solver_config,
     format_certificate,
     project_lambda_form,
 )
@@ -52,87 +55,53 @@ EXIT_NUMERICAL = 2
 EXIT_NOT_CERTIFIED = 3
 
 
-@dataclass
-class RunConfig:
-    norm: str = "lw"
-    cone: str = "quadratic"
-    d: int = 1
-    t: int | None = None
-    eps: float = 1e-2
-    dmax: int = 4
-    feas_tol: float = 1e-8
-    gap_tol: float = 1e-6
-    format: str = "text"
-    out: str | None = None
+def _positive(convert: Callable[[str], float]) -> Callable[[str], float]:
+    def positive(text: str) -> float:
+        value = convert(text)
+        if value <= 0:
+            raise ValueError(f"{text!r} is not positive")
+        return value
 
-    def __post_init__(self):
-        if self.feas_tol <= 0 or self.gap_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.d < 1:
-            raise ValueError("d must be >= 1")
-        # Config-file values do not pass through argparse's choices.
-        if self.format not in ("text", "structured"):
-            raise ValueError(f"format must be text or structured, got {self.format!r}")
-        if self.norm not in ("l1", "lw"):
-            raise ValueError(f"norm must be l1 or lw, got {self.norm!r}")
-
-    @classmethod
-    def from_file(cls, path: str) -> "RunConfig":
-        values = {}
-        with open(path) as fh:
-            for raw in fh:
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"bad config line {line!r}; expected key=value")
-                key, val = (part.strip() for part in line.split("=", 1))
-                values[key] = val
-        return cls().merged(values)
-
-    def merged(self, overrides: dict) -> "RunConfig":
-        kwargs = {}
-        typed = {f.name: f for f in fields(self)}
-        for key, val in overrides.items():
-            if val is None:
-                continue
-            if key not in typed:
-                raise ValueError(f"unknown config key {key!r}")
-            if isinstance(val, str):
-                if key in ("d", "dmax"):
-                    val = int(val)
-                elif key == "t":
-                    val = None if val in ("", "none") else int(val)
-                elif key in ("eps", "feas_tol", "gap_tol"):
-                    val = float(val)
-                elif key == "out" and val == "":
-                    val = None
-            kwargs[key] = val
-        return replace(self, **kwargs)
-
-    def solver_config(self) -> SolverConfig:
-        return SolverConfig(feas_tol=self.feas_tol, gap_tol=self.gap_tol)
+    return positive
 
 
-def _add_common(sub: argparse.ArgumentParser, with_f: bool = True) -> None:
-    if with_f:
-        sub.add_argument("--f", help="polynomial over x1..xn")
-    sub.add_argument("--system", help="semialgebraic system file")
-    sub.add_argument("--norm", choices=["l1", "lw"], default=None)
-    sub.add_argument("--cone", choices=["quadratic", "preorder"], default=None)
-    sub.add_argument("--d", type=int, default=None)
-    sub.add_argument("--t", type=int, default=None)
-    sub.add_argument("--eps", type=float, default=None)
-    sub.add_argument("--dmax", type=int, default=None)
-    sub.add_argument("--format", choices=["text", "structured"], default=None)
-    sub.add_argument("--out", default=None)
-    sub.add_argument("--feas-tol", dest="feas_tol", type=float, default=None)
-    sub.add_argument("--gap-tol", dest="gap_tol", type=float, default=None)
-    sub.add_argument("--config", default=None, help="key=value defaults file")
+class Option(NamedTuple):
+    # The flag --name (dashes for underscores); also a config-file key when
+    # `config` is true.  A config value in `unset` leaves the option unset.
+    default: object = None
+    type: Callable[[str], object] = str
+    choices: tuple[str, ...] | None = None
+    help: str | None = None
+    config: bool = True
+    unset: tuple[str, ...] = ()
+
+
+OPTIONS = {
+    "f": Option(help="polynomial over x1..xn", config=False),
+    "system": Option(help="semialgebraic system file", config=False),
+    "moments": Option(help="moment sequence file", config=False),
+    "norm": Option("lw", choices=("l1", "lw")),
+    "cone": Option("quadratic", choices=("quadratic", "preorder")),
+    "d": Option(1, _positive(int)),
+    "t": Option(None, int, unset=("", "none")),
+    "eps": Option(1e-2, float),
+    "dmax": Option(4, int),
+    "format": Option("text", choices=("text", "structured")),
+    "out": Option(None, unset=("",)),
+    "feas_tol": Option(default_solver_config().feas_tol, _positive(float)),
+    "gap_tol": Option(default_solver_config().gap_tol, _positive(float)),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    # Bad flags are bad input (exit 1); argparse's own exit 2 would read as
+    # a numerical failure.
+    def error(self, message: str):
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sosproj",
         description=(
             "Weighted-l1 projections onto truncated SOS cones, cone "
@@ -140,69 +109,86 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("project", help="canonical projection onto the cone")
-    _add_common(p)
-    p = subs.add_parser("certify", help="cone membership at level --d")
-    _add_common(p)
-    p = subs.add_parser("psatz", help="certificate search for f >= 0 on K")
-    _add_common(p)
-    p = subs.add_parser("moments-check", help="necessary moment conditions")
-    _add_common(p, with_f=False)
-    p.add_argument("--moments", help="moment sequence file", required=True)
-    p = subs.add_parser("export-sdpa", help="write the projection SDP (.dat-s)")
-    _add_common(p)
-    p = subs.add_parser("repro-motzkin", help="rerun the bundled Motzkin table")
-    _add_common(p, with_f=False)
+    for name, command in COMMANDS.items():
+        # No prefix aliases: `--c` must not mean --config where --cone is absent.
+        sub = subs.add_parser(name, help=command.help, allow_abbrev=False)
+        for option in command.options.split():
+            spec = OPTIONS[option]
+            sub.add_argument(
+                "--" + option.replace("_", "-"), type=spec.type, choices=spec.choices,
+                required=option in command.required.split(), help=spec.help,
+            )
+        sub.add_argument("--config", help="key=value defaults file")
     return parser
 
 
-def _load_config(args) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        cfg = RunConfig.from_file(args.config)
-    # Every RunConfig field has a flag of the same name; set flags win.
-    overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
-    return cfg.merged(overrides)
+def _read_config(path: str) -> dict:
+    """Every value is converted and checked as its flag's would be, also
+    for keys the subcommand does not read."""
+    values = {}
+    with open(path) as fh:
+        for raw in fh:
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError(f"bad config line {line!r}; expected key=value")
+            key, text = (part.strip() for part in line.split("=", 1))
+            spec = OPTIONS.get(key)
+            if spec is None or not spec.config:
+                raise ValueError(f"unknown config key {key!r}")
+            try:
+                value = None if text in spec.unset else spec.type(text)
+                if spec.choices and value not in spec.choices:
+                    raise ValueError(f"{text!r} is not one of {spec.choices}")
+            except ValueError as exc:
+                raise ValueError(f"config key {key}: {exc}") from None
+            values[key] = value
+    return values
 
 
-def _build_system(args, cfg: RunConfig) -> SemialgebraicSystem:
-    kind = ConeKind(cfg.cone)
-    if getattr(args, "system", None):
+def _fill_defaults(args, options: list[str]) -> None:
+    """Options left unset on the command line take the config file's value,
+    else the table default.  A system file's cone line outranks both: only
+    an explicit --cone overrides it."""
+    values = {name: OPTIONS[name].default for name in options}
+    if args.config:
+        values.update(_read_config(args.config))
+    for name in options:
+        if getattr(args, name) is None and not (name == "cone" and args.system):
+            setattr(args, name, values[name])
+
+
+def _solver_config(args) -> SolverConfig:
+    return SolverConfig(feas_tol=args.feas_tol, gap_tol=args.gap_tol)
+
+
+def _system_and_f(args) -> tuple[SemialgebraicSystem, Polynomial]:
+    if args.system:
         with open(args.system) as fh:
             system = parse_system_text(fh.read())
-        if args.cone is not None and system.cone_kind is not kind:
-            system = SemialgebraicSystem(
-                system.dimension, system.generators, kind
-            )
-        return system
-    f_text = getattr(args, "f", None) or ""
-    n = max(1, max_variable_index(f_text))
-    return SemialgebraicSystem(n, (), kind)
+        if args.cone is not None:
+            system = replace(system, cone_kind=ConeKind(args.cone))
+    else:
+        n = max(1, max_variable_index(args.f))
+        system = SemialgebraicSystem(n, (), ConeKind(args.cone))
+    return system, parse_polynomial(args.f, system.dimension)
 
 
-def _parse_f(args, system: SemialgebraicSystem):
-    if not getattr(args, "f", None):
-        raise PolynomialError("missing --f polynomial")
-    return parse_polynomial(args.f, system.dimension)
-
-
-def _emit(text: str, cfg: RunConfig) -> None:
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+def _emit(text: str, out: str | None) -> None:
+    if out:
+        with open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
 def cmd_project(args) -> int:
-    cfg = _load_config(args)
-    system = _build_system(args, cfg)
-    f = _parse_f(args, system)
-    norm = WeightSequence.from_name(cfg.norm)
-    problem = ProjectionProblem(f, system, norm, cfg.d, cfg.t)
+    system, f = _system_and_f(args)
+    norm = WeightSequence.from_name(args.norm)
+    problem = ProjectionProblem(f, system, norm, args.d, args.t)
     try:
-        cert = project_lambda_form(problem, cfg.solver_config())
+        cert = project_lambda_form(problem, _solver_config(args))
     except ProjectionFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -217,16 +203,14 @@ def cmd_project(args) -> int:
             "f is in the cone numerically"
         )
     certificate = format_certificate(cert)
-    if cfg.out or cfg.format == "structured":
-        _emit(certificate, cfg)
+    if args.out or args.format == "structured":
+        _emit(certificate, args.out)
     return EXIT_OK
 
 
 def cmd_certify(args) -> int:
-    cfg = _load_config(args)
-    system = _build_system(args, cfg)
-    f = _parse_f(args, system)
-    result = membership(f, system, cfg.d, cfg.solver_config())
+    system, f = _system_and_f(args)
+    result = membership(f, system, args.d, _solver_config(args))
     print(f"verdict {result.verdict.value} level {result.level}")
     if result.verdict is MembershipVerdict.INCONCLUSIVE:
         print(f"inconclusive: {result.message}")
@@ -234,37 +218,28 @@ def cmd_certify(args) -> int:
     in_cone = result.verdict is MembershipVerdict.IN_CONE
     if in_cone:
         print(f"reconstruction_error {result.reconstruction_error:.3e}")
-        verdict = f"in_cone level {cfg.d}"
+        verdict = f"in_cone level {args.d}"
     else:
         print(f"separation L_y(f) = {result.separation:.6e}")
-        verdict = f"not_in_cone level {cfg.d} separation {result.separation:.17g}"
-    if cfg.out or cfg.format == "structured":
+        verdict = f"not_in_cone level {args.d} separation {result.separation:.17g}"
+    if args.out or args.format == "structured":
         cert = ProjectionCertificate(
-            norm_kind=WeightSequence.from_name(cfg.norm).kind,
-            d=cfg.d,
-            t=cfg.d,
-            p_value=0.0,
-            projection=f,
-            grams=result.grams or {},
+            norm_kind=WeightSequence.lw().kind,  # the text does not record it
+            d=args.d, t=args.d, p_value=0.0, projection=f, grams=result.grams or {},
         )
-        body = format_certificate(cert, verdict=verdict)
-        if not in_cone:
-            body += "SEPARATING_MOMENTS\n" + format_moment_text(result.separating)
-        _emit(body, cfg)
+        _emit(format_certificate(cert, verdict, result.separating), args.out)
     return EXIT_OK if in_cone else EXIT_NOT_CERTIFIED
 
 
 def cmd_psatz(args) -> int:
-    cfg = _load_config(args)
-    system = _build_system(args, cfg)
-    f = _parse_f(args, system)
+    system, f = _system_and_f(args)
     # The top-even-power perturbation is the one whose certification level
     # tracks the projection lambdas; the exponential tower is available
     # through the library API.
     query = PsatzQuery(
-        f, system, cfg.eps, cfg.dmax, PerturbationKind.TOP_EVEN_POWER
+        f, system, args.eps, args.dmax, PerturbationKind.TOP_EVEN_POWER
     )
-    result = psatz_search(query, cfg.solver_config())
+    result = psatz_search(query, _solver_config(args))
     print(str(result))
     if result.certified:
         return EXIT_OK
@@ -275,15 +250,11 @@ def cmd_psatz(args) -> int:
 
 
 def cmd_moments_check(args) -> int:
-    cfg = _load_config(args)
-    if not getattr(args, "system", None):
-        print("moments-check requires --system", file=sys.stderr)
-        return EXIT_INPUT
     with open(args.system) as fh:
         system = parse_system_text(fh.read())
     with open(args.moments) as fh:
         y = parse_moment_text(fh.read())
-    report = kmoment_condition_check(y, system, cfg.d)
+    report = kmoment_condition_check(y, system, args.d)
     print(str(report))
     for check in report.checks:
         status = "skipped" if check.skipped else ("ok" if check.psd_ok else "VIOLATED")
@@ -295,22 +266,19 @@ def cmd_moments_check(args) -> int:
 
 
 def cmd_export_sdpa(args) -> int:
-    cfg = _load_config(args)
-    system = _build_system(args, cfg)
-    f = _parse_f(args, system)
-    norm = WeightSequence.from_name(cfg.norm)
-    problem = ProjectionProblem(f, system, norm, cfg.d, cfg.t)
+    system, f = _system_and_f(args)
+    norm = WeightSequence.from_name(args.norm)
+    problem = ProjectionProblem(f, system, norm, args.d, args.t)
     built = build_lambda_form_sdp(problem)
     comment = (
-        f"projection SDP: norm={cfg.norm} d={cfg.d} t={problem.t} "
+        f"projection SDP: norm={args.norm} d={args.d} t={problem.t} "
         f"generators={system.num_generators}"
     )
-    _emit(export_sdpa(built.sdp, comments=(comment,)), cfg)
+    _emit(export_sdpa(built.sdp, comments=(comment,)), args.out)
     return EXIT_OK
 
 
 def cmd_repro_motzkin(args) -> int:
-    cfg = _load_config(args)
     f = motzkin_polynomial()
     system = free_plane()
     norm = WeightSequence.l1()
@@ -320,7 +288,7 @@ def cmd_repro_motzkin(args) -> int:
     for row in MOTZKIN_REFERENCE:
         problem = ProjectionProblem(f, system, norm, row.d)
         try:
-            cert = project_lambda_form(problem, cfg.solver_config())
+            cert = project_lambda_form(problem, _solver_config(args))
         except ProjectionFailure as exc:
             print(f"{row.d}   solver failure: {exc}", file=sys.stderr)
             return EXIT_NUMERICAL
@@ -341,21 +309,46 @@ def cmd_repro_motzkin(args) -> int:
     return EXIT_OK if all_pass else EXIT_NOT_CERTIFIED
 
 
+class Command(NamedTuple):
+    handler: Callable[[argparse.Namespace], int]
+    help: str
+    options: str  # the OPTIONS keys it reads, in --help order
+    required: str = ""
+
+
 COMMANDS = {
-    "project": cmd_project,
-    "certify": cmd_certify,
-    "psatz": cmd_psatz,
-    "moments-check": cmd_moments_check,
-    "export-sdpa": cmd_export_sdpa,
-    "repro-motzkin": cmd_repro_motzkin,
+    "project": Command(
+        cmd_project, "canonical projection onto the cone",
+        "f system norm cone d t format out feas_tol gap_tol", "f",
+    ),
+    "certify": Command(
+        cmd_certify, "cone membership at level --d",
+        "f system cone d format out feas_tol gap_tol", "f",
+    ),
+    "psatz": Command(
+        cmd_psatz, "certificate search for f >= 0 on K",
+        "f system cone eps dmax feas_tol gap_tol", "f",
+    ),
+    "moments-check": Command(
+        cmd_moments_check, "necessary moment conditions",
+        "moments system d", "moments system",
+    ),
+    "export-sdpa": Command(
+        cmd_export_sdpa, "write the projection SDP (.dat-s)",
+        "f system norm cone d t out", "f",
+    ),
+    "repro-motzkin": Command(
+        cmd_repro_motzkin, "rerun the bundled Motzkin table", "feas_tol gap_tol"
+    ),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        args = build_parser().parse_args(argv)
+        command = COMMANDS[args.command]
+        _fill_defaults(args, command.options.split())
+        return command.handler(args)
     except (PolynomialError, ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import GramSdp, SemialgebraicSystem, build_truncation, gram_sdp
-from .moments import MomentSequence
+from .moments import MomentSequence, format_moment_text, parse_moment_text
 from .polynomials import (
     Exponent,
     Polynomial,
@@ -461,6 +461,8 @@ class CertificateDocument:
     grams: list[tuple[tuple[int, ...], np.ndarray]]
     p_value: float
     projection_text: str
+    # A refutation's separating functional, written after PROJECTION.
+    separating_moments: MomentSequence | None = None
 
 
 def parse_certificate(text: str) -> CertificateDocument:
@@ -474,11 +476,15 @@ def parse_certificate(text: str) -> CertificateDocument:
     grams: list[tuple[tuple[int, ...], np.ndarray]] = []
     p_value = None
     projection_text = None
+    moment_lines: list[str] = []
     idx = 0
     while idx < len(lines):
         line = lines[idx]
         idx += 1
-        if line in ("VERDICT", "LAMBDA", "GRAMS", "P_VALUE", "PROJECTION"):
+        if line in (
+            "VERDICT", "LAMBDA", "GRAMS", "P_VALUE", "PROJECTION",
+            "SEPARATING_MOMENTS",
+        ):
             section = line
             continue
         if not line.strip():
@@ -517,6 +523,8 @@ def parse_certificate(text: str) -> CertificateDocument:
             p_value = float(line)
         elif section == "PROJECTION":
             projection_text = line
+        elif section == "SEPARATING_MOMENTS":
+            moment_lines.append(line)
         else:
             raise ValueError(f"content before any section: {line!r}")
     if p_value is None or projection_text is None:
@@ -530,11 +538,14 @@ def parse_certificate(text: str) -> CertificateDocument:
         grams,
         p_value,
         projection_text,
+        parse_moment_text("\n".join(moment_lines)) if moment_lines else None,
     )
 
 
 def format_certificate(
-    cert: ProjectionCertificate, verdict: str | None = None
+    cert: ProjectionCertificate,
+    verdict: str | None = None,
+    separating_moments: MomentSequence | None = None,
 ) -> str:
     zero_flag_line = None
     if cert.lambda0 is not None:
@@ -556,6 +567,7 @@ def format_certificate(
         grams,
         cert.p_value,
         str(cert.projection),
+        separating_moments,
     )
     return format_certificate_document(doc)
 
@@ -584,4 +596,7 @@ def format_certificate_document(doc: CertificateDocument) -> str:
     lines.append(_fmt(doc.p_value))
     lines.append("PROJECTION")
     lines.append(doc.projection_text)
+    if doc.separating_moments is not None:
+        lines.append("SEPARATING_MOMENTS")
+        lines.extend(format_moment_text(doc.separating_moments).splitlines())
     return "\n".join(lines) + "\n"

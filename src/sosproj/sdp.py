@@ -33,8 +33,6 @@ SIGMA_MIN = 1e-8
 SIGMA_MAX = 0.99999
 # Schur-diagonal regularization, relative to the largest diagonal entry.
 REG_INIT = 1e-12
-# Cap of the regularization ladder, which grows x10 per failed factorization.
-REG_MAX = 1e-8
 # Relative residual below which a ray certifies infeasibility.
 RAY_TOL = 1e-7
 # Iterations without a 10% merit improvement before a run counts as stalled.
@@ -710,23 +708,16 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
         _scale_rows(ws, G, w_diag, row_views)
         schur = rows @ rows.T  # exactly symmetric: numpy computes it by syrk
 
-        reg = REG_INIT
         diag_scale = max(1.0, float(np.max(np.diag(schur))))
-        chol = None
-        while True:
-            try:
-                chol = sla.cho_factor(
-                    schur + reg * diag_scale * np.eye(m), lower=True
-                )
-                break
-            except np.linalg.LinAlgError:
-                reg *= 10.0
-                if reg > REG_MAX:
-                    break
-        if chol is None:
+        chol = None  # free the previous factor before making the next one
+        try:
+            chol = sla.cho_factor(
+                schur + REG_INIT * diag_scale * np.eye(m), lower=True
+            )
+        except np.linalg.LinAlgError:
             return _finish(
                 SdpStatus.NUMERICAL_FAILURE,
-                "Schur complement factorization failed after regularization",
+                "Schur complement factorization failed",
             )
 
         def _schur_solve(rhs: np.ndarray) -> np.ndarray:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -217,18 +219,19 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "bogus" in err
 
 
-@pytest.mark.parametrize("command", ["certify", "project"])
+@pytest.mark.parametrize("command", ["certify", "project", "psatz"])
 @pytest.mark.parametrize("line", ["format = structurd", "norm = l2"])
 def test_config_value_outside_choices_rejected(
     tmp_path, capsys, monkeypatch, command, line
 ):
     # Config-file values skip argparse's choices; they must still be checked
-    # before any solve runs.
+    # before any solve runs, also for a key the subcommand does not read.
     def no_solve(*args, **kwargs):
         raise AssertionError("solve ran with a rejected config")
 
     monkeypatch.setattr(cli_module, "membership", no_solve)
     monkeypatch.setattr(cli_module, "project_lambda_form", no_solve)
+    monkeypatch.setattr(cli_module, "psatz_search", no_solve)
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n")
     code, _out, err = run(
@@ -273,7 +276,9 @@ def test_certify_not_in_cone_writes_verdict(tmp_path, capsys):
     assert code == 3
     text = out_path.read_text()
     assert text.startswith("VERDICT\nnot_in_cone level 3")
-    assert "SEPARATING_MOMENTS" in text
+    doc = parse_certificate(text)
+    assert doc.separating_moments is not None
+    assert format_certificate_document(doc) == text
 
 
 def test_psatz_all_inconclusive_exits_numerical(monkeypatch, capsys):
@@ -333,3 +338,90 @@ def test_project_inaccurate_exits_numerical(monkeypatch, capsys):
         "solver status inaccurate (relp 3.00e-08, reld 4.00e-09, "
         "relgap 2.00e-08; forced)" in err
     )
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("project", "f system norm cone d t format out feas-tol gap-tol"),
+        ("certify", "f system cone d format out feas-tol gap-tol"),
+        ("psatz", "f system cone eps dmax feas-tol gap-tol"),
+        ("moments-check", "moments system d"),
+        ("export-sdpa", "f system norm cone d t out"),
+        ("repro-motzkin", "feas-tol gap-tol"),
+    ],
+)
+def test_each_subcommand_takes_only_the_flags_it_reads(capsys, command, flags):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert listed == {"--" + flag for flag in flags.split()} | {"--config", "--help"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["psatz", "--f", MOTZKIN, "--out", "F", "--format", "structured"],
+        ["repro-motzkin", "--system", "/nonexistent", "--d", "9"],
+        ["project", "--f", "x1^2", "--norm", "l2"],
+        ["project", "--f", "x1^2", "--d", "0"],
+        ["project"],
+        ["project", "--f", "x1^2", "--no", "l1"],
+    ],
+    ids=[
+        "unread-flags", "repro-unread-flags", "bad-choice", "bad-level", "no-f",
+        "flag-prefix",
+    ],
+)
+def test_bad_command_line_exits_input_error(
+    tmp_path, monkeypatch, capsys, argv
+):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("input error: ")
+    assert not list(tmp_path.iterdir())
+
+
+def test_config_cone_does_not_override_system_file(tmp_path, capsys):
+    box = "n 2\ncone {}\ng: 1 - x1^2\ng: 1 - x2^2\n"
+    quadratic = tmp_path / "quadratic.sys"
+    quadratic.write_text(box.format("quadratic"))
+    preorder = tmp_path / "preorder.sys"
+    preorder.write_text(box.format("preorder"))
+    cfg = tmp_path / "cone.cfg"
+    cfg.write_text("cone=preorder\n")
+    args = ["export-sdpa", "--f", "x1^2*x2^2", "--d", "2"]
+    _, as_quadratic, _ = run(capsys, *args, "--system", str(quadratic))
+    _, as_preorder, _ = run(capsys, *args, "--system", str(preorder))
+    assert as_quadratic != as_preorder
+    code, out, _ = run(
+        capsys, *args, "--system", str(quadratic), "--config", str(cfg)
+    )
+    assert code == 0
+    assert out == as_quadratic
+    code, out, _ = run(
+        capsys, *args, "--system", str(quadratic), "--config", str(cfg),
+        "--cone", "preorder",
+    )
+    assert code == 0
+    assert out == as_preorder
+
+
+@pytest.mark.parametrize("unset", ["t=none\nout=\n", "t=\nout=\n"])
+def test_config_values_that_leave_an_option_unset(
+    tmp_path, monkeypatch, capsys, unset
+):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("d=3\n" + unset)
+    args = ["export-sdpa", "--f", MOTZKIN, "--norm", "l1"]
+    code, expected, _ = run(capsys, *args, "--d", "3")
+    assert code == 0
+    assert "t=3" in expected.splitlines()[0]
+    code, out, _ = run(capsys, *args, "--config", str(cfg))
+    assert code == 0
+    assert out == expected
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]

@@ -201,6 +201,25 @@ def test_dependent_rows_are_a_model_error(monkeypatch):
     assert count[0] == 1
 
 
+def test_schur_factorization_failure_is_not_retried(monkeypatch):
+    # The Schur complement is factored once per iteration at a fixed
+    # regularization; a failure ends the run instead of raising the shift.
+    real = sdp_module.sla.cho_factor
+    count = [0]
+
+    def cho_factor(a, **kwargs):
+        count[0] += 1
+        if count[0] > 1:  # the constraint-Gram factorization succeeds
+            raise np.linalg.LinAlgError("forced factorization failure")
+        return real(a, **kwargs)
+
+    monkeypatch.setattr(sdp_module.sla, "cho_factor", cho_factor)
+    sol = solve(trace_toy(), DEFAULT)
+    assert sol.status is SdpStatus.NUMERICAL_FAILURE
+    assert sol.message == "Schur complement factorization failed"
+    assert count[0] == 2  # one Schur attempt
+
+
 def test_model_validation():
     p = SdpProblem()
     blk = p.add_diag_block(2)
