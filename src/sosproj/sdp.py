@@ -44,6 +44,10 @@ MAX_ITER = 200
 INACCURATE_FACTOR = 10.0
 # Cap on Ruiz equilibration rounds; a round of unit factors ends it sooner.
 EQUILIBRATE_ROUNDS = 8
+# Least multiply-add count (constraints * side**3) of one constraint slab in
+# _scale_rows.  OpenBLAS runs smaller gemms through a small-matrix kernel
+# that rounds differently, so a smaller slab would change the iterates.
+SLAB_MIN_FLOPS = 1 << 22
 
 
 class BlockKind(Enum):
@@ -392,13 +396,27 @@ def _scale_rows(
     w_diag: list[np.ndarray | None],
     views: list[np.ndarray],
 ) -> None:
-    """Write the scaled rows G^T A_i G (diagonal blocks: w * a_i) into views."""
+    """Write the scaled rows G^T A_i G (diagonal blocks: w * a_i) into views.
+
+    PSD blocks are scaled in near-equal slabs of constraints, each of at
+    least SLAB_MIN_FLOPS, so the einsum's temporaries scale with the slab
+    instead of the whole block; a block below SLAB_MIN_FLOPS is one slab.
+    """
+    m = ws.m
     for blk, spec in enumerate(ws.blocks):
         if spec.kind is BlockKind.PSD:
             g = G[blk]
-            np.einsum(
-                "ki,mij,jl->mkl", g.T, ws.A[blk], g, optimize=True, out=views[blk]
-            )
+            parts = max(1, m // -(-SLAB_MIN_FLOPS // spec.side**3))
+            for k in range(parts):
+                lo, hi = m * k // parts, m * (k + 1) // parts
+                np.einsum(
+                    "ki,mij,jl->mkl",
+                    g.T,
+                    ws.A[blk][lo:hi],
+                    g,
+                    optimize=True,
+                    out=views[blk][lo:hi],
+                )
         else:
             np.multiply(ws.A[blk], w_diag[blk][None, :], out=views[blk])
 
@@ -443,15 +461,11 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
 
     # Gram of the constraint operator, factored once: initial-point solves
     # and the per-iteration repair that keeps A dx = eta ry + b dtau exact.
-    gram_rows = np.hstack(
-        [ws.A[blk].reshape(m, -1) for blk in range(len(ws.blocks))]
-    )
-    gram_AAT = gram_rows @ gram_rows.T
-    del gram_rows
-    gram_scale = max(1.0, float(np.max(np.diag(gram_AAT))))
-    # The row buffer is allocated before the factorization on purpose: placed
-    # after it, the allocator raises ladder peak RSS for identical iterates.
     rows, row_views = _row_buffer(ws)
+    for view, a in zip(row_views, ws.A):
+        view[...] = a
+    gram_AAT = rows @ rows.T
+    gram_scale = max(1.0, float(np.max(np.diag(gram_AAT))))
     try:
         repair_chol = sla.cho_factor(
             gram_AAT + 1e-14 * gram_scale * np.eye(m), lower=True

@@ -1,5 +1,9 @@
-"""The sparse basis matrices and the in-place row buffer reproduce the dense
-constructions they replace, value for value."""
+"""The sparse basis matrices, the in-place row buffer and the slabbed row
+scaling reproduce the dense constructions they replace, value for value."""
+
+import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +19,9 @@ from sosproj.moments import BasisMatrixSet
 from sosproj.polynomials import WeightSequence, monomial_basis, parse_polynomial
 from sosproj.projection import ProjectionProblem, dual_moment_problem
 from sosproj.sdp import (
+    SLAB_MIN_FLOPS,
+    BlockKind,
+    BlockSpec,
     SdpProblem,
     SdpSolution,
     SdpStatus,
@@ -190,6 +197,69 @@ def test_row_buffer_matches_hstack():
     assert rows.shape == expected.shape and rows.flags.c_contiguous
     assert np.array_equal(rows, expected)
     assert np.array_equal(rows @ rows.T, expected @ expected.T)
+
+
+def psd_rows_workspace(rng, m, side):
+    """A stand-in workspace: one PSD block of m random symmetric constraints."""
+    A = rng.normal(size=(m, side, side))
+    A += A.transpose(0, 2, 1)
+    return SimpleNamespace(m=m, blocks=[BlockSpec(side, BlockKind.PSD)], A=[A])
+
+
+def slab_sizes(monkeypatch, ws, g):
+    """Run _scale_rows once and return its rows and the size of every slab."""
+    sizes = []
+    einsum = np.einsum
+
+    def counting_einsum(spec, *operands, **kwargs):
+        sizes.append(operands[1].shape[0])
+        return einsum(spec, *operands, **kwargs)
+
+    rows, views = _row_buffer(ws)
+    monkeypatch.setattr(np, "einsum", counting_einsum)
+    _scale_rows(ws, [g], [None], views)
+    monkeypatch.undo()
+    return rows, sizes
+
+
+# The ladder's and crosscheck's largest blocks; at side 35, slabs below the
+# floor would go through a gemm kernel that rounds differently.
+@pytest.mark.parametrize("m, side", [(455, 84), (286, 56), (330, 35), (795, 35)])
+def test_scale_rows_slabs_match_whole_block(monkeypatch, m, side):
+    rng = np.random.default_rng(m + side)
+    ws = psd_rows_workspace(rng, m, side)
+    g = rng.normal(size=(side, side))
+    rows, sizes = slab_sizes(monkeypatch, ws, g)
+    whole = np.einsum("ki,mij,jl->mkl", g.T, ws.A[0], g, optimize=True)
+    assert np.array_equal(rows, whole.reshape(m, -1))
+    assert len(sizes) > 1 and sum(sizes) == m
+    assert min(sizes) >= math.ceil(SLAB_MIN_FLOPS / side**3)
+
+
+def test_scale_rows_small_block_is_one_call(monkeypatch):
+    m, side = 66, 21
+    assert m * side**3 < SLAB_MIN_FLOPS
+    rng = np.random.default_rng(5)
+    ws = psd_rows_workspace(rng, m, side)
+    _, sizes = slab_sizes(monkeypatch, ws, rng.normal(size=(side, side)))
+    assert sizes == [m]
+
+
+def test_scale_rows_peak_memory():
+    """One call at the ladder's largest block (A is 25.7 MB) stays far below
+    the 77 MB that a whole-block einsum allocates."""
+    rng = np.random.default_rng(7)
+    ws = psd_rows_workspace(rng, 455, 84)
+    g = rng.normal(size=(84, 84))
+    _, views = _row_buffer(ws)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _scale_rows(ws, [g], [None], views)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 class _Captured(Exception):
