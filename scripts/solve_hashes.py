@@ -1,0 +1,121 @@
+#!/usr/bin/env python3
+"""Print the sha256 of every SDP solve of a run, as one JSON object.
+
+Each solve's hash covers its x, y, s and ray, its status, iteration count,
+message and objectives.  Two commits whose solver iterates are bit-identical
+print the same object, so a change that must not move an iterate is checked
+by running this on both commits and comparing the output.
+
+Example:
+    PYTHONPATH=src python scripts/solve_hashes.py --workload search --seed 1
+
+--workload runs one pass of the benchmark's `perfbench/worker.py --mode
+measure --seconds 0` in this process (the cli workload solves in child
+processes, so it is not offered); --tests runs the tier-1 suite instead.
+Both pin BLAS to one thread, as the benchmark does.  The exit status is
+that of the run: pytest's, or 1 if a benchmark call deviated.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ[_name] = "1"
+
+import numpy as np  # noqa: E402
+
+from sosproj import sdp  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def solution_hash(sol: sdp.SdpSolution) -> str:
+    h = hashlib.sha256()
+
+    def arrays(items) -> None:
+        for a in items:
+            a = np.ascontiguousarray(a, dtype=float)
+            h.update(repr(a.shape).encode())
+            h.update(a.tobytes())
+
+    arrays(sol.x_blocks)
+    arrays([sol.y])
+    arrays(sol.s_blocks)
+    if sol.ray is None:
+        h.update(b"no ray")
+    else:
+        arrays([sol.ray[0], *sol.ray[1]])
+    scalars = (sol.primal_objective, sol.dual_objective)
+    h.update(
+        f"{sol.status.value}|{sol.iterations}|{sol.message}|"
+        f"{'|'.join(float(v).hex() for v in scalars)}".encode()
+    )
+    return h.hexdigest()
+
+
+def record_solves(where) -> list[dict]:
+    """Wrap sdp._solve_once so each solve appends {where, sha256}."""
+    solves: list[dict] = []
+    inner = sdp._solve_once
+
+    def hashed(ws, cfg):
+        sol = inner(ws, cfg)
+        solves.append({"where": where(len(solves)), "sha256": solution_hash(sol)})
+        return sol
+
+    sdp._solve_once = hashed
+    return solves
+
+
+def run_tests() -> tuple[int, list[dict]]:
+    import pytest
+
+    solves = record_solves(
+        lambda _n: os.environ.get("PYTEST_CURRENT_TEST", "").rsplit(" (", 1)[0]
+    )
+    with contextlib.redirect_stdout(sys.stderr):
+        code = int(pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")]))
+    return code, solves
+
+
+def run_workload(name: str, seed: int) -> tuple[int, list[dict]]:
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import worker
+
+    solves = record_solves(lambda n: f"{name}/seed{seed}/{n}")
+    argv = sys.argv
+    sys.argv = ["worker.py", "--workload", name, "--seed", str(seed),
+                "--mode", "measure", "--seconds", "0"]
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            worker.main()
+    finally:
+        sys.argv = argv
+    result = json.loads(out.getvalue().strip().splitlines()[-1])
+    return int(result["deviations"] > 0), solves
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    target = parser.add_mutually_exclusive_group(required=True)
+    target.add_argument("--workload", choices=("ladder", "search", "crosscheck"))
+    target.add_argument("--tests", action="store_true")
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args()
+    if args.tests:
+        code, solves = run_tests()
+    else:
+        code, solves = run_workload(args.workload, args.seed)
+    print(json.dumps({"solves": len(solves), "hashes": solves}, indent=1))
+    return code
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -49,6 +49,14 @@ EQUILIBRATE_ROUNDS = 8
 # that rounds differently, so a smaller slab would change the iterates.
 SLAB_MIN_FLOPS = 1 << 22
 
+# The LAPACK routines behind sla.cho_factor, sla.cho_solve and
+# sla.solve_triangular, called with the arguments those wrappers pass.  On
+# the small systems solved here the wrappers' validation costs more than
+# the routine itself.
+_POTRF, _POTRS, _TRTRS = sla.get_lapack_funcs(
+    ("potrf", "potrs", "trtrs"), (np.empty((1, 1)),)
+)
+
 
 class BlockKind(Enum):
     PSD = "psd"
@@ -106,6 +114,8 @@ class SdpProblem:
                 v = float(v)
                 if v != 0.0:
                     merged[(i, j)] = merged.get((i, j), 0.0) + v
+            if not all(map(math.isfinite, merged.values())):
+                raise SdpModelError(f"block {blk} has a coefficient that is not finite")
             items_out = [
                 (i, j, v) for (i, j), v in sorted(merged.items()) if v != 0.0
             ]
@@ -117,7 +127,10 @@ class SdpProblem:
         clean = self._normalize(entries)
         if not clean:
             raise SdpModelError("constraint has no nonzero coefficients")
-        self.constraints.append((clean, float(rhs)))
+        rhs = float(rhs)
+        if not math.isfinite(rhs):
+            raise SdpModelError(f"right-hand side {rhs} is not finite")
+        self.constraints.append((clean, rhs))
         return len(self.constraints) - 1
 
     def set_objective(self, entries: BlockEntries) -> None:
@@ -390,6 +403,50 @@ def _row_buffer(ws: _Workspace) -> tuple[np.ndarray, list[np.ndarray]]:
     return rows, views
 
 
+def _cho_factor(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a, as sla.cho_factor(a, lower=True)[0]."""
+    c, info = _POTRF(a, lower=1, clean=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"potrf failed with info {info}")
+    return c
+
+
+def _cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """As sla.cho_solve((c, True), b) for a factor c from _cho_factor."""
+    x, info = _POTRS(c, b, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"potrs failed with info {info}")
+    return x
+
+
+def _solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """As sla.solve_triangular(L, b, lower=True) for a C-contiguous L, which
+    that wrapper solves as the transposed upper-triangular system."""
+    x, info = _TRTRS(L.T, b, lower=0, trans=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"trtrs failed with info {info}")
+    return x
+
+
+def _scale_slab(a: np.ndarray, g: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> None:
+    """out[i] = g^T a[i] g for a slab of exactly symmetric a[i].
+
+    These are the two gemms, with their operands and memory layouts, of
+    np.einsum("ki,mij,jl->mkl", g.T, a, g, optimize=True) on numpy 2.4:
+    a @ g (einsum multiplies a transposed copy of a, equal to a by symmetry),
+    then that product reordered to (column, constraint, row) @ g, which is
+    reordered back into out.
+    """
+    n, s = a.shape[0], a.shape[1]
+    size = n * s * s
+    prod = scratch[0, :size].reshape(n * s, s)
+    np.matmul(a.reshape(n * s, s), g, out=prod)
+    turned = scratch[1, :size].reshape(s, n, s)
+    turned[...] = prod.reshape(n, s, s).transpose(2, 0, 1)
+    np.matmul(turned.reshape(s * n, s), g, out=prod)
+    out[...] = prod.reshape(s, n, s).transpose(1, 0, 2)
+
+
 def _scale_rows(
     ws: _Workspace,
     G: list[np.ndarray | None],
@@ -399,32 +456,29 @@ def _scale_rows(
     """Write the scaled rows G^T A_i G (diagonal blocks: w * a_i) into views.
 
     PSD blocks are scaled in near-equal slabs of constraints, each of at
-    least SLAB_MIN_FLOPS, so the einsum's temporaries scale with the slab
-    instead of the whole block; a block below SLAB_MIN_FLOPS is one slab.
+    least SLAB_MIN_FLOPS, so the temporaries scale with the slab instead of
+    the whole block; a block below SLAB_MIN_FLOPS is one slab.
     """
     m = ws.m
     for blk, spec in enumerate(ws.blocks):
         if spec.kind is BlockKind.PSD:
             g = G[blk]
             parts = max(1, m // -(-SLAB_MIN_FLOPS // spec.side**3))
+            scratch = np.empty((2, -(-m // parts) * spec.side * spec.side))
             for k in range(parts):
                 lo, hi = m * k // parts, m * (k + 1) // parts
-                np.einsum(
-                    "ki,mij,jl->mkl",
-                    g.T,
-                    ws.A[blk][lo:hi],
-                    g,
-                    optimize=True,
-                    out=views[blk][lo:hi],
-                )
+                _scale_slab(ws.A[blk][lo:hi], g, scratch, views[blk][lo:hi])
         else:
             np.multiply(ws.A[blk], w_diag[blk][None, :], out=views[blk])
 
 
 def _max_step_psd(chol_lower: np.ndarray, delta: np.ndarray) -> float:
-    """Largest t with X + t*delta PSD, given X = L L^T."""
-    tmp = sla.solve_triangular(chol_lower, delta, lower=True)
-    scaled = sla.solve_triangular(chol_lower, tmp.T, lower=True)
+    """Largest t with X + t*delta PSD, given X = L L^T; NaN if delta is not
+    finite."""
+    tmp = _solve_lower(chol_lower, delta)
+    scaled = _solve_lower(chol_lower, tmp.T)
+    if not np.isfinite(scaled).all():
+        return math.nan
     lmin = _sym_eig_min(scaled)
     if lmin >= -1e-14:
         return np.inf
@@ -432,10 +486,17 @@ def _max_step_psd(chol_lower: np.ndarray, delta: np.ndarray) -> float:
 
 
 def _max_step_diag(x: np.ndarray, dx: np.ndarray) -> float:
+    if not np.isfinite(dx).all():
+        return math.nan
     neg = dx < 0
     if not np.any(neg):
         return np.inf
     return float(np.min(-x[neg] / dx[neg]))
+
+
+def _step_length(step: float, fraction: float = 1.0) -> float:
+    """min(1, fraction * step), NaN for a NaN step (min(1.0, nan) is 1.0)."""
+    return min(1.0, fraction * step) if step == step else math.nan
 
 
 def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolution:
@@ -467,9 +528,7 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
     gram_AAT = rows @ rows.T
     gram_scale = max(1.0, float(np.max(np.diag(gram_AAT))))
     try:
-        repair_chol = sla.cho_factor(
-            gram_AAT + 1e-14 * gram_scale * np.eye(m), lower=True
-        )
+        repair_chol = _cho_factor(gram_AAT + 1e-14 * gram_scale * np.eye(m))
     except np.linalg.LinAlgError:
         raise SdpModelError("constraint rows are numerically dependent") from None
 
@@ -489,9 +548,9 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
     # Least-squares initial point in the spirit of conelp: the min-norm
     # solution of A x = b shifted into the cone, and the least-squares
     # dual pair (y, c - A^T y) shifted likewise.
-    u0 = sla.cho_solve(repair_chol, ws.b)
+    u0 = _cho_solve(repair_chol, ws.b)
     x = _shift_to_cone(ws.apply_AT(u0))
-    y = sla.cho_solve(repair_chol, ws.apply_A(ws.C))
+    y = _cho_solve(repair_chol, ws.apply_A(ws.C))
     s = _shift_to_cone([c - a for c, a in zip(ws.C, ws.apply_AT(y))])
     tau = 1.0
     kappa = 1.0
@@ -721,13 +780,13 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
         # Scaled constraints; Schur complement M = rows rows^T (+ reg).
         _scale_rows(ws, G, w_diag, row_views)
         schur = rows @ rows.T  # exactly symmetric: numpy computes it by syrk
+        if not np.isfinite(schur).all():
+            return _finish(SdpStatus.NUMERICAL_FAILURE, "nonfinite Schur complement")
 
         diag_scale = max(1.0, float(np.max(np.diag(schur))))
         chol = None  # free the previous factor before making the next one
         try:
-            chol = sla.cho_factor(
-                schur + REG_INIT * diag_scale * np.eye(m), lower=True
-            )
+            chol = _cho_factor(schur + REG_INIT * diag_scale * np.eye(m))
         except np.linalg.LinAlgError:
             return _finish(
                 SdpStatus.NUMERICAL_FAILURE,
@@ -735,14 +794,14 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
             )
 
         def _schur_solve(rhs: np.ndarray) -> np.ndarray:
-            sol0 = sla.cho_solve(chol, rhs)
+            sol0 = _cho_solve(chol, rhs)
             # One refinement pass against the unregularized matrix.
-            return sol0 + sla.cho_solve(chol, rhs - schur @ sol0)
+            return sol0 + _cho_solve(chol, rhs - schur @ sol0)
 
         def _repair(dx_blocks, target: np.ndarray):
             """Correct dx so A dx = target holds to roundoff."""
             defect = target - ws.apply_A(dx_blocks)
-            corr = ws.apply_AT(sla.cho_solve(repair_chol, defect))
+            corr = ws.apply_AT(_cho_solve(repair_chol, defect))
             out = []
             for blk, spec in enumerate(ws.blocks):
                 if spec.kind is BlockKind.PSD:
@@ -756,6 +815,8 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
         chat_flat = _flat(chat)
         rxhat = _scale_down(rx)
         rxhat_flat = _flat(rxhat)
+        rows_rxhat = rows @ rxhat_flat
+        chat_rxhat = float(chat_flat @ rxhat_flat)
         q = rows @ chat_flat                     # A(W c W)
         h = float(chat_flat @ chat_flat)         # c' W c W
         u1 = _schur_solve(ws.b + q)
@@ -763,13 +824,13 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
 
         def _direction(eta: float, Rc_hat, rc_tk: float, repair: bool = True):
             rc_flat = _flat(Rc_hat)
-            g2 = eta * ry - rows @ rc_flat - eta * (rows @ rxhat_flat)
+            g2 = eta * ry - rows @ rc_flat - eta * rows_rxhat
             u2 = _schur_solve(g2)
             num = (
                 -eta * rt
                 - rc_tk / tau
                 - float(chat_flat @ rc_flat)
-                - eta * float(chat_flat @ rxhat_flat)
+                - eta * chat_rxhat
                 - float((q - ws.b) @ u2)
             )
             if abs(denom_D) < 1e-300:
@@ -801,21 +862,24 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
         dx_a, dy_a, ds_a, dtau_a, dkappa_a, dxhat_a, dshat_a = aff
 
         def _max_step(dx_blocks, ds_blocks, dtau, dkappa) -> float:
-            step = np.inf
+            """Largest step that stays in the cone; NaN if a direction is
+            not finite (min() would drop a NaN bound that is not first)."""
+            bounds = [np.inf]
             for blk, spec in enumerate(ws.blocks):
                 if spec.kind is BlockKind.PSD:
-                    step = min(step, _max_step_psd(Lx[blk], dx_blocks[blk]))
-                    step = min(step, _max_step_psd(Ls[blk], ds_blocks[blk]))
+                    bounds.append(_max_step_psd(Lx[blk], dx_blocks[blk]))
+                    bounds.append(_max_step_psd(Ls[blk], ds_blocks[blk]))
                 else:
-                    step = min(step, _max_step_diag(x[blk], dx_blocks[blk]))
-                    step = min(step, _max_step_diag(s[blk], ds_blocks[blk]))
-            if dtau < 0:
-                step = min(step, -tau / dtau)
-            if dkappa < 0:
-                step = min(step, -kappa / dkappa)
-            return step
+                    bounds.append(_max_step_diag(x[blk], dx_blocks[blk]))
+                    bounds.append(_max_step_diag(s[blk], ds_blocks[blk]))
+            bounds += [-v / dv for v, dv in ((tau, dtau), (kappa, dkappa)) if dv < 0]
+            if any(b != b for b in (*bounds, dtau, dkappa)):
+                return math.nan
+            return min(bounds)
 
-        alpha_aff = min(1.0, _max_step(dx_a, ds_a, dtau_a, dkappa_a))
+        alpha_aff = _step_length(_max_step(dx_a, ds_a, dtau_a, dkappa_a))
+        if math.isnan(alpha_aff):
+            return _finish(SdpStatus.NUMERICAL_FAILURE, "nonfinite step length")
         xa = [b + alpha_aff * d for b, d in zip(x, dx_a)]
         sa = [b + alpha_aff * d for b, d in zip(s, ds_a)]
         mu_aff = (
@@ -855,7 +919,7 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
             return _finish(SdpStatus.NUMERICAL_FAILURE, "singular reduced system")
         dx, dy, ds, dtau, dkappa, _dxh, _dsh = comb
 
-        alpha = min(1.0, STEP_FRACTION * _max_step(dx, ds, dtau, dkappa))
+        alpha = _step_length(_max_step(dx, ds, dtau, dkappa), STEP_FRACTION)
         if alpha < 1e-4:
             # Rescue: a pure centering direction at the current mu restores
             # room to move when the combined step jams on the cone boundary.
@@ -866,8 +930,8 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
                 center = _direction(0.0, Rc_center, rc_center_tk, repair)
                 if center is not None:
                     dxc, dyc, dsc, dtc, dkc, _h1, _h2 = center
-                    alpha_c = min(
-                        1.0, STEP_FRACTION * _max_step(dxc, dsc, dtc, dkc)
+                    alpha_c = _step_length(
+                        _max_step(dxc, dsc, dtc, dkc), STEP_FRACTION
                     )
                     if alpha_c > alpha:
                         dx, dy, ds, dtau, dkappa = dxc, dyc, dsc, dtc, dkc

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from sosproj.cones import parse_system_text
 from sosproj.moments import BasisMatrixSet
@@ -186,16 +189,16 @@ def test_unbounded_problem_is_inconclusive():
 def test_dependent_rows_are_a_model_error(monkeypatch):
     # The constraint Gram is factored once, before the first iteration, and
     # a failure there is reported as a model error, not retried.
-    real = sdp_module.sla.cho_factor
+    real = sdp_module._cho_factor
     count = [0]
 
-    def cho_factor(a, **kwargs):
+    def cho_factor(a):
         count[0] += 1
         if count[0] == 1:
             raise np.linalg.LinAlgError("forced factorization failure")
-        return real(a, **kwargs)
+        return real(a)
 
-    monkeypatch.setattr(sdp_module.sla, "cho_factor", cho_factor)
+    monkeypatch.setattr(sdp_module, "_cho_factor", cho_factor)
     with pytest.raises(SdpModelError, match="numerically dependent"):
         solve(trace_toy(), DEFAULT)
     assert count[0] == 1
@@ -204,16 +207,16 @@ def test_dependent_rows_are_a_model_error(monkeypatch):
 def test_schur_factorization_failure_is_not_retried(monkeypatch):
     # The Schur complement is factored once per iteration at a fixed
     # regularization; a failure ends the run instead of raising the shift.
-    real = sdp_module.sla.cho_factor
+    real = sdp_module._cho_factor
     count = [0]
 
-    def cho_factor(a, **kwargs):
+    def cho_factor(a):
         count[0] += 1
         if count[0] > 1:  # the constraint-Gram factorization succeeds
             raise np.linalg.LinAlgError("forced factorization failure")
-        return real(a, **kwargs)
+        return real(a)
 
-    monkeypatch.setattr(sdp_module.sla, "cho_factor", cho_factor)
+    monkeypatch.setattr(sdp_module, "_cho_factor", cho_factor)
     sol = solve(trace_toy(), DEFAULT)
     assert sol.status is SdpStatus.NUMERICAL_FAILURE
     assert sol.message == "Schur complement factorization failed"
@@ -233,6 +236,26 @@ def test_model_validation():
         SolverConfig(feas_tol=-1.0)
     with pytest.raises(SdpModelError):
         solve(SdpProblem())
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_model_data_is_a_model_error(bad):
+    p = SdpProblem()
+    blk = p.add_psd_block(2)
+    with pytest.raises(SdpModelError, match="not finite"):
+        p.add_constraint({blk: [(0, 0, 1.0), (0, 1, bad)]}, 1.0)
+    with pytest.raises(SdpModelError, match="not finite"):
+        p.add_constraint({blk: [(0, 0, 1.0)]}, bad)
+    with pytest.raises(SdpModelError, match="not finite"):
+        p.set_objective({blk: [(1, 1, bad)]})
+    assert p.constraints == [] and p.objective == {}
+
+
+def test_coefficients_that_overflow_when_merged_are_a_model_error():
+    p = SdpProblem()
+    blk = p.add_diag_block(1)
+    with pytest.raises(SdpModelError, match="not finite"):
+        p.add_constraint({blk: [(0, 0, 1e308), (0, 0, 1e308)]}, 1.0)
 
 
 def test_check_certificate_is_independent():
@@ -353,3 +376,91 @@ def test_iteration_cap_near_and_far_from_tolerance(monkeypatch, max_iter, status
     sol = sdp_module._solve_once(_boundary_workspace(), NEAR)
     assert sol.status is status
     assert sol.message.startswith(f"no convergence in {max_iter} iterations")
+
+
+@pytest.mark.parametrize("n", [15, 66, 455])
+def test_lapack_helpers_match_the_scipy_wrappers(n):
+    # The solver calls LAPACK directly with the arguments of the scipy
+    # wrappers it replaced, so every result must be the same to the bit.
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(n, n))
+    a = a @ a.T + n * np.eye(n)
+    c = sdp_module._cho_factor(a)
+    assert np.array_equal(c, sla.cho_factor(a, lower=True)[0])
+    b = rng.normal(size=n)
+    assert np.array_equal(sdp_module._cho_solve(c, b), sla.cho_solve((c, True), b))
+    L = np.linalg.cholesky(a)
+    assert L.flags.c_contiguous
+    delta = rng.normal(size=(n, n))
+    tmp = sdp_module._solve_lower(L, delta)
+    assert np.array_equal(tmp, sla.solve_triangular(L, delta, lower=True))
+    # Transposed views, as _max_step_psd passes: tmp is Fortran-ordered, so
+    # tmp.T is C-ordered, and delta.T is Fortran-ordered.
+    for rhs in (tmp.T, delta.T):
+        assert np.array_equal(
+            sdp_module._solve_lower(L, rhs),
+            sla.solve_triangular(L, rhs, lower=True),
+        )
+
+
+def test_lapack_factor_failure_raises():
+    with pytest.raises(np.linalg.LinAlgError):
+        sdp_module._cho_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+def test_nonfinite_schur_complement_ends_the_run(monkeypatch):
+    # A NaN in one scaled row spreads through the Schur complement; LAPACK's
+    # potrf does not reject it, so the solver checks the matrix itself.
+    real = sdp_module._scale_rows
+    count = [0]
+
+    def poisoned(ws, G, w_diag, views):
+        real(ws, G, w_diag, views)
+        count[0] += 1
+        if count[0] == 3:
+            views[0][0, 0, 0] = np.nan
+
+    monkeypatch.setattr(sdp_module, "_scale_rows", poisoned)
+    prob = sos_membership_problem(parse_polynomial("(1+x1+x2)^2", 2), 2, 1)
+    sol = solve(prob, NEAR)
+    assert count[0] == 3
+    assert sol.status is SdpStatus.NUMERICAL_FAILURE
+    assert sol.message == "nonfinite Schur complement"
+    assert sol.iterations == 3
+
+
+# _max_step_psd runs twice per step bound on the one PSD block (dx, then
+# ds): calls 1 and 3 bound iteration 1's predictor and combined step, call 6
+# iteration 2's predictor.
+@pytest.mark.parametrize("poisoned_call", [1, 3, 6])
+def test_nonfinite_step_direction_ends_the_run(monkeypatch, poisoned_call):
+    real = sdp_module._max_step_psd
+    count = [0]
+
+    def poisoned(chol_lower, delta):
+        count[0] += 1
+        if count[0] == poisoned_call:
+            delta = delta.copy()
+            delta[0, 0] = np.nan
+        return real(chol_lower, delta)
+
+    monkeypatch.setattr(sdp_module, "_max_step_psd", poisoned)
+    prob = sos_membership_problem(parse_polynomial("(1+x1+x2)^2", 2), 2, 1)
+    sol = solve(prob, NEAR)
+    assert sol.status is SdpStatus.NUMERICAL_FAILURE
+    assert sol.message == "nonfinite step length"
+    assert count[0] == poisoned_call + poisoned_call % 2  # no step after it
+
+
+def test_max_step_bounds_are_nan_for_a_nonfinite_direction():
+    L = np.linalg.cholesky(np.eye(3) * 2.0)
+    delta = -np.eye(3)
+    assert sdp_module._max_step_psd(L, delta) == pytest.approx(2.0)
+    delta[1, 2] = delta[2, 1] = np.inf
+    assert math.isnan(sdp_module._max_step_psd(L, delta))
+    x = np.ones(3)
+    assert sdp_module._max_step_diag(x, np.array([-1.0, 0.0, 1.0])) == 1.0
+    assert math.isnan(sdp_module._max_step_diag(x, np.array([-1.0, np.nan, 1.0])))
+    assert sdp_module._step_length(0.5, 0.98) == 0.49
+    assert sdp_module._step_length(np.inf, 0.98) == 1.0
+    assert math.isnan(sdp_module._step_length(math.nan, 0.98))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from sosproj import projection as projection_module
+from sosproj import sdp as sdp_module
 from sosproj.cones import (
     ConeKind,
     SemialgebraicSystem,
@@ -17,7 +18,11 @@ from sosproj.cones import (
 )
 from sosproj.moments import BasisMatrixSet
 from sosproj.polynomials import WeightSequence, monomial_basis, parse_polynomial
-from sosproj.projection import ProjectionProblem, dual_moment_problem
+from sosproj.projection import (
+    ProjectionProblem,
+    build_lambda_form_sdp,
+    dual_moment_problem,
+)
 from sosproj.sdp import (
     SLAB_MIN_FLOPS,
     BlockKind,
@@ -209,14 +214,14 @@ def psd_rows_workspace(rng, m, side):
 def slab_sizes(monkeypatch, ws, g):
     """Run _scale_rows once and return its rows and the size of every slab."""
     sizes = []
-    einsum = np.einsum
+    scale_slab = sdp_module._scale_slab
 
-    def counting_einsum(spec, *operands, **kwargs):
-        sizes.append(operands[1].shape[0])
-        return einsum(spec, *operands, **kwargs)
+    def counting_scale_slab(a, *args):
+        sizes.append(a.shape[0])
+        return scale_slab(a, *args)
 
     rows, views = _row_buffer(ws)
-    monkeypatch.setattr(np, "einsum", counting_einsum)
+    monkeypatch.setattr(sdp_module, "_scale_slab", counting_scale_slab)
     _scale_rows(ws, [g], [None], views)
     monkeypatch.undo()
     return rows, sizes
@@ -245,6 +250,52 @@ def test_scale_rows_small_block_is_one_call(monkeypatch):
     assert sizes == [m]
 
 
+class _Captured(Exception):
+    pass
+
+
+def _captured_dual_sdp(monkeypatch, problem):
+    """The SDP that dual_moment_problem builds, captured before any solve."""
+    captured = {}
+
+    def capture(sdp, config=None):
+        captured["sdp"] = sdp
+        raise _Captured
+
+    monkeypatch.setattr(projection_module, "solve", capture)
+    with pytest.raises(_Captured):
+        dual_moment_problem(problem)
+    monkeypatch.undo()
+    return captured["sdp"]
+
+
+@pytest.mark.parametrize(
+    "f, system, weights, d",
+    [
+        ("x1^2*x2^2*(x1^2+x2^2-1)+1/27", SemialgebraicSystem(2, ()), WeightSequence.l1(), 3),
+        ("x1^3*x2 - x1*x2 + 1/10 - x2^4", SemialgebraicSystem(2, (BALL,)), WeightSequence.lw(), 2),
+        ("x1^3*x2 - x1*x2 + 1/10 - x2^4", BOX, WeightSequence.l1(), 2),
+    ],
+)
+def test_equilibrated_psd_constraints_are_exactly_symmetric(
+    monkeypatch, f, system, weights, d
+):
+    # _scale_slab multiplies A_i itself where einsum multiplied A_i^T, so
+    # the rows stay bit-identical only while every A_i is exactly symmetric.
+    problem = ProjectionProblem(
+        parse_polynomial(f, system.dimension), system, weights, d
+    )
+    sdps = [
+        build_lambda_form_sdp(problem).sdp,
+        _captured_dual_sdp(monkeypatch, problem),
+    ]
+    for sdp in sdps:
+        ws = _Workspace(sdp)
+        assert ws.psd
+        for blk in ws.psd:
+            assert np.array_equal(ws.A[blk], ws.A[blk].transpose(0, 2, 1))
+
+
 def test_scale_rows_peak_memory():
     """One call at the ladder's largest block (A is 25.7 MB) stays far below
     the 77 MB that a whole-block einsum allocates."""
@@ -260,10 +311,6 @@ def test_scale_rows_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 8e6
-
-
-class _Captured(Exception):
-    pass
 
 
 def dense_dual_linkage(trunc, z_ids, u_blk, v_blk, aindex):
@@ -298,19 +345,10 @@ def dense_dual_linkage(trunc, z_ids, u_blk, v_blk, aindex):
     ],
 )
 def test_dual_constraints_match_dense_assembly(monkeypatch, f, system, d):
-    captured = {}
-
-    def capture(sdp, config=None):
-        captured["sdp"] = sdp
-        raise _Captured
-
-    monkeypatch.setattr(projection_module, "solve", capture)
     problem = ProjectionProblem(
         parse_polynomial(f, system.dimension), system, WeightSequence.l1(), d
     )
-    with pytest.raises(_Captured):
-        dual_moment_problem(problem)
-    sdp = captured["sdp"]
+    sdp = _captured_dual_sdp(monkeypatch, problem)
 
     trunc = build_truncation(system, d)
     alphas = monomial_basis(system.dimension, 2 * d)
