@@ -6,6 +6,10 @@ message and objectives.  Two commits whose solver iterates are bit-identical
 print the same object, so a change that must not move an iterate is checked
 by running this on both commits and comparing the output.
 
+Each solve also lists its status and exit (its message up to the first
+";"), and "exits" counts the solves per (status, exit): which solver exits
+a run reaches, and how often.
+
 Example:
     PYTHONPATH=src python scripts/solve_hashes.py --workload search --seed 1
 
@@ -23,6 +27,7 @@ import io
 import json
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
@@ -60,13 +65,18 @@ def solution_hash(sol: sdp.SdpSolution) -> str:
 
 
 def record_solves(where) -> list[dict]:
-    """Wrap sdp._solve_once so each solve appends {where, sha256}."""
+    """Wrap sdp._solve_once so each solve appends its hash, status and exit."""
     solves: list[dict] = []
     inner = sdp._solve_once
 
     def hashed(ws, cfg):
         sol = inner(ws, cfg)
-        solves.append({"where": where(len(solves)), "sha256": solution_hash(sol)})
+        solves.append({
+            "where": where(len(solves)),
+            "sha256": solution_hash(sol),
+            "status": sol.status.value,
+            "exit": sol.message.split(";", 1)[0],
+        })
         return sol
 
     sdp._solve_once = hashed
@@ -113,7 +123,14 @@ def main() -> int:
         code, solves = run_tests()
     else:
         code, solves = run_workload(args.workload, args.seed)
-    print(json.dumps({"solves": len(solves), "hashes": solves}, indent=1))
+    exits = Counter((s["status"], s["exit"]) for s in solves)
+    census = [
+        {"status": status, "exit": reason, "count": count}
+        for (status, reason), count in exits.most_common()
+    ]
+    print(json.dumps(
+        {"solves": len(solves), "exits": census, "hashes": solves}, indent=1
+    ))
     return code
 
 

@@ -44,10 +44,6 @@ class MembershipResult:
     solver_iterations: int = 0
     message: str = ""
 
-    @property
-    def in_cone(self) -> bool:
-        return self.verdict is MembershipVerdict.IN_CONE
-
 
 def membership(
     f: Polynomial,

@@ -241,6 +241,9 @@ def cmd_psatz(args) -> int:
     )
     result = psatz_search(query, _solver_config(args))
     print(str(result))
+    if result.inconclusive:
+        pairs = ", ".join(f"({d}, {level})" for d, level in result.inconclusive)
+        print(f"inconclusive (d, level): {pairs}", file=sys.stderr)
     if result.certified:
         return EXIT_OK
     if result.inconclusive and len(result.inconclusive) == result.solves:
@@ -352,9 +355,6 @@ def main(argv: list[str] | None = None) -> int:
     except (PolynomialError, ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except ProjectionFailure as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

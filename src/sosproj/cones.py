@@ -103,10 +103,6 @@ class ConeTruncation:
     blocks: tuple[ConeBlock, ...]
     excluded: tuple[tuple[tuple[int, ...], int], ...]  # (label, v_J) pairs
 
-    @property
-    def degree(self) -> int:
-        return 2 * self.level
-
     def block_by_label(self, label: tuple[int, ...]) -> ConeBlock:
         for b in self.blocks:
             if b.label == tuple(label):

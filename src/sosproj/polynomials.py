@@ -135,10 +135,6 @@ class Polynomial:
         alpha[index - 1] = 1
         return cls(dimension, {tuple(alpha): 1.0})
 
-    @classmethod
-    def monomial(cls, dimension: int, alpha: Exponent, coeff: float = 1.0) -> "Polynomial":
-        return cls(dimension, {tuple(alpha): coeff})
-
     @property
     def terms(self) -> dict[Exponent, float]:
         """Terms in graded-lex order.  Treat as read-only."""
@@ -149,9 +145,6 @@ class Polynomial:
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def support(self) -> list[Exponent]:
-        return list(self._terms)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
@@ -227,8 +220,6 @@ class WeightKind(Enum):
 class WeightSequence:
     """Coefficient weights: constant 1 (l1) or (2*ceil(|alpha|/2))! (lw)."""
 
-    _lw_cache: dict[int, float] = {}
-
     def __init__(self, kind: WeightKind):
         self.kind = kind
 
@@ -251,11 +242,7 @@ class WeightSequence:
             raise WeightOverflowError(
                 f"(2*ceil({deg}/2))! exceeds double range (degree > {MAX_WEIGHT_DEGREE})"
             )
-        cached = self._lw_cache.get(deg)
-        if cached is None:
-            cached = float(math.factorial(2 * ((deg + 1) // 2)))
-            self._lw_cache[deg] = cached
-        return cached
+        return float(math.factorial(2 * ((deg + 1) // 2)))
 
     def weight(self, alpha: Exponent) -> float:
         return self.weight_of_degree(sum(alpha))

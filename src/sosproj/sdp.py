@@ -266,7 +266,7 @@ class _Workspace:
             self.c_scale = c_peak
             for c in self.C:
                 c /= c_peak
-        b_peak = float(np.max(np.abs(self.b))) if self.m else 0.0
+        b_peak = float(np.max(np.abs(self.b)))
         if b_peak > 0:
             self.b_scale = b_peak
             self.b = self.b / b_peak
@@ -291,8 +291,6 @@ class _Workspace:
         return self.c_scale * math.sqrt(total)
 
     def _equilibrate(self) -> None:
-        if self.m == 0:
-            return
         for _ in range(EQUILIBRATE_ROUNDS):
             moved = False
             # Column pass: X -> T X T keeps PSD blocks PSD for diagonal T;
@@ -557,10 +555,8 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
 
     relp = reld = np.inf
     pobj = dobj = 0.0
-    ray = None
     iterations = 0
     stagnant = 0
-    tiny_steps = 0
     best_merit = np.inf
     best_gap_feasible = np.inf
     snapshot = None
@@ -574,7 +570,7 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
             [sb / t for sb in s],
         )
 
-    def _pack(status: SdpStatus, message: str) -> SdpSolution:
+    def _pack(status: SdpStatus, message: str, ray=None) -> SdpSolution:
         Xd, yd, Sd = _dehom()
         Xu = ws.unscale_primal(Xd)
         yu, Su = ws.unscale_dual(yd, Sd)
@@ -615,31 +611,14 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
                 return None
         # Renormalize so the user-space ray has b . y = 1 exactly.
         yu, Su = ws.unscale_dual(ry_, rS)
-        obj_scale = ws.c_scale * ws.b_scale
-        return yu / obj_scale, [sb / obj_scale for sb in Su]
+        return yu / ws.obj_scale, [sb / ws.obj_scale for sb in Su]
 
     def _restore_best() -> None:
         nonlocal x, y, s, tau, kappa, relp, reld, pobj, dobj
-        if snapshot is None:
-            return
         x, y, s, tau, kappa, relp, reld, pobj, dobj = snapshot
 
-    def _ray_exit(message: str) -> SdpSolution | None:
-        """The exit through a validated ray, if the iterate yields one."""
-        nonlocal ray
-        ray = _try_dual_ray()
-        if ray is None:
-            return None
-        return _pack(
-            SdpStatus.INFEASIBLE,
-            f"{message}; improving ray certifies primal infeasibility",
-        )
-
     def _finish(failure_status: SdpStatus, message: str) -> SdpSolution:
-        """Exit without full convergence: prefer a ray, then the best iterate."""
-        exit_sol = _ray_exit(message)
-        if exit_sol is not None:
-            return exit_sol
+        """Exit without full convergence through the best iterate."""
         _restore_best()
         if best_gap_feasible <= cfg.gap_tol:
             return _pack(SdpStatus.OPTIMAL, f"converged (best iterate; {message})")
@@ -711,9 +690,13 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
 
         # The ray check is meaningful once tau shrinks against kappa.
         if it >= 3 and tau < 1e-2 * min(1.0, kappa):
-            exit_sol = _ray_exit("vanishing tau")
-            if exit_sol is not None:
-                return exit_sol
+            ray = _try_dual_ray()
+            if ray is not None:
+                return _pack(
+                    SdpStatus.INFEASIBLE,
+                    "vanishing tau; improving ray certifies primal infeasibility",
+                    ray,
+                )
 
         # Long non-improving phases do occur on curved central paths; only
         # give up after substantial patience.
@@ -940,15 +923,6 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
                     break
         if not np.isfinite(alpha):
             return _finish(SdpStatus.NUMERICAL_FAILURE, "nonfinite step length")
-        if alpha < 1e-10:
-            tiny_steps += 1
-            if tiny_steps >= 3:
-                return _finish(
-                    SdpStatus.NUMERICAL_FAILURE,
-                    "step lengths collapsed; no further progress possible",
-                )
-        else:
-            tiny_steps = 0
 
         x = [b + alpha * d for b, d in zip(x, dx)]
         y = y + alpha * dy

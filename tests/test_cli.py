@@ -176,6 +176,26 @@ def test_moments_check(tmp_path, capsys):
     assert "Violated" in out
 
 
+def test_moments_check_prints_skipped_generator(tmp_path, capsys):
+    # v = ceil(4 / 2) = 2 exceeds d = 1: order -1, nothing to check.
+    system = tmp_path / "quartic.sys"
+    system.write_text("n 1\ncone quadratic\ng: 1 - x1^4\n")
+    moments = tmp_path / "dirac.mom"
+    moments.write_text(format_moment_text(MomentSequence.dirac([0.5], 4)))
+    code, out, _err = run(
+        capsys,
+        "moments-check",
+        "--moments",
+        str(moments),
+        "--system",
+        str(system),
+        "--d",
+        "1",
+    )
+    assert code == 0
+    assert "generator 1 order -1 min_eig 0.000000e+00 skipped" in out.splitlines()
+
+
 def test_export_sdpa_deterministic(tmp_path, capsys):
     args = ["export-sdpa", "--f", MOTZKIN, "--norm", "l1", "--d", "3"]
     code, out1, _ = run(capsys, *args)
@@ -304,11 +324,23 @@ def test_psatz_some_inconclusive_exits_not_certified(monkeypatch, capsys):
         return MembershipResult(verdict, k, message="forced")
 
     monkeypatch.setattr(certificates_module, "membership", fake_membership)
-    code, out, _err = run(
+    code, out, err = run(
         capsys, "psatz", "--f", MOTZKIN, "--eps", "0.01", "--dmax", "4"
     )
     assert code == 3
     assert out == "NotFoundUpTo(4)\n"
+    # The skipped (d, level) pair is named on stderr.
+    assert err == "inconclusive (d, level): (1, 3)\n"
+
+
+def test_certify_inconclusive_exits_numerical(monkeypatch, capsys):
+    def fake_membership(f, system, k, config=None):
+        return MembershipResult(MembershipVerdict.INCONCLUSIVE, k, message="forced")
+
+    monkeypatch.setattr(cli_module, "membership", fake_membership)
+    code, out, _err = run(capsys, "certify", "--f", "x1^2", "--d", "2")
+    assert code == 2
+    assert out == "verdict inconclusive level 2\ninconclusive: forced\n"
 
 
 def test_project_inaccurate_exits_numerical(monkeypatch, capsys):
