@@ -12,6 +12,8 @@ decide the underlying "for every eps" statements.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -177,8 +179,8 @@ class PsatzQuery:
     mode: PerturbationKind = PerturbationKind.EXP_PARTIAL_SUM
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if self.d_max < 1:
             raise ValueError(f"d_max must be >= 1, got {self.d_max}")
         if self.f.dimension != self.system.dimension:
@@ -202,36 +204,42 @@ class PsatzResult:
         return f"NotFoundUpTo({self.searched_up_to})"
 
 
+def _level_sweep(
+    candidate: Polynomial, system: SemialgebraicSystem, levels: range, config
+) -> Iterator[MembershipResult]:
+    """Membership of candidate at each level of `levels`, lowest first."""
+    # On R^n the top-degree forms of squares cannot cancel (Reznick 1978),
+    # so every level above the first repeats its answer.
+    for level in levels if system.generators else levels[:1]:
+        yield membership(candidate, system, level, config)
+
+
 def psatz_search(
     query: PsatzQuery, config: SolverConfig | None = None
 ) -> PsatzResult:
     """Smallest d whose eps-perturbation of f admits a cone certificate.
 
-    The exponential-tower mode checks the perturbed polynomial at level
-    max(ceil(deg f / 2), d); the top-power mode additionally sweeps the
-    certificate level t up to d_max for each d.  Inconclusive solves are
-    recorded and skipped, never treated as refutations.
+    Each d starts at level s = ceil(max(deg f, 2d) / 2), the only level
+    solved on R^n; with generators the top-power mode sweeps s to max(s, d_max).
+    Inconclusive solves are recorded and skipped, never treated as
+    refutations.
     """
     f, system = query.f, query.system
-    n = system.dimension
     half_f = (f.degree + 1) // 2
+    top = query.d_max if query.mode is PerturbationKind.TOP_EVEN_POWER else 0
     inconclusive: list[tuple[int, int]] = []
     solves = 0
     for d in range(1, query.d_max + 1):
-        pert = perturbation_polynomial(n, d, query.mode)
+        pert = perturbation_polynomial(system.dimension, d, query.mode)
         candidate = f + pert.scale(query.epsilon)
-        if query.mode is PerturbationKind.EXP_PARTIAL_SUM:
-            levels = [max(half_f, d)]
-        else:
-            levels = list(range(max(half_f, d), query.d_max + 1))
-        for level in levels:
-            result = membership(candidate, system, level, config)
+        levels = range(max(half_f, d), max(half_f, d, top) + 1)
+        for result in _level_sweep(candidate, system, levels, config):
             solves += 1
             if result.verdict is MembershipVerdict.IN_CONE:
                 return PsatzResult(
                     True,
                     d=d,
-                    level=level,
+                    level=result.level,
                     grams=result.grams,
                     perturbed=candidate,
                     searched_up_to=d,
@@ -239,7 +247,7 @@ def psatz_search(
                     solves=solves,
                 )
             if result.verdict is MembershipVerdict.INCONCLUSIVE:
-                inconclusive.append((d, level))
+                inconclusive.append((d, result.level))
     return PsatzResult(
         False,
         searched_up_to=query.d_max,
@@ -259,27 +267,27 @@ def seq_closure_probe(
     """Minimal certificate level for f + eps(1 + sum x_i^{2d}) as eps drops.
 
     Only a finite eps table can be produced; membership of f itself in the
-    sequential closure would need every eps > 0 at a single d.  A row reads
-    None when no level up to t_max certifies, and also when a level below
-    the first certifying one was inconclusive: the minimal level is then
+    sequential closure would need every eps > 0 at a single d.  Levels run
+    from ceil(max(deg f, 2d) / 2) to t_max, only the first on R^n.  A row
+    reads None when no level certifies, and also when a level below the
+    first certifying one was inconclusive: the minimal level is then
     unknown, and a higher one would overstate it.
     """
-    if any(e <= 0 for e in eps_list):
-        raise ValueError("eps values must be positive")
+    if not all(0 < e < math.inf for e in eps_list):
+        raise ValueError("eps values must be finite and positive")
     if list(eps_list) != sorted(eps_list, reverse=True):
         raise ValueError("eps values must be decreasing")
+    if t_max < max((f.degree + 1) // 2, d):
+        raise ValueError(f"t_max = {t_max} is below ceil(max(deg f, 2d) / 2)")
     n = system.dimension
     pert = perturbation_polynomial(n, d, PerturbationKind.TOP_EVEN_POWER)
     rows: list[tuple[float, int | None]] = []
     for eps in eps_list:
         candidate = f + pert.scale(eps)
-        t_start = (candidate.degree + 1) // 2
-        found: int | None = None
-        for t in range(t_start, t_max + 1):
-            verdict = membership(candidate, system, t, config).verdict
-            if verdict is MembershipVerdict.IN_CONE:
-                found = t
-            if verdict is not MembershipVerdict.NOT_IN_CONE:
+        levels = range((candidate.degree + 1) // 2, t_max + 1)
+        for result in _level_sweep(candidate, system, levels, config):
+            if result.verdict is not MembershipVerdict.NOT_IN_CONE:
                 break
+        found = result.level if result.verdict is MembershipVerdict.IN_CONE else None
         rows.append((eps, found))
     return rows

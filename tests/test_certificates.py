@@ -144,13 +144,32 @@ def test_psatz_positive_constant():
     assert res.certified and res.d == 1
 
 
-def test_psatz_motzkin_certifies_top_power():
+def _spy_membership(monkeypatch) -> list[tuple[int, int]]:
+    """Record (d, level) of every membership solve of a top-power search."""
+    calls = []
+    inner = certificates_module.membership
+
+    def spy(f, system, k, config=None):
+        # The lift eps * x1^{2d} is f's only pure power of x1.
+        d = max((a[0] // 2 for a in f.terms if a[0] and not any(a[1:])), default=0)
+        calls.append((d, k))
+        return inner(f, system, k, config)
+
+    monkeypatch.setattr(certificates_module, "membership", spy)
+    return calls
+
+
+def test_psatz_motzkin_certifies_top_power(monkeypatch):
+    calls = _spy_membership(monkeypatch)
     query = PsatzQuery(
         MOTZKIN, PLANE, 1e-2, 4, PerturbationKind.TOP_EVEN_POWER
     )
     res = psatz_search(query)
     assert res.certified
     assert res.d <= 4
+    # On R^n a level above s = 3 repeats level s: one solve per d.
+    assert calls == [(d, 3) for d in range(1, res.d + 1)]
+    assert res.solves == len(calls)
     # Monotone in the certificate level: the same perturbed polynomial
     # stays in the cone one level up.
     higher = membership(res.perturbed, PLANE, res.level + 1)
@@ -175,6 +194,25 @@ def test_psatz_negative_function_not_found():
     assert res.searched_up_to == 4
 
 
+def test_psatz_top_power_sweeps_every_level_with_generators(monkeypatch):
+    calls = _spy_membership(monkeypatch)
+    query = PsatzQuery(
+        Polynomial.constant(1, -1.0), SEGMENT, 0.1, 4, PerturbationKind.TOP_EVEN_POWER
+    )
+    res = psatz_search(query)
+    assert not res.certified
+    assert calls == [(d, t) for d in range(1, 5) for t in range(d, 5)]
+    assert res.solves == len(calls)
+
+
+def test_psatz_top_power_dmax_below_half_degree_still_solves():
+    # d_max = 2 < ceil(deg f / 2) = 3: each d still solves its level 3.
+    query = PsatzQuery(MOTZKIN, PLANE, 0.5, 2, PerturbationKind.TOP_EVEN_POWER)
+    res = psatz_search(query)
+    assert res.certified and res.level == 3
+    assert res.solves == res.d
+
+
 def test_psatz_exp_tower_motzkin_small_eps_not_found():
     # With the exponential-tower perturbation the 1e-2 lift is genuinely not
     # a sum of squares at these levels (validated separators say so).
@@ -185,8 +223,9 @@ def test_psatz_exp_tower_motzkin_small_eps_not_found():
 
 
 def test_psatz_query_validation():
-    with pytest.raises(ValueError):
-        PsatzQuery(MOTZKIN, PLANE, -1.0, 3)
+    for eps in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            PsatzQuery(MOTZKIN, PLANE, eps, 3)
     with pytest.raises(ValueError):
         PsatzQuery(MOTZKIN, PLANE, 0.1, 0)
 
@@ -220,12 +259,13 @@ def test_seq_closure_stops_at_inconclusive_level(monkeypatch):
     calls = []
 
     def fake_membership(f, system, t, config=None):
-        eps = f.coefficient((6, 0))  # the lift is eps * (1 + x1^6 + x2^6)
+        eps = f.coefficient((6,))  # the lift is eps * (1 + x1^6)
         calls.append((eps, t))
         return MembershipResult(verdicts[eps][t - 3], t)
 
     monkeypatch.setattr(certificates_module, "membership", fake_membership)
-    rows = seq_closure_probe(MOTZKIN, PLANE, 3, [1e-1, 1e-2], 4)
+    f = parse_polynomial("x1 - x1^2", 1)
+    rows = seq_closure_probe(f, SEGMENT, 3, [1e-1, 1e-2], 4)
     assert rows == [(1e-1, 4), (1e-2, None)]
     assert calls == [(1e-1, 3), (1e-1, 4), (1e-2, 3)]
 
@@ -233,5 +273,14 @@ def test_seq_closure_stops_at_inconclusive_level(monkeypatch):
 def test_seq_closure_validates_eps_list():
     with pytest.raises(ValueError):
         seq_closure_probe(MOTZKIN, PLANE, 3, [1e-3, 1e-2], 4)
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            seq_closure_probe(MOTZKIN, PLANE, 3, [bad], 4)
+
+
+def test_seq_closure_rejects_t_max_below_first_level():
+    # The first level is ceil(max(deg f, 2d) / 2): 3 for both calls.
     with pytest.raises(ValueError):
-        seq_closure_probe(MOTZKIN, PLANE, 3, [-1.0], 4)
+        seq_closure_probe(MOTZKIN, PLANE, 1, [1e-1], 2)
+    with pytest.raises(ValueError):
+        seq_closure_probe(parse_polynomial("x1^2", 2), PLANE, 3, [1e-1], 2)
