@@ -15,12 +15,16 @@ unbounded below ends without convergence.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.linalg as sla
+import scipy
 
 Entry = tuple[int, int, float]
 BlockEntries = dict[int, list[Entry]]
@@ -49,13 +53,30 @@ EQUILIBRATE_ROUNDS = 8
 # that rounds differently, so a smaller slab would change the iterates.
 SLAB_MIN_FLOPS = 1 << 22
 
-# The LAPACK routines behind sla.cho_factor, sla.cho_solve and
-# sla.solve_triangular, called with the arguments those wrappers pass.  On
-# the small systems solved here the wrappers' validation costs more than
-# the routine itself.
-_POTRF, _POTRS, _TRTRS = sla.get_lapack_funcs(
-    ("potrf", "potrs", "trtrs"), (np.empty((1, 1)),)
-)
+# The LAPACK routines behind scipy.linalg's cho_factor, cho_solve and
+# solve_triangular, called with the arguments those wrappers pass: on the
+# small systems solved here the wrappers' validation costs more than the
+# routine.  They come from scipy's Fortran extension, loaded without the
+# scipy.linalg package, whose import (numpy.f2py, numpy.testing, numpy.random
+# and numpy.ma through its array-API layer) is most of a fresh interpreter's
+# start-up.  They must be the objects get_lapack_funcs returns for float64
+# arrays, so that every call is the one the wrappers make.
+def _lapack_routines():
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is None:
+        spec = importlib.machinery.PathFinder.find_spec(
+            name, [os.path.join(path, "linalg") for path in scipy.__path__]
+        )
+        if spec is None:
+            raise ImportError(f"scipy {scipy.__version__} has no extension {name}")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return module.dpotrf, module.dpotrs, module.dtrtrs
+
+
+_POTRF, _POTRS, _TRTRS = _lapack_routines()
 
 
 class BlockKind(Enum):
@@ -402,7 +423,7 @@ def _row_buffer(ws: _Workspace) -> tuple[np.ndarray, list[np.ndarray]]:
 
 
 def _cho_factor(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a, as sla.cho_factor(a, lower=True)[0]."""
+    """Lower Cholesky factor of a, as scipy.linalg.cho_factor(a, lower=True)[0]."""
     c, info = _POTRF(a, lower=1, clean=0)
     if info != 0:
         raise np.linalg.LinAlgError(f"potrf failed with info {info}")
@@ -410,7 +431,7 @@ def _cho_factor(a: np.ndarray) -> np.ndarray:
 
 
 def _cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """As sla.cho_solve((c, True), b) for a factor c from _cho_factor."""
+    """As scipy.linalg.cho_solve((c, True), b) for a factor c from _cho_factor."""
     x, info = _POTRS(c, b, lower=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"potrs failed with info {info}")
@@ -418,8 +439,8 @@ def _cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """As sla.solve_triangular(L, b, lower=True) for a C-contiguous L, which
-    that wrapper solves as the transposed upper-triangular system."""
+    """As scipy.linalg.solve_triangular(L, b, lower=True) for a C-contiguous L,
+    which that wrapper solves as the transposed upper-triangular system."""
     x, info = _TRTRS(L.T, b, lower=0, trans=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"trtrs failed with info {info}")

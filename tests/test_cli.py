@@ -205,6 +205,19 @@ def test_export_sdpa_deterministic(tmp_path, capsys):
     assert out1.splitlines()[1] == "28"  # constraints: monomials of N^2_6
 
 
+def test_fresh_interpreter_cli_matches_main(fresh_python, tmp_path, capsys):
+    def fresh(*argv):
+        proc = fresh_python("-m", "sosproj.cli", *argv)
+        return proc.returncode, proc.stdout
+
+    project = ("project", "--f", MOTZKIN, "--norm", "l1", "--d", "3")
+    assert fresh(*project) == run(capsys, *project)[:2]
+    export = ("export-sdpa", "--f", MOTZKIN, "--norm", "l1", "--d", "3", "--out")
+    fresh_file, main_file = tmp_path / "fresh.dat-s", tmp_path / "main.dat-s"
+    assert fresh(*export, str(fresh_file)) == run(capsys, *export, str(main_file))[:2]
+    assert fresh_file.read_bytes() == main_file.read_bytes()
+
+
 def test_repro_motzkin(capsys):
     code, out, _err = run(capsys, "repro-motzkin")
     assert code == 0

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -401,6 +402,38 @@ def test_lapack_helpers_match_the_scipy_wrappers(n):
             sdp_module._solve_lower(L, rhs),
             sla.solve_triangular(L, rhs, lower=True),
         )
+
+
+def test_import_leaves_scipy_linalg_unloaded(fresh_python):
+    proc = fresh_python(
+        "-c",
+        "import sys, sosproj, sosproj.cli; print('scipy.linalg' in sys.modules)",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+@pytest.mark.parametrize("first", ["sosproj", "scipy.linalg"])
+def test_bound_lapack_routines_are_the_scipy_ones(fresh_python, first):
+    # Whichever of sosproj and scipy.linalg loads the Fortran extension, both
+    # must end up with the same routine objects.
+    proc = fresh_python("-c", f"""
+import {first}
+import numpy as np
+import scipy.linalg as sla
+from sosproj import sdp
+funcs = sla.get_lapack_funcs(("potrf", "potrs", "trtrs"), (np.empty((1, 1)),))
+print([a is b for a, b in zip((sdp._POTRF, sdp._POTRS, sdp._TRTRS), funcs)])
+""")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[True, True, True]\n"
+
+
+def test_missing_lapack_extension_names_the_scipy_version(monkeypatch):
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.setattr(sdp_module.scipy, "__path__", [])
+    with pytest.raises(ImportError, match=f"scipy {sdp_module.scipy.__version__} "):
+        sdp_module._lapack_routines()
 
 
 def test_lapack_factor_failure_raises():
