@@ -234,8 +234,36 @@ def _inner(X: list[np.ndarray], S: list[np.ndarray]) -> float:
     return sum(float(np.vdot(x, s)) for x, s in zip(X, S))
 
 
+class _PsdRows:
+    """The constraint matrices of one PSD block, stored as their nonzeros in
+    constraint order: constraint row[k] holds val[k] at flat position pos[k]
+    (i * side + j, both triangles), and constraint i owns ptr[i]:ptr[i + 1]."""
+
+    def __init__(self, problem: SdpProblem, blk: int, side: int):
+        row, pos, val = [], [], []
+        for ci, (entries, _rhs) in enumerate(problem.constraints):
+            for i, j, v in entries.get(blk, []):
+                row.append(ci)
+                pos.append(i * side + j)
+                val.append(v)
+                if i != j:
+                    row.append(ci)
+                    pos.append(j * side + i)
+                    val.append(v)
+        self.side = side
+        self.row = np.array(row, dtype=np.intp)
+        self.pos = np.array(pos, dtype=np.intp)
+        self.val = np.array(val, dtype=float)
+        self.ptr = np.searchsorted(self.row, np.arange(problem.num_constraints + 1))
+
+
 class _Workspace:
-    """Dense per-call data for one solve; nothing is shared across calls."""
+    """Per-call data for one solve; nothing is shared across calls.
+
+    A PSD block's constraints are kept as their nonzeros (_PsdRows) and
+    handed out as dense slabs of constraints by slabs(); a diagonal block's
+    are a dense (m, side) array, multiplied by BLAS gemv.
+    """
 
     def __init__(self, problem: SdpProblem):
         self.blocks = problem.blocks
@@ -246,16 +274,11 @@ class _Workspace:
         self.diag = [
             i for i, s in enumerate(self.blocks) if s.kind is BlockKind.NONNEG_DIAG
         ]
-        self.A: list[np.ndarray] = []
+        self.A: list[_PsdRows | np.ndarray] = []
         self.C: list[np.ndarray] = []
         for blk, spec in enumerate(self.blocks):
             if spec.kind is BlockKind.PSD:
-                mats = np.zeros((self.m, spec.side, spec.side))
-                for ci, (entries, _rhs) in enumerate(problem.constraints):
-                    for i, j, v in entries.get(blk, []):
-                        mats[ci, i, j] = v
-                        mats[ci, j, i] = v
-                self.A.append(mats)
+                self.A.append(_PsdRows(problem, blk, spec.side))
             else:
                 vecs = np.zeros((self.m, spec.side))
                 for ci, (entries, _rhs) in enumerate(problem.constraints):
@@ -292,6 +315,24 @@ class _Workspace:
             self.b_scale = b_peak
             self.b = self.b / b_peak
         self._equilibrate()
+        # Near-equal slabs of constraints, each of at least SLAB_MIN_FLOPS
+        # in _scale_rows.  A block of one slab is densified once and kept;
+        # the others stream through one buffer of the largest slab.
+        self.slab_bounds: dict[int, list[int]] = {}
+        self._dense: dict[int, np.ndarray] = {}
+        buffer_size = 0
+        for blk in self.psd:
+            rows = self.A[blk]
+            size = rows.side * rows.side
+            parts = max(1, self.m // -(-SLAB_MIN_FLOPS // (size * rows.side)))
+            self.slab_bounds[blk] = [self.m * k // parts for k in range(parts + 1)]
+            if parts == 1:
+                dense = np.zeros((self.m, size))
+                dense[rows.row, rows.pos] = rows.val
+                self._dense[blk] = dense.reshape(self.m, rows.side, rows.side)
+            else:
+                buffer_size = max(buffer_size, -(-self.m // parts) * size)
+        self._buffer = np.zeros(buffer_size)
         self.obj_scale = self.c_scale * self.b_scale
         self.row_unscale = self.b_scale / self.r_scale
 
@@ -312,18 +353,22 @@ class _Workspace:
         return self.c_scale * math.sqrt(total)
 
     def _equilibrate(self) -> None:
+        # Each factor multiplies each stored value once and leaves zeros
+        # zero, so a PSD block's nonzeros take the values its dense tensor
+        # would.
         for _ in range(EQUILIBRATE_ROUNDS):
             moved = False
             # Column pass: X -> T X T keeps PSD blocks PSD for diagonal T;
             # a uniform scalar is used per PSD block, entrywise on diag ones.
             for blk, spec in enumerate(self.blocks):
                 if spec.kind is BlockKind.PSD:
-                    peak = float(np.max(np.abs(self.A[blk])))
+                    val = self.A[blk].val
+                    peak = float(np.max(np.abs(val))) if val.size else 0.0
                     if peak > 0:
                         factor = peak ** -0.25
                         moved = moved or factor != 1.0
                         self.t_scale[blk] *= factor
-                        self.A[blk] *= factor * factor
+                        val *= factor * factor
                         self.C[blk] *= factor * factor
                 else:
                     peaks = np.max(np.abs(self.A[blk]), axis=0)
@@ -334,21 +379,49 @@ class _Workspace:
                     self.C[blk] *= factors * factors
             # Row pass.
             row_peak = np.zeros(self.m)
-            for blk in range(len(self.blocks)):
-                row_peak = np.maximum(
-                    row_peak, np.abs(self.A[blk].reshape(self.m, -1)).max(axis=1)
-                )
+            for blk in self.psd:
+                rows = self.A[blk]
+                np.maximum.at(row_peak, rows.row, np.abs(rows.val))
+            for blk in self.diag:
+                row_peak = np.maximum(row_peak, np.abs(self.A[blk]).max(axis=1))
             factors = np.where(row_peak > 0, row_peak**-0.5, 1.0)
             moved = moved or bool(np.any(factors != 1.0))
             self.r_scale *= factors
-            for blk in range(len(self.blocks)):
-                shape = (self.m,) + (1,) * (self.A[blk].ndim - 1)
-                self.A[blk] *= factors.reshape(shape)
+            for blk in self.psd:
+                rows = self.A[blk]
+                rows.val *= factors[rows.row]
+            for blk in self.diag:
+                self.A[blk] *= factors[:, None]
             self.b *= factors
             if not moved:
                 # A round of unit factors leaves the data as it was, so every
                 # later round would repeat it.
                 break
+
+    def slabs(self, blk: int):
+        """Yield (lo, hi, A[lo:hi]) for PSD block blk, slab by slab, each
+        A[lo:hi] a C-contiguous (hi - lo, side, side) array.
+
+        A block of one slab yields its kept dense copy.  Otherwise each slab
+        is scattered into the shared buffer and cleared again once the next
+        is drawn, so only one slab iteration may run at a time.
+        """
+        dense = self._dense.get(blk)
+        if dense is not None:
+            yield 0, self.m, dense
+            return
+        rows = self.A[blk]
+        size = rows.side * rows.side
+        bounds = self.slab_bounds[blk]
+        for lo, hi in zip(bounds, bounds[1:]):
+            nz = slice(rows.ptr[lo], rows.ptr[hi])
+            at = (rows.row[nz] - lo) * size + rows.pos[nz]
+            flat = self._buffer[: (hi - lo) * size]
+            flat[at] = rows.val[nz]
+            try:
+                yield lo, hi, flat.reshape(hi - lo, rows.side, rows.side)
+            finally:
+                flat[at] = 0.0
 
     def unscale_primal(self, X: list[np.ndarray]) -> list[np.ndarray]:
         """Map a solver-space primal point back to the user's variables."""
@@ -374,9 +447,13 @@ class _Workspace:
         return self.c_scale * self.r_scale * y, out
 
     def apply_A(self, X: list[np.ndarray]) -> np.ndarray:
+        # einsum sums each constraint over its SIMD lanes, an order no sparse
+        # sum reproduces, so it runs per dense slab; a slab's rows equal the
+        # whole block's.
         out = np.zeros(self.m)
         for blk in self.psd:
-            out += np.einsum("mij,ij->m", self.A[blk], X[blk])
+            for lo, hi, a in self.slabs(blk):
+                out[lo:hi] += np.einsum("mij,ij->m", a, X[blk])
         for blk in self.diag:
             out += self.A[blk] @ X[blk]
         return out
@@ -384,10 +461,18 @@ class _Workspace:
     def apply_AT(self, y: np.ndarray) -> list[np.ndarray]:
         out = []
         for blk, spec in enumerate(self.blocks):
-            if spec.kind is BlockKind.PSD:
-                out.append(np.einsum("m,mij->ij", y, self.A[blk]))
-            else:
+            if spec.kind is BlockKind.NONNEG_DIAG:
                 out.append(y @ self.A[blk])
+            elif spec.side == 1:
+                # einsum reduces a lone constraint axis with SIMD partial
+                # sums; a side-1 block is always one slab, so it is kept.
+                out.append(np.einsum("m,mij->ij", y, self._dense[blk]))
+            else:
+                # einsum adds y_i A_i in constraint order, as bincount adds
+                # the nonzeros; a block with no nonzeros counts as integers.
+                rows, side = self.A[blk], spec.side
+                total = np.bincount(rows.pos, y[rows.row] * rows.val, side * side)
+                out.append(total.astype(float, copy=False).reshape(side, side))
         return out
 
     def inner(self, X: list[np.ndarray], S: list[np.ndarray]) -> float:
@@ -422,9 +507,18 @@ def _row_buffer(ws: _Workspace) -> tuple[np.ndarray, list[np.ndarray]]:
     return rows, views
 
 
-def _cho_factor(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a, as scipy.linalg.cho_factor(a, lower=True)[0]."""
-    c, info = _POTRF(a, lower=1, clean=0)
+def _cho_factor(a: np.ndarray, shift: float) -> np.ndarray:
+    """Lower Cholesky factor of a + shift * I, as
+    scipy.linalg.cho_factor(a + shift * np.eye(len(a)), lower=True)[0] for
+    an exactly symmetric C-contiguous a, which is left unchanged.
+
+    The shifted copy is the only one made: its transpose is the Fortran-
+    ordered array that potrf would otherwise copy a into, and potrf factors
+    it in place.
+    """
+    shifted = a.copy()
+    shifted.reshape(-1)[:: len(a) + 1] += shift
+    c, info = _POTRF(shifted.T, lower=1, clean=0, overwrite_a=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"potrf failed with info {info}")
     return c
@@ -474,19 +568,16 @@ def _scale_rows(
 ) -> None:
     """Write the scaled rows G^T A_i G (diagonal blocks: w * a_i) into views.
 
-    PSD blocks are scaled in near-equal slabs of constraints, each of at
-    least SLAB_MIN_FLOPS, so the temporaries scale with the slab instead of
-    the whole block; a block below SLAB_MIN_FLOPS is one slab.
+    PSD blocks are scaled in the workspace's slabs of constraints, each of
+    at least SLAB_MIN_FLOPS, so the temporaries scale with the slab instead
+    of the whole block; a block below SLAB_MIN_FLOPS is one slab.
     """
-    m = ws.m
     for blk, spec in enumerate(ws.blocks):
         if spec.kind is BlockKind.PSD:
-            g = G[blk]
-            parts = max(1, m // -(-SLAB_MIN_FLOPS // spec.side**3))
-            scratch = np.empty((2, -(-m // parts) * spec.side * spec.side))
-            for k in range(parts):
-                lo, hi = m * k // parts, m * (k + 1) // parts
-                _scale_slab(ws.A[blk][lo:hi], g, scratch, views[blk][lo:hi])
+            slab = max(np.diff(ws.slab_bounds[blk]))
+            scratch = np.empty((2, slab * spec.side * spec.side))
+            for lo, hi, a in ws.slabs(blk):
+                _scale_slab(a, G[blk], scratch, views[blk][lo:hi])
         else:
             np.multiply(ws.A[blk], w_diag[blk][None, :], out=views[blk])
 
@@ -536,20 +627,23 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
     measure.  A vanishing tau with positive kappa yields a dual improving
     ray, an infeasibility certificate, instead of an optimum.
     """
-    m = ws.m
     nu1 = ws.nu + 1.0
 
     # Gram of the constraint operator, factored once: initial-point solves
     # and the per-iteration repair that keeps A dx = eta ry + b dtau exact.
     rows, row_views = _row_buffer(ws)
-    for view, a in zip(row_views, ws.A):
-        view[...] = a
-    gram_AAT = rows @ rows.T
-    gram_scale = max(1.0, float(np.max(np.diag(gram_AAT))))
+    for blk in ws.psd:
+        for lo, hi, a in ws.slabs(blk):
+            row_views[blk][lo:hi] = a
+    for blk in ws.diag:
+        row_views[blk][...] = ws.A[blk]
+    gram = rows @ rows.T
+    gram_scale = max(1.0, float(np.max(np.diag(gram))))
     try:
-        repair_chol = _cho_factor(gram_AAT + 1e-14 * gram_scale * np.eye(m))
+        repair_chol = _cho_factor(gram, 1e-14 * gram_scale)
     except np.linalg.LinAlgError:
         raise SdpModelError("constraint rows are numerically dependent") from None
+    del gram
 
     def _shift_to_cone(blocks: list[np.ndarray]) -> list[np.ndarray]:
         """v + (1 + max(0, -lambda_min(v))) e per block, guaranteeing PD."""
@@ -790,7 +884,7 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
         diag_scale = max(1.0, float(np.max(np.diag(schur))))
         chol = None  # free the previous factor before making the next one
         try:
-            chol = _cho_factor(schur + REG_INIT * diag_scale * np.eye(m))
+            chol = _cho_factor(schur, REG_INIT * diag_scale)
         except np.linalg.LinAlgError:
             return _finish(
                 SdpStatus.NUMERICAL_FAILURE,

@@ -193,11 +193,11 @@ def test_dependent_rows_are_a_model_error(monkeypatch):
     real = sdp_module._cho_factor
     count = [0]
 
-    def cho_factor(a):
+    def cho_factor(a, shift):
         count[0] += 1
         if count[0] == 1:
             raise np.linalg.LinAlgError("forced factorization failure")
-        return real(a)
+        return real(a, shift)
 
     monkeypatch.setattr(sdp_module, "_cho_factor", cho_factor)
     with pytest.raises(SdpModelError, match="numerically dependent"):
@@ -211,11 +211,11 @@ def test_schur_factorization_failure_is_not_retried(monkeypatch):
     real = sdp_module._cho_factor
     count = [0]
 
-    def cho_factor(a):
+    def cho_factor(a, shift):
         count[0] += 1
         if count[0] > 1:  # the constraint-Gram factorization succeeds
             raise np.linalg.LinAlgError("forced factorization failure")
-        return real(a)
+        return real(a, shift)
 
     monkeypatch.setattr(sdp_module, "_cho_factor", cho_factor)
     sol = solve(trace_toy(), DEFAULT)
@@ -386,7 +386,15 @@ def test_lapack_helpers_match_the_scipy_wrappers(n):
     rng = np.random.default_rng(n)
     a = rng.normal(size=(n, n))
     a = a @ a.T + n * np.eye(n)
-    c = sdp_module._cho_factor(a)
+    # The solver shifts the diagonal inside _cho_factor, on its one copy.
+    shift = 1e-12 * float(np.max(np.diag(a)))
+    before = a.copy()
+    shifted = sdp_module._cho_factor(a, shift)
+    assert np.array_equal(a, before)
+    assert np.array_equal(
+        shifted, sla.cho_factor(a + shift * np.eye(n), lower=True)[0]
+    )
+    c = sdp_module._cho_factor(a, 0.0)
     assert np.array_equal(c, sla.cho_factor(a, lower=True)[0])
     b = rng.normal(size=n)
     assert np.array_equal(sdp_module._cho_solve(c, b), sla.cho_solve((c, True), b))
@@ -438,7 +446,7 @@ def test_missing_lapack_extension_names_the_scipy_version(monkeypatch):
 
 def test_lapack_factor_failure_raises():
     with pytest.raises(np.linalg.LinAlgError):
-        sdp_module._cho_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        sdp_module._cho_factor(np.array([[1.0, 2.0], [2.0, 1.0]]), 0.0)
 
 
 def test_nonfinite_schur_complement_ends_the_run(monkeypatch):

@@ -1,5 +1,6 @@
-"""The sparse basis matrices, the in-place row buffer and the slabbed row
-scaling reproduce the dense constructions they replace, value for value."""
+"""The sparse basis matrices, the sparse PSD constraint storage of the
+solver workspace, the in-place row buffer and the slabbed row scaling
+reproduce the dense constructions they replace, value for value."""
 
 import math
 import tracemalloc
@@ -24,9 +25,9 @@ from sosproj.projection import (
     dual_moment_problem,
 )
 from sosproj.sdp import (
+    EQUILIBRATE_ROUNDS,
     SLAB_MIN_FLOPS,
     BlockKind,
-    BlockSpec,
     SdpProblem,
     SdpSolution,
     SdpStatus,
@@ -177,6 +178,15 @@ def test_check_certificate_matches_dense_operator():
         assert got == approx(want)
 
 
+def dense_A(ws, blk):
+    """The dense (m, side, side) constraint tensor of a workspace PSD block,
+    scattered from its stored nonzeros."""
+    rows = ws.A[blk]
+    out = np.zeros((ws.m, rows.side * rows.side))
+    out[rows.row, rows.pos] = rows.val
+    return out.reshape(ws.m, rows.side, rows.side)
+
+
 def test_row_buffer_matches_hstack():
     rng = np.random.default_rng(3)
     prob = mixed_problem(rng)
@@ -194,7 +204,7 @@ def test_row_buffer_matches_hstack():
     for blk, (side, kind) in enumerate(SIDES):
         if kind == "psd":
             g = G[blk]
-            ahat = np.einsum("ki,mij,jl->mkl", g.T, ws.A[blk], g, optimize=True)
+            ahat = np.einsum("ki,mij,jl->mkl", g.T, dense_A(ws, blk), g, optimize=True)
             parts.append(ahat.reshape(ws.m, -1))
         else:
             parts.append(ws.A[blk] * w_diag[blk][None, :])
@@ -205,10 +215,18 @@ def test_row_buffer_matches_hstack():
 
 
 def psd_rows_workspace(rng, m, side):
-    """A stand-in workspace: one PSD block of m random symmetric constraints."""
-    A = rng.normal(size=(m, side, side))
-    A += A.transpose(0, 2, 1)
-    return SimpleNamespace(m=m, blocks=[BlockSpec(side, BlockKind.PSD)], A=[A])
+    """A workspace of one PSD block and m random sparse symmetric
+    constraints, each with side entries in its upper triangle."""
+    prob = SdpProblem()
+    blk = prob.add_psd_block(side)
+    upper = np.transpose(np.triu_indices(side))
+    for _ in range(m):
+        picked = upper[rng.choice(len(upper), size=side, replace=False)]
+        values = rng.normal(size=side)
+        prob.add_constraint(
+            {blk: [(int(i), int(j), v) for (i, j), v in zip(picked, values)]}, 1.0
+        )
+    return _Workspace(prob)
 
 
 def slab_sizes(monkeypatch, ws, g):
@@ -235,7 +253,7 @@ def test_scale_rows_slabs_match_whole_block(monkeypatch, m, side):
     ws = psd_rows_workspace(rng, m, side)
     g = rng.normal(size=(side, side))
     rows, sizes = slab_sizes(monkeypatch, ws, g)
-    whole = np.einsum("ki,mij,jl->mkl", g.T, ws.A[0], g, optimize=True)
+    whole = np.einsum("ki,mij,jl->mkl", g.T, dense_A(ws, 0), g, optimize=True)
     assert np.array_equal(rows, whole.reshape(m, -1))
     assert len(sizes) > 1 and sum(sizes) == m
     assert min(sizes) >= math.ceil(SLAB_MIN_FLOPS / side**3)
@@ -293,12 +311,13 @@ def test_equilibrated_psd_constraints_are_exactly_symmetric(
         ws = _Workspace(sdp)
         assert ws.psd
         for blk in ws.psd:
-            assert np.array_equal(ws.A[blk], ws.A[blk].transpose(0, 2, 1))
+            A = dense_A(ws, blk)
+            assert np.array_equal(A, A.transpose(0, 2, 1))
 
 
 def test_scale_rows_peak_memory():
-    """One call at the ladder's largest block (A is 25.7 MB) stays far below
-    the 77 MB that a whole-block einsum allocates."""
+    """One call at the ladder's largest block size (a dense A would be
+    25.7 MB) stays far below the 77 MB that a whole-block einsum allocates."""
     rng = np.random.default_rng(7)
     ws = psd_rows_workspace(rng, 455, 84)
     g = rng.normal(size=(84, 84))
@@ -362,3 +381,248 @@ def test_dual_constraints_match_dense_assembly(monkeypatch, f, system, d):
     n_link = ref.num_constraints
     assert sdp.constraints[:n_link] == ref.constraints
     assert len(sdp.constraints) == n_link + len(alphas)
+
+
+def old_workspace(problem):
+    """Reference: the dense constraint tensors (m x side x side per PSD block)
+    and their Ruiz equilibration, built as the workspace built them before
+    it stored PSD blocks as their nonzeros."""
+    m = problem.num_constraints
+    A, C = [], []
+    for blk, spec in enumerate(problem.blocks):
+        if spec.kind is BlockKind.PSD:
+            mats = np.zeros((m, spec.side, spec.side))
+            for ci, (entries, _rhs) in enumerate(problem.constraints):
+                for i, j, v in entries.get(blk, []):
+                    mats[ci, i, j] = v
+                    mats[ci, j, i] = v
+        else:
+            mats = np.zeros((m, spec.side))
+            for ci, (entries, _rhs) in enumerate(problem.constraints):
+                for i, _j, v in entries.get(blk, []):
+                    mats[ci, i] = v
+        A.append(mats)
+        C.append(problem.dense_coefficient(problem.objective, blk))
+    b = np.array([rhs for _e, rhs in problem.constraints])
+    c_peak = max((float(np.max(np.abs(c))) for c in C if c.size), default=0.0)
+    if c_peak > 0:
+        for c in C:
+            c /= c_peak
+    b_peak = float(np.max(np.abs(b)))
+    if b_peak > 0:
+        b = b / b_peak
+    t_scale = [np.ones(spec.side) for spec in problem.blocks]
+    r_scale = np.ones(m)
+    for _ in range(EQUILIBRATE_ROUNDS):
+        moved = False
+        for blk, spec in enumerate(problem.blocks):
+            if spec.kind is BlockKind.PSD:
+                peak = float(np.max(np.abs(A[blk])))
+                if peak > 0:
+                    factor = peak ** -0.25
+                    moved = moved or factor != 1.0
+                    t_scale[blk] *= factor
+                    A[blk] *= factor * factor
+                    C[blk] *= factor * factor
+            else:
+                peaks = np.max(np.abs(A[blk]), axis=0)
+                factors = np.where(peaks > 0, peaks**-0.25, 1.0)
+                moved = moved or bool(np.any(factors != 1.0))
+                t_scale[blk] *= factors
+                A[blk] *= (factors * factors)[None, :]
+                C[blk] *= factors * factors
+        row_peak = np.zeros(m)
+        for a in A:
+            row_peak = np.maximum(row_peak, np.abs(a.reshape(m, -1)).max(axis=1))
+        factors = np.where(row_peak > 0, row_peak**-0.5, 1.0)
+        moved = moved or bool(np.any(factors != 1.0))
+        r_scale *= factors
+        for a in A:
+            a *= factors.reshape((m,) + (1,) * (a.ndim - 1))
+        b *= factors
+        if not moved:
+            break
+    return SimpleNamespace(A=A, C=C, b=b, t_scale=t_scale, r_scale=r_scale)
+
+
+def old_scaled_rows(ref, blocks, G, w_diag):
+    """Reference: the rows G^T A_i G (diagonal blocks: w * a_i) of the dense
+    tensors, scaled in the near-equal slabs of at least SLAB_MIN_FLOPS."""
+    m = len(ref.b)
+    parts = []
+    for blk, spec in enumerate(blocks):
+        a = ref.A[blk]
+        if spec.kind is BlockKind.PSD:
+            side = spec.side
+            slabs = max(1, m // -(-SLAB_MIN_FLOPS // side**3))
+            out = np.empty((m, side, side))
+            scratch = np.empty((2, -(-m // slabs) * side * side))
+            for k in range(slabs):
+                lo, hi = m * k // slabs, m * (k + 1) // slabs
+                sdp_module._scale_slab(a[lo:hi], G[blk], scratch, out[lo:hi])
+            parts.append(out.reshape(m, -1))
+        else:
+            parts.append(a * w_diag[blk][None, :])
+    return np.hstack(parts)
+
+
+def assert_workspace_matches_old(problem, seed):
+    """Every stored value and operator of the workspace equals the dense
+    reference's, bit for bit."""
+    rng = np.random.default_rng(seed)
+    ws = _Workspace(problem)
+    ref = old_workspace(problem)
+    for blk, spec in enumerate(problem.blocks):
+        stored = dense_A(ws, blk) if spec.kind is BlockKind.PSD else ws.A[blk]
+        assert np.array_equal(stored, ref.A[blk])
+        assert np.array_equal(ws.C[blk], ref.C[blk])
+        assert np.array_equal(ws.t_scale[blk], ref.t_scale[blk])
+    assert np.array_equal(ws.r_scale, ref.r_scale)
+    assert np.array_equal(ws.b, ref.b)
+
+    X, G, w_diag = [], [], []
+    for spec in problem.blocks:
+        if spec.kind is BlockKind.PSD:
+            h = rng.normal(size=(spec.side, spec.side))
+            X.append(h + h.T)
+            G.append(rng.normal(size=(spec.side, spec.side)))
+            w_diag.append(None)
+        else:
+            X.append(rng.uniform(0.1, 1.0, size=spec.side))
+            G.append(None)
+            w_diag.append(rng.uniform(0.5, 2.0, size=spec.side))
+    y = rng.normal(size=ws.m)
+    AX = np.zeros(ws.m)  # PSD blocks first, as the solver adds them
+    for blk in ws.psd:
+        AX += np.einsum("mij,ij->m", ref.A[blk], X[blk])
+    for blk in ws.diag:
+        AX += ref.A[blk] @ X[blk]
+    assert np.array_equal(ws.apply_A(X), AX)
+    for blk, (got, spec) in enumerate(zip(ws.apply_AT(y), problem.blocks)):
+        if spec.kind is BlockKind.PSD:
+            want = np.einsum("m,mij->ij", y, ref.A[blk])
+        else:
+            want = y @ ref.A[blk]
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    rows, views = _row_buffer(ws)
+    _scale_rows(ws, G, w_diag, views)
+    assert np.array_equal(rows, old_scaled_rows(ref, problem.blocks, G, w_diag))
+    # A streamed block leaves the shared slab buffer cleared.
+    assert not ws._buffer.any()
+    return ws
+
+
+def random_problem(rng, layout, m, density, presence=1.0):
+    """m random constraints on blocks of the given (side, kind) layout: each
+    constraint touches a block with probability presence and then each of
+    its upper-triangle (diagonal) positions with probability density."""
+    prob = SdpProblem()
+    for side, kind in layout:
+        prob.add_block(side, kind)
+
+    def random_entries():
+        entries = {}
+        for blk, (side, kind) in enumerate(layout):
+            if rng.random() >= presence:
+                continue
+            cells = [
+                (i, j)
+                for i in range(side)
+                for j in range(i, side)
+                if (i == j or kind is BlockKind.PSD) and rng.random() < density
+            ]
+            if cells:
+                entries[blk] = [(i, j, rng.normal()) for i, j in cells]
+        return entries or {0: [(0, 0, rng.normal())]}
+
+    prob.set_objective(random_entries())
+    for _ in range(m):
+        prob.add_constraint(random_entries(), rng.normal())
+    return prob
+
+
+PSD, DIAG = BlockKind.PSD, BlockKind.NONNEG_DIAG
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_workspace_matches_dense_reference_on_mixed_problems(seed):
+    rng = np.random.default_rng(seed)
+    assert_workspace_matches_old(mixed_problem(rng), seed)
+    # Side 40 at m = 200 is three slabs, streamed through the shared buffer.
+    layout = [(40, PSD), (3, DIAG), (6, PSD)]
+    ws = assert_workspace_matches_old(random_problem(rng, layout, 200, 0.02), seed)
+    assert len(ws.slab_bounds[0]) == 4 and 0 not in ws._dense
+
+
+def test_side_one_block_keeps_the_einsum_reduction():
+    # From 16 constraints on, einsum sums a side-1 block with SIMD partial
+    # sums, which a sequential sum over the nonzeros does not reproduce.
+    rng = np.random.default_rng(2)
+    problem = random_problem(rng, [(1, PSD), (3, PSD), (2, DIAG)], 64, 1.0)
+    assert_workspace_matches_old(problem, 2)
+
+
+@pytest.mark.parametrize(
+    "system, weights",
+    [
+        (SemialgebraicSystem(2, (BALL,)), WeightSequence.lw()),
+        (BOX, WeightSequence.l1()),
+    ],
+)
+def test_workspace_matches_dense_reference_on_generator_blocks(
+    monkeypatch, system, weights
+):
+    # Localizing blocks of the ball and box generators: several constraints
+    # share each Gram position.
+    problem = ProjectionProblem(
+        parse_polynomial("x1^3*x2 - x1*x2 + 1/10 - x2^4", 2), system, weights, 2
+    )
+    for sdp in (
+        build_lambda_form_sdp(problem).sdp,
+        _captured_dual_sdp(monkeypatch, problem),
+    ):
+        assert_workspace_matches_old(sdp, 0)
+
+
+def test_workspace_matches_dense_reference_on_absent_blocks():
+    # Each block is missing from about half the constraints, and the side-3
+    # block from all of them.
+    rng = np.random.default_rng(9)
+    layout = [(4, PSD), (2, DIAG), (5, PSD), (3, PSD)]
+    problem = random_problem(rng, layout[:3], 30, 0.4, presence=0.5)
+    problem.add_psd_block(3)
+    ws = assert_workspace_matches_old(problem, 9)
+    assert ws.A[3].val.size == 0
+
+
+def test_sextic_workspace_peak_memory():
+    """The workspace of the ladder's largest solve, sextic l1 d=6 (m = 455,
+    PSD side 84), and one row scaling stay far below the 25.7 MB of its
+    dense constraint tensor (51.5 MB peak when the workspace held it)."""
+    problem = ProjectionProblem(
+        parse_polynomial("x1^2*x2^2*(x1^2+x2^2-3*x3^2)+x3^6", 3),
+        SemialgebraicSystem(3, ()),
+        WeightSequence.l1(),
+        6,
+    )
+    sdp = build_lambda_form_sdp(problem).sdp
+    assert sdp.num_constraints == 455 and max(b.side for b in sdp.blocks) == 84
+    rng = np.random.default_rng(13)
+    G, w_diag = [], []
+    for spec in sdp.blocks:
+        psd = spec.kind is PSD
+        G.append(rng.normal(size=(spec.side, spec.side)) if psd else None)
+        w_diag.append(None if psd else rng.uniform(0.5, 2.0, size=spec.side))
+    tracemalloc.start()
+    try:
+        ws = _Workspace(sdp)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        _, views = _row_buffer(ws)
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        _scale_rows(ws, G, w_diag, views)
+        scale_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert build_peak < 5e6
+    assert scale_peak < 5e6
