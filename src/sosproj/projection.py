@@ -412,19 +412,28 @@ def closure_probe(
 
     The distances are monotone nonincreasing in t (larger cones).  Their
     limit is the distance to the closure of the degree-capped cone; only
-    the finite prefix is computed here.  For t > d the moment-side dual
-    need not attain its supremum, the dual iterates can grow without
-    bound, and computed values then carry an absolute error on the order
-    of feas_tol times the dual norm.
+    the finite prefix is computed here.  On R^n the top-degree forms of
+    squares cannot cancel, so the level-t cone meets R[x]_{2d} in the
+    level-d cone for every t >= d: one solve at t = d gives every row.
+    A level asked for twice is solved once.
+    With generators, for t > d the moment-side dual need not attain its
+    supremum, the dual iterates can grow without bound, and computed
+    values then carry an absolute error on the order of feas_tol times
+    the dual norm.
     """
     w = norm or WeightSequence.lw()
+    problems = [ProjectionProblem(f, system, w, d, t) for t in t_list]
+    certs: dict[int, ProjectionCertificate] = {}
     rows = []
-    for t in t_list:
-        cert = project_lambda_form(
-            ProjectionProblem(f, system, w, d, t), config
-        )
+    for problem in problems:
+        level = problem.t if system.generators else d
+        if level not in certs:
+            certs[level] = project_lambda_form(
+                ProjectionProblem(f, system, w, d, level), config
+            )
+        cert = certs[level]
         rows.append(
-            ClosureRow(t, cert.p_value, cert.lambda0, dict(cert.lambda_ik))
+            ClosureRow(problem.t, cert.p_value, cert.lambda0, dict(cert.lambda_ik))
         )
     return rows
 

@@ -372,7 +372,11 @@ class _Workspace:
                         self.C[blk] *= factor * factor
                 else:
                     peaks = np.max(np.abs(self.A[blk]), axis=0)
-                    factors = np.where(peaks > 0, peaks**-0.25, 1.0)
+                    # An entry no constraint touches keeps factor 1; the
+                    # power is taken only where it is finite.
+                    factors = np.power(
+                        peaks, -0.25, out=np.ones_like(peaks), where=peaks > 0
+                    )
                     moved = moved or bool(np.any(factors != 1.0))
                     self.t_scale[blk] *= factors
                     self.A[blk] *= (factors * factors)[None, :]
@@ -875,14 +879,17 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
         def _flat(blocks_in) -> np.ndarray:
             return np.concatenate([np.asarray(b).reshape(-1) for b in blocks_in])
 
-        # Scaled constraints; Schur complement M = rows rows^T (+ reg).
+        # Scaled constraints; Schur complement M = rows rows^T (+ reg).  The
+        # previous M and its factor are released first, so that beside the
+        # row buffer at most three m x m matrices are live: the constraint
+        # Gram factor, M and M's factor.
+        schur = chol = None
         _scale_rows(ws, G, w_diag, row_views)
         schur = rows @ rows.T  # exactly symmetric: numpy computes it by syrk
         if not np.isfinite(schur).all():
             return _finish(SdpStatus.NUMERICAL_FAILURE, "nonfinite Schur complement")
 
         diag_scale = max(1.0, float(np.max(np.diag(schur))))
-        chol = None  # free the previous factor before making the next one
         try:
             chol = _cho_factor(schur, REG_INIT * diag_scale)
         except np.linalg.LinAlgError:

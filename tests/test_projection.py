@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sosproj import projection as projection_module
 from sosproj.cones import SemialgebraicSystem, build_truncation, gram_reconstruct
 from sosproj.moments import riesz
 from sosproj.polynomials import (
@@ -203,6 +204,30 @@ def test_closure_probe_monotone_on_attained_instance():
     for earlier, later in zip(rows, rows[1:]):
         assert earlier.p_value >= later.p_value - 1e-7
     assert rows[0].p_value == pytest.approx(1.0, abs=1e-6)
+
+
+def test_closure_probe_solves_once_on_the_plane(monkeypatch):
+    # On R^n every level t > d repeats the t = d answer; with a generator
+    # each level is its own SDP.
+    solved = []
+
+    def counting(problem, config=None):
+        solved.append(problem.t)
+        return project_lambda_form(problem, config)
+
+    monkeypatch.setattr(projection_module, "project_lambda_form", counting)
+    f = parse_polynomial("x1*x2", 2)
+    rows = closure_probe(f, PLANE, 1, [1, 2, 3], L1)
+    assert solved == [1]
+    assert [r.t for r in rows] == [1, 2, 3]
+    assert len({(r.p_value, r.lambda0) for r in rows}) == 1
+    solved.clear()
+    disc = SemialgebraicSystem(2, (parse_polynomial("1 - x1^2 - x2^2", 2),))
+    rows = closure_probe(f, disc, 1, [1, 2, 3], L1)
+    assert solved == [1, 2, 3]
+    assert [r.t for r in rows] == [1, 2, 3]
+    with pytest.raises(ValueError):
+        closure_probe(f, PLANE, 2, [2, 1], L1)  # t < d is rejected on R^n too
 
 
 def test_closure_probe_matches_degree_runs_at_t_equal_d():

@@ -161,6 +161,20 @@ def test_diag_blocks_lp():
     assert sol.x_blocks[0][0] == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_untouched_diagonal_entry_is_equilibrated_without_warning():
+    # min x0 + x1 s.t. x0 = 1, x >= 0: no constraint touches x1, so its
+    # equilibration factor is 1 and no power of its zero column peak is taken.
+    p = SdpProblem()
+    blk = p.add_diag_block(2)
+    p.set_objective({blk: [(0, 0, 1.0), (1, 1, 1.0)]})
+    p.add_constraint({blk: [(0, 0, 1.0)]}, 1.0)
+    sol = solve(p, TIGHT)
+    assert sol.status is SdpStatus.OPTIMAL
+    assert sol.primal_objective == pytest.approx(1.0, abs=1e-7)
+    assert sol.x_blocks[0][1] == pytest.approx(0.0, abs=1e-6)
+
+
 def test_infeasible_lp_detected():
     # x0 = -1 with x >= 0 is infeasible.
     p = SdpProblem()

@@ -31,8 +31,10 @@ from sosproj.sdp import (
     SdpProblem,
     SdpSolution,
     SdpStatus,
+    SolverConfig,
     _row_buffer,
     _scale_rows,
+    _solve_once,
     _Workspace,
     check_certificate,
 )
@@ -330,6 +332,39 @@ def test_scale_rows_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+def test_solve_loop_holds_three_schur_sized_matrices():
+    """With m well above the block sides the m x m matrices dominate a
+    solve: the constraint-Gram factor, the Schur complement and its factor.
+    The previous Schur complement and factor are released before the next
+    is formed, so the peak stays below the row buffer, the workspace and
+    3.5 m^2 doubles (four m^2 were live while the next was formed)."""
+    rng = np.random.default_rng(5)
+    layout = [(15, PSD)] * 5
+    problem = random_problem(rng, layout, 500, 0.025, presence=0.4)
+    # X = I is feasible and (y, S) = (0, I) strictly dual feasible, so the
+    # run iterates to an optimum.
+    problem.constraints = [
+        (entries, sum(v for items in entries.values() for i, j, v in items if i == j))
+        for entries, _rhs in problem.constraints
+    ]
+    problem.set_objective(
+        {blk: [(i, i, 1.0) for i in range(side)] for blk, (side, _) in enumerate(layout)}
+    )
+    m = problem.num_constraints
+    tracemalloc.start()
+    try:
+        ws = _Workspace(problem)
+        workspace = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        sol = _solve_once(ws, SolverConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.status is SdpStatus.OPTIMAL and sol.iterations > 2
+    row_buffer = 8 * m * sum(side * side for side, _ in layout)
+    assert peak < workspace + row_buffer + 3.5 * 8 * m * m
 
 
 def dense_dual_linkage(trunc, z_ids, u_blk, v_blk, aindex):
