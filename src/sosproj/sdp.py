@@ -317,22 +317,26 @@ class _Workspace:
         self._equilibrate()
         # Near-equal slabs of constraints, each of at least SLAB_MIN_FLOPS
         # in _scale_rows.  A block of one slab is densified once and kept;
-        # the others stream through one buffer of the largest slab.
+        # the others stream through one buffer of the largest slab.  Every
+        # slab is scaled in the two rows of one scratch of the largest slab.
         self.slab_bounds: dict[int, list[int]] = {}
         self._dense: dict[int, np.ndarray] = {}
-        buffer_size = 0
+        buffer_size = scratch_size = 0
         for blk in self.psd:
             rows = self.A[blk]
             size = rows.side * rows.side
             parts = max(1, self.m // -(-SLAB_MIN_FLOPS // (size * rows.side)))
             self.slab_bounds[blk] = [self.m * k // parts for k in range(parts + 1)]
+            slab_size = -(-self.m // parts) * size
+            scratch_size = max(scratch_size, slab_size)
             if parts == 1:
                 dense = np.zeros((self.m, size))
                 dense[rows.row, rows.pos] = rows.val
                 self._dense[blk] = dense.reshape(self.m, rows.side, rows.side)
             else:
-                buffer_size = max(buffer_size, -(-self.m // parts) * size)
+                buffer_size = max(buffer_size, slab_size)
         self._buffer = np.zeros(buffer_size)
+        self.scale_scratch = np.empty((2, scratch_size))
         self.obj_scale = self.c_scale * self.b_scale
         self.row_unscale = self.b_scale / self.r_scale
 
@@ -573,15 +577,13 @@ def _scale_rows(
     """Write the scaled rows G^T A_i G (diagonal blocks: w * a_i) into views.
 
     PSD blocks are scaled in the workspace's slabs of constraints, each of
-    at least SLAB_MIN_FLOPS, so the temporaries scale with the slab instead
-    of the whole block; a block below SLAB_MIN_FLOPS is one slab.
+    at least SLAB_MIN_FLOPS, through the workspace's scratch, so nothing is
+    allocated per call; a block below SLAB_MIN_FLOPS is one slab.
     """
     for blk, spec in enumerate(ws.blocks):
         if spec.kind is BlockKind.PSD:
-            slab = max(np.diff(ws.slab_bounds[blk]))
-            scratch = np.empty((2, slab * spec.side * spec.side))
             for lo, hi, a in ws.slabs(blk):
-                _scale_slab(a, G[blk], scratch, views[blk][lo:hi])
+                _scale_slab(a, G[blk], ws.scale_scratch, views[blk][lo:hi])
         else:
             np.multiply(ws.A[blk], w_diag[blk][None, :], out=views[blk])
 
@@ -672,8 +674,6 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
     tau = 1.0
     kappa = 1.0
 
-    relp = reld = np.inf
-    pobj = dobj = 0.0
     iterations = 0
     stagnant = 0
     best_merit = np.inf
@@ -681,43 +681,40 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
     snapshot = None
     snapshot_merit = np.inf
 
-    def _dehom() -> tuple[list[np.ndarray], np.ndarray, list[np.ndarray]]:
+    def _point():
+        """(X, y, S) / tau of the current iterate, then its relp, reld,
+        pobj and dobj: a point that _pack turns into a solution."""
         t = max(tau, 1e-300)
         return (
-            [xb / t for xb in x],
-            y / t,
-            [sb / t for sb in s],
+            [xb / t for xb in x], y / t, [sb / t for sb in s], relp, reld, pobj, dobj
         )
 
-    def _pack(status: SdpStatus, message: str, ray=None) -> SdpSolution:
-        Xd, yd, Sd = _dehom()
-        Xu = ws.unscale_primal(Xd)
-        yu, Su = ws.unscale_dual(yd, Sd)
-        gap = abs(pobj - dobj)
-        relgap = gap / (1.0 + abs(pobj) + abs(dobj))
+    def _pack(point, status: SdpStatus, message: str, ray=None) -> SdpSolution:
+        X, y_, S, relp_, reld_, pobj_, dobj_ = point
+        yu, Su = ws.unscale_dual(y_, S)
+        gap = abs(pobj_ - dobj_)
         return SdpSolution(
             status=status,
-            x_blocks=[np.array(b) for b in Xu],
+            x_blocks=ws.unscale_primal(X),
             y=yu,
-            s_blocks=[np.array(b) for b in Su],
-            primal_objective=pobj,
-            dual_objective=dobj,
+            s_blocks=Su,
+            primal_objective=pobj_,
+            dual_objective=dobj_,
             gap=gap,
-            relative_gap=relgap,
-            primal_residual=relp if np.isfinite(relp) else np.inf,
-            dual_residual=reld if np.isfinite(reld) else np.inf,
+            relative_gap=gap / (1.0 + abs(pobj_) + abs(dobj_)),
+            primal_residual=relp_ if np.isfinite(relp_) else np.inf,
+            dual_residual=reld_ if np.isfinite(reld_) else np.inf,
             iterations=iterations,
             ray=ray,
             message=message,
         )
 
     def _try_dual_ray() -> tuple[np.ndarray, list[np.ndarray]] | None:
-        """Normalized improving ray certifying primal infeasibility."""
-        scale = float(ws.b @ y)
-        if not np.isfinite(scale) or scale <= 0.0:
+        """Improving ray (y, S) / b.y certifying primal infeasibility."""
+        if not np.isfinite(by) or by <= 0.0:
             return None
-        ry_ = y / scale
-        rS = [sb / scale for sb in s]
+        ry_ = y / by
+        rS = [sb / by for sb in s]
         resid = ws.apply_AT(ry_)
         res = math.sqrt(
             sum(float(np.sum((a + sb) ** 2)) for a, sb in zip(resid, rS))
@@ -732,16 +729,13 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
         yu, Su = ws.unscale_dual(ry_, rS)
         return yu / ws.obj_scale, [sb / ws.obj_scale for sb in Su]
 
-    def _restore_best() -> None:
-        nonlocal x, y, s, tau, kappa, relp, reld, pobj, dobj
-        x, y, s, tau, kappa, relp, reld, pobj, dobj = snapshot
-
     def _finish(failure_status: SdpStatus, message: str) -> SdpSolution:
         """Exit without full convergence through the best iterate."""
-        _restore_best()
         if best_gap_feasible <= cfg.gap_tol:
-            return _pack(SdpStatus.OPTIMAL, f"converged (best iterate; {message})")
-        sol = _pack(failure_status, message)
+            return _pack(
+                snapshot, SdpStatus.OPTIMAL, f"converged (best iterate; {message})"
+            )
+        sol = _pack(snapshot, failure_status, message)
         if sol.relative_gap <= cfg.gap_tol and max(
             sol.primal_residual, sol.dual_residual
         ) <= INACCURATE_FACTOR * cfg.feas_tol:
@@ -758,18 +752,19 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
         ATy = ws.apply_AT(y)
         rx = [a + sb - c * tau for a, sb, c in zip(ATy, s, ws.C)]
         ry = ws.b * tau - ws.apply_A(x)
-        rt = kappa + ws.inner(ws.C, x) - float(ws.b @ y)
-        mu = (ws.inner(x, s) + tau * kappa) / nu1
+        cx = ws.inner(ws.C, x)
+        by = float(ws.b @ y)
+        xs = ws.inner(x, s)
+        rt = kappa + cx - by
+        mu = (xs + tau * kappa) / nu1
 
         # All convergence metrics live in the user's units.
-        pobj = ws.inner(ws.C, x) / tau * ws.obj_scale
-        dobj = float(ws.b @ y) / tau * ws.obj_scale
+        pobj = cx / tau * ws.obj_scale
+        dobj = by / tau * ws.obj_scale
         relp = ws.primal_residual_user(ry) / (tau * (1.0 + ws.norm_b_user))
         reld = ws.dual_residual_user(rx) / (tau * (1.0 + ws.norm_C_user))
         relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-        relmu = (
-            ws.inner(x, s) * ws.obj_scale / (tau * tau * (1.0 + abs(pobj)))
-        )
+        relmu = xs * ws.obj_scale / (tau * tau * (1.0 + abs(pobj)))
 
         feasible_now = relp <= cfg.feas_tol and reld <= cfg.feas_tol
         gap_now = min(relgap, relmu)
@@ -782,18 +777,7 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
             if feasible_now:
                 best_gap_feasible = min(best_gap_feasible, gap_now)
             snapshot_merit = merit
-            Xd, yd, Sd = _dehom()
-            snapshot = (
-                [np.array(b) for b in Xd],
-                yd.copy(),
-                [np.array(b) for b in Sd],
-                1.0,
-                kappa / tau,
-                relp,
-                reld,
-                pobj,
-                dobj,
-            )
+            snapshot = _point()
 
         if merit < 0.9 * best_merit:
             best_merit = merit
@@ -804,14 +788,14 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
         if feasible_now and gap_now <= cfg.gap_tol:
             # Inside tolerance; keep polishing while the gap still drops.
             if stagnant >= 1 or gap_now <= 1e-10:
-                _restore_best()
-                return _pack(SdpStatus.OPTIMAL, "converged")
+                return _pack(snapshot, SdpStatus.OPTIMAL, "converged")
 
         # The ray check is meaningful once tau shrinks against kappa.
         if it >= 3 and tau < 1e-2 * min(1.0, kappa):
             ray = _try_dual_ray()
             if ray is not None:
                 return _pack(
+                    _point(),
                     SdpStatus.INFEASIBLE,
                     "vanishing tau; improving ray certifies primal infeasibility",
                     ray,
@@ -926,6 +910,8 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
         h = float(chat_flat @ chat_flat)         # c' W c W
         u1 = _schur_solve(ws.b + q)
         denom_D = float((q - ws.b) @ u1) - h - kappa / tau
+        if abs(denom_D) < 1e-300:
+            return _finish(SdpStatus.NUMERICAL_FAILURE, "singular reduced system")
 
         def _direction(eta: float, Rc_hat, rc_tk: float, repair: bool = True):
             rc_flat = _flat(Rc_hat)
@@ -938,8 +924,6 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
                 - eta * chat_rxhat
                 - float((q - ws.b) @ u2)
             )
-            if abs(denom_D) < 1e-300:
-                return None
             dtau = num / denom_D
             dy = u2 + dtau * u1
             ATdy = ws.apply_AT(dy)
@@ -961,10 +945,9 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
                 Rc_aff.append(-np.diag(sigv[blk]))
             else:
                 Rc_aff.append(-sigv[blk])
-        aff = _direction(1.0, Rc_aff, -tau * kappa)
-        if aff is None:
-            return _finish(SdpStatus.NUMERICAL_FAILURE, "singular reduced system")
-        dx_a, dy_a, ds_a, dtau_a, dkappa_a, dxhat_a, dshat_a = aff
+        dx_a, dy_a, ds_a, dtau_a, dkappa_a, dxhat_a, dshat_a = _direction(
+            1.0, Rc_aff, -tau * kappa
+        )
 
         def _max_step(dx_blocks, ds_blocks, dtau, dkappa) -> float:
             """Largest step that stays in the cone; NaN if a direction is
@@ -1019,10 +1002,7 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
             return out, rc_tk
 
         Rc, rc_tk = _rc(sigma * mu, True)
-        comb = _direction(1.0 - sigma, Rc, rc_tk)
-        if comb is None:
-            return _finish(SdpStatus.NUMERICAL_FAILURE, "singular reduced system")
-        dx, dy, ds, dtau, dkappa, _dxh, _dsh = comb
+        dx, dy, ds, dtau, dkappa, _dxh, _dsh = _direction(1.0 - sigma, Rc, rc_tk)
 
         alpha = _step_length(_max_step(dx, ds, dtau, dkappa), STEP_FRACTION)
         if alpha < 1e-4:
@@ -1032,15 +1012,13 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
             # The feasibility repair ignores the cone and can itself keep
             # the step jammed; then the centering step goes without it.
             for repair in (True, False):
-                center = _direction(0.0, Rc_center, rc_center_tk, repair)
-                if center is not None:
-                    dxc, dyc, dsc, dtc, dkc, _h1, _h2 = center
-                    alpha_c = _step_length(
-                        _max_step(dxc, dsc, dtc, dkc), STEP_FRACTION
-                    )
-                    if alpha_c > alpha:
-                        dx, dy, ds, dtau, dkappa = dxc, dyc, dsc, dtc, dkc
-                        alpha = alpha_c
+                dxc, dyc, dsc, dtc, dkc, _h1, _h2 = _direction(
+                    0.0, Rc_center, rc_center_tk, repair
+                )
+                alpha_c = _step_length(_max_step(dxc, dsc, dtc, dkc), STEP_FRACTION)
+                if alpha_c > alpha:
+                    dx, dy, ds, dtau, dkappa = dxc, dyc, dsc, dtc, dkc
+                    alpha = alpha_c
                 if alpha >= 1e-4:
                     break
         if not np.isfinite(alpha):

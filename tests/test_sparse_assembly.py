@@ -334,6 +334,27 @@ def test_scale_rows_peak_memory():
     assert peak < 8e6
 
 
+def test_scale_rows_allocates_no_scratch():
+    """The row scaling runs in the workspace's one scratch of the largest
+    slab, so a call allocates almost nothing: far less than one block's
+    share of the row buffer, which a scratch of its own would double."""
+    rng = np.random.default_rng(22)
+    m, side = 400, 22
+    problem = random_problem(rng, [(side, PSD)] * 2, m, 0.05)
+    ws = _Workspace(problem)
+    assert [len(ws.slab_bounds[blk]) for blk in ws.psd] == [2, 2]
+    G = [rng.normal(size=(side, side)) for _ in ws.blocks]
+    _, views = _row_buffer(ws)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _scale_rows(ws, G, [None, None], views)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * 8 * m * side * side
+
+
 def test_solve_loop_holds_three_schur_sized_matrices():
     """With m well above the block sides the m x m matrices dominate a
     solve: the constraint-Gram factor, the Schur complement and its factor.
