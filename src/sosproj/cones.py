@@ -221,15 +221,19 @@ def parse_system_text(text: str) -> SemialgebraicSystem:
     from .polynomials import parse_polynomial
 
     n = None
-    kind = ConeKind.QUADRATIC_MODULE
+    kind = None
     gen_texts: list[str] = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("n "):
+            if n is not None:
+                raise ConeModelError(f"repeated 'n' line {line!r}")
             n = int(line.split()[1])
         elif line.startswith("cone "):
+            if kind is not None:
+                raise ConeModelError(f"repeated 'cone' line {line!r}")
             kind = ConeKind(line.split()[1])
         elif line.startswith("g:"):
             gen_texts.append(line[2:].strip())
@@ -238,4 +242,4 @@ def parse_system_text(text: str) -> SemialgebraicSystem:
     if n is None:
         raise ConeModelError("system file missing 'n <dimension>' line")
     generators = tuple(parse_polynomial(t, n) for t in gen_texts)
-    return SemialgebraicSystem(n, generators, kind)
+    return SemialgebraicSystem(n, generators, kind or ConeKind.QUADRATIC_MODULE)

@@ -228,6 +228,10 @@ def moment_matrix(y: MomentSequence, d: int) -> np.ndarray:
 
 def localizing_matrix(y: MomentSequence, g: Polynomial, d: int) -> np.ndarray:
     """Moment matrix of the shifted sequence z_alpha = L_y(g * x^alpha)."""
+    if g.dimension != y.dimension:
+        raise MomentDataError(
+            f"generator in {g.dimension} variables, moments in {y.dimension}"
+        )
     if 2 * d + g.degree > y.max_degree:
         raise DegreeRangeError(
             f"localizing matrix of order {d} for deg-{g.degree} generator needs "
@@ -326,6 +330,10 @@ def kmoment_condition_check(
     matrix at order d - v_j, plus the finite dual-norm bound.  Only the
     truncated, necessary direction is decided here.
     """
+    if system.dimension != y.dimension:
+        raise MomentDataError(
+            f"system in {system.dimension} variables, moments in {y.dimension}"
+        )
     generators: list[Polynomial] = list(system.generators)
     checks: list[GeneratorCheck] = []
     violated: GeneratorCheck | None = None
@@ -450,5 +458,7 @@ def parse_moment_text(text: str) -> MomentSequence:
         if len(parts) != n + 1:
             raise MomentDataError(f"bad moment line {ln!r}; expected {n + 1} fields")
         alpha = tuple(int(p) for p in parts[:n])
+        if alpha in values:
+            raise MomentDataError(f"repeated moment line for exponent {alpha}")
         values[alpha] = float(parts[n])
     return MomentSequence(n, deg, values)

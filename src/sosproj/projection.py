@@ -516,16 +516,14 @@ def parse_certificate(text: str) -> CertificateDocument:
                 raise ValueError(f"unrecognized LAMBDA line {line!r}")
         elif section == "GRAMS":
             toks = line.split()
-            if toks[0] != "block":
-                raise ValueError(f"expected block header, got {line!r}")
+            if len(toks) != 4 or toks[0] != "block" or toks[2] != "side":
+                raise ValueError(f"expected 'block <label> side <n>', got {line!r}")
             label = _label_parse(toks[1])
             side = int(toks[3])
-            mat = np.array(
-                [
-                    [float(v) for v in lines[idx + r].split()]
-                    for r in range(side)
-                ]
-            )
+            rows = [row.split() for row in lines[idx:idx + side]]
+            if side < 1 or len(rows) < side or any(len(r) != side for r in rows):
+                raise ValueError(f"block {toks[1]} needs {side} rows of {side} entries")
+            mat = np.array([[float(v) for v in row] for row in rows])
             idx += side
             grams.append((label, mat))
         elif section == "P_VALUE":

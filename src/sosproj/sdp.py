@@ -224,10 +224,15 @@ class CertificateReport:
     complementarity: float              # <X, S>
 
 
+def _sym(a: np.ndarray) -> np.ndarray:
+    """(a + a^T) / 2; a 1-D array comes back exactly."""
+    return (a + a.T) / 2.0
+
+
 def _sym_eig_min(mat: np.ndarray) -> float:
     if mat.ndim == 1:
         return float(mat.min())
-    return float(np.linalg.eigvalsh((mat + mat.T) / 2.0)[0])
+    return float(np.linalg.eigvalsh(_sym(mat))[0])
 
 
 def _inner(X: list[np.ndarray], S: list[np.ndarray]) -> float:
@@ -268,18 +273,16 @@ class _Workspace:
     def __init__(self, problem: SdpProblem):
         self.blocks = problem.blocks
         self.m = problem.num_constraints
-        self.psd = [
-            i for i, s in enumerate(self.blocks) if s.kind is BlockKind.PSD
-        ]
-        self.diag = [
-            i for i, s in enumerate(self.blocks) if s.kind is BlockKind.NONNEG_DIAG
-        ]
+        self.psd: list[int] = []
+        self.diag: list[int] = []
         self.A: list[_PsdRows | np.ndarray] = []
         self.C: list[np.ndarray] = []
         for blk, spec in enumerate(self.blocks):
             if spec.kind is BlockKind.PSD:
+                self.psd.append(blk)
                 self.A.append(_PsdRows(problem, blk, spec.side))
             else:
+                self.diag.append(blk)
                 vecs = np.zeros((self.m, spec.side))
                 for ci, (entries, _rhs) in enumerate(problem.constraints):
                     for i, _j, v in entries.get(blk, []):
@@ -315,6 +318,11 @@ class _Workspace:
             self.b_scale = b_peak
             self.b = self.b / b_peak
         self._equilibrate()
+        # Each block's squared column scaling: t t^T (PSD) or t * t (diagonal).
+        self.t2 = [
+            np.outer(t, t) if spec.kind is BlockKind.PSD else t * t
+            for spec, t in zip(self.blocks, self.t_scale)
+        ]
         # Near-equal slabs of constraints, each of at least SLAB_MIN_FLOPS
         # in _scale_rows.  A block of one slab is densified once and kept;
         # the others stream through one buffer of the largest slab.  Every
@@ -347,12 +355,8 @@ class _Workspace:
     def dual_residual_user(self, rx: list[np.ndarray]) -> float:
         """User-space norm of a scaled-space dual residual block list."""
         total = 0.0
-        for blk, spec in enumerate(self.blocks):
-            t = self.t_scale[blk]
-            if spec.kind is BlockKind.PSD:
-                block = rx[blk] / np.outer(t, t)
-            else:
-                block = rx[blk] / (t * t)
+        for r, t2 in zip(rx, self.t2):
+            block = r / t2
             total += float(np.sum(block * block))
         return self.c_scale * math.sqrt(total)
 
@@ -433,25 +437,20 @@ class _Workspace:
 
     def unscale_primal(self, X: list[np.ndarray]) -> list[np.ndarray]:
         """Map a solver-space primal point back to the user's variables."""
+        # b X t t, not b X t2, on a diagonal block: the two round differently.
         out = []
         for blk, spec in enumerate(self.blocks):
-            t = self.t_scale[blk]
             if spec.kind is BlockKind.PSD:
-                out.append(self.b_scale * X[blk] * np.outer(t, t))
+                out.append(self.b_scale * X[blk] * self.t2[blk])
             else:
+                t = self.t_scale[blk]
                 out.append(self.b_scale * X[blk] * t * t)
         return out
 
     def unscale_dual(
         self, y: np.ndarray, S: list[np.ndarray]
     ) -> tuple[np.ndarray, list[np.ndarray]]:
-        out = []
-        for blk, spec in enumerate(self.blocks):
-            t = self.t_scale[blk]
-            if spec.kind is BlockKind.PSD:
-                out.append(self.c_scale * S[blk] / np.outer(t, t))
-            else:
-                out.append(self.c_scale * S[blk] / (t * t))
+        out = [self.c_scale * sb / t2 for sb, t2 in zip(S, self.t2)]
         return self.c_scale * self.r_scale * y, out
 
     def apply_A(self, X: list[np.ndarray]) -> np.ndarray:
@@ -484,34 +483,24 @@ class _Workspace:
         return out
 
     def inner(self, X: list[np.ndarray], S: list[np.ndarray]) -> float:
-        total = 0.0
-        for blk in self.psd:
-            total += float(np.vdot(X[blk], S[blk]))
-        for blk in self.diag:
-            total += float(X[blk] @ S[blk])
-        return total
+        return sum(float(np.vdot(X[blk], S[blk])) for blk in self.psd + self.diag)
 
 
 def _row_buffer(ws: _Workspace) -> tuple[np.ndarray, list[np.ndarray]]:
     """One (m, sum of block widths) array and its per-block views.
 
-    A PSD block of side s owns s*s columns, viewed as (m, s, s); a diagonal
+    Each block owns as many columns as its objective block has entries, and
+    its view has the objective block's shape after the constraint axis: a
+    PSD block of side s owns s*s columns, viewed as (m, s, s); a diagonal
     block owns s columns.  The buffer's layout is that of
     np.hstack([rows_blk.reshape(m, -1) for each block]).
     """
-    widths = [
-        spec.side * spec.side if spec.kind is BlockKind.PSD else spec.side
-        for spec in ws.blocks
-    ]
-    rows = np.empty((ws.m, sum(widths)))
+    rows = np.empty((ws.m, sum(c.size for c in ws.C)))
     views = []
     start = 0
-    for spec, width in zip(ws.blocks, widths):
-        view = rows[:, start:start + width]
-        if spec.kind is BlockKind.PSD:
-            view = view.reshape(ws.m, spec.side, spec.side)
-        views.append(view)
-        start += width
+    for c in ws.C:
+        views.append(rows[:, start:start + c.size].reshape(ws.m, *c.shape))
+        start += c.size
     return rows, views
 
 
@@ -568,24 +557,54 @@ def _scale_slab(a: np.ndarray, g: np.ndarray, scratch: np.ndarray, out: np.ndarr
     out[...] = prod.reshape(s, n, s).transpose(1, 0, 2)
 
 
-def _scale_rows(
-    ws: _Workspace,
-    G: list[np.ndarray | None],
-    w_diag: list[np.ndarray | None],
-    views: list[np.ndarray],
-) -> None:
-    """Write the scaled rows G^T A_i G (diagonal blocks: w * a_i) into views.
+def _scale_rows(ws: _Workspace, G: list[np.ndarray], views: list[np.ndarray]) -> None:
+    """Write the scaled rows G^T A_i G (diagonal blocks: w * a_i, with the
+    vector w in G's slot) into views.
 
     PSD blocks are scaled in the workspace's slabs of constraints, each of
     at least SLAB_MIN_FLOPS, through the workspace's scratch, so nothing is
     allocated per call; a block below SLAB_MIN_FLOPS is one slab.
     """
-    for blk, spec in enumerate(ws.blocks):
-        if spec.kind is BlockKind.PSD:
-            for lo, hi, a in ws.slabs(blk):
-                _scale_slab(a, G[blk], ws.scale_scratch, views[blk][lo:hi])
-        else:
-            np.multiply(ws.A[blk], w_diag[blk][None, :], out=views[blk])
+    for blk in ws.psd:
+        for lo, hi, a in ws.slabs(blk):
+            _scale_slab(a, G[blk], ws.scale_scratch, views[blk][lo:hi])
+    for blk in ws.diag:
+        np.multiply(ws.A[blk], G[blk][None, :], out=views[blk])
+
+
+def _nt_scaling(x_blk: np.ndarray, s_blk: np.ndarray):
+    """Nesterov-Todd scaling of one block, or None if it is not interior:
+    (G, sigma, x factor, s factor) with G^T S G = G^-1 X G^-T = diag(sigma)
+    and the Cholesky factors of X and S; on a diagonal block, the vector
+    w = sqrt(x / s), sigma = sqrt(x * s), and x and s themselves."""
+    if x_blk.ndim == 1:
+        if np.any(x_blk <= 0) or np.any(s_blk <= 0):
+            return None
+        return np.sqrt(x_blk / s_blk), np.sqrt(x_blk * s_blk), x_blk, s_blk
+    try:
+        lx = np.linalg.cholesky(x_blk)
+        ls = np.linalg.cholesky(s_blk)
+    except np.linalg.LinAlgError:
+        return None
+    _u, sig, vt = np.linalg.svd(ls.T @ lx)
+    if sig[-1] <= 0:
+        return None
+    return (lx @ vt.T) / np.sqrt(sig), sig, lx, ls
+
+
+def _congruence(g: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """G^T N G for a scaling matrix G; w * n for a diagonal block's w."""
+    if g.ndim == 1:
+        return g * n
+    return g.T @ n @ g
+
+
+def _max_step_block(factor: np.ndarray, delta: np.ndarray) -> float:
+    """Largest t with v + t*delta in v's cone, from v's factor in
+    _nt_scaling; NaN if delta is not finite."""
+    if factor.ndim == 1:
+        return _max_step_diag(factor, delta)
+    return _max_step_psd(factor, delta)
 
 
 def _max_step_psd(chol_lower: np.ndarray, delta: np.ndarray) -> float:
@@ -651,18 +670,15 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
         raise SdpModelError("constraint rows are numerically dependent") from None
     del gram
 
+    units = [np.eye(len(c)) if c.ndim == 2 else np.ones(len(c)) for c in ws.C]
+
     def _shift_to_cone(blocks: list[np.ndarray]) -> list[np.ndarray]:
-        """v + (1 + max(0, -lambda_min(v))) e per block, guaranteeing PD."""
-        out = []
-        for blk, spec in enumerate(ws.blocks):
-            v = blocks[blk]
-            lmin = _sym_eig_min(v)
-            shift = 1.0 + max(0.0, -lmin)
-            if spec.kind is BlockKind.PSD:
-                out.append(v + shift * np.eye(spec.side))
-            else:
-                out.append(v + shift * np.ones(spec.side))
-        return out
+        """v + (1 + max(0, -lambda_min(v))) e per block, e the unit of its
+        cone (the identity, or all ones), guaranteeing PD."""
+        return [
+            v + (1.0 + max(0.0, -_sym_eig_min(v))) * unit
+            for v, unit in zip(blocks, units)
+        ]
 
     # Least-squares initial point in the spirit of conelp: the min-norm
     # solution of A x = b shifted into the cone, and the least-squares
@@ -810,55 +826,17 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
             )
 
         # Nesterov-Todd scaling per block, plus the scalar pair (tau, kappa).
-        G: list[np.ndarray] = [None] * len(ws.blocks)
-        Lx: list[np.ndarray] = [None] * len(ws.blocks)
-        Ls: list[np.ndarray] = [None] * len(ws.blocks)
-        sigv: list[np.ndarray] = [None] * len(ws.blocks)
-        w_diag: list[np.ndarray] = [None] * len(ws.blocks)
-        failed = False
-        for blk, spec in enumerate(ws.blocks):
-            if spec.kind is BlockKind.PSD:
-                try:
-                    lx = np.linalg.cholesky(x[blk])
-                    ls = np.linalg.cholesky(s[blk])
-                except np.linalg.LinAlgError:
-                    failed = True
-                    break
-                _u, sig, vt = np.linalg.svd(ls.T @ lx)
-                if sig[-1] <= 0:
-                    failed = True
-                    break
-                G[blk] = (lx @ vt.T) / np.sqrt(sig)
-                Lx[blk], Ls[blk], sigv[blk] = lx, ls, sig
-            else:
-                if np.any(x[blk] <= 0) or np.any(s[blk] <= 0):
-                    failed = True
-                    break
-                w_diag[blk] = np.sqrt(x[blk] / s[blk])
-                sigv[blk] = np.sqrt(x[blk] * s[blk])
-        if failed:
-            return _finish(SdpStatus.NUMERICAL_FAILURE, "block factorization failed")
+        scalings = []
+        for xb, sb in zip(x, s):
+            nt = _nt_scaling(xb, sb)
+            if nt is None:
+                return _finish(SdpStatus.NUMERICAL_FAILURE, "block factorization failed")
+            scalings.append(nt)
+        G, sigv, Fx, Fs = zip(*scalings)
 
         def _scale_down(blocks_in):
             """Block map N -> G^T N G (diag: w * n)."""
-            out = []
-            for blk, spec in enumerate(ws.blocks):
-                if spec.kind is BlockKind.PSD:
-                    out.append(G[blk].T @ blocks_in[blk] @ G[blk])
-                else:
-                    out.append(w_diag[blk] * blocks_in[blk])
-            return out
-
-        def _scale_up(blocks_in):
-            """Block map N -> G N G^T (diag: w * n), symmetrized."""
-            out = []
-            for blk, spec in enumerate(ws.blocks):
-                if spec.kind is BlockKind.PSD:
-                    d = G[blk] @ blocks_in[blk] @ G[blk].T
-                    out.append((d + d.T) / 2.0)
-                else:
-                    out.append(w_diag[blk] * blocks_in[blk])
-            return out
+            return [_congruence(g, n) for g, n in zip(G, blocks_in)]
 
         def _flat(blocks_in) -> np.ndarray:
             return np.concatenate([np.asarray(b).reshape(-1) for b in blocks_in])
@@ -868,7 +846,7 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
         # row buffer at most three m x m matrices are live: the constraint
         # Gram factor, M and M's factor.
         schur = chol = None
-        _scale_rows(ws, G, w_diag, row_views)
+        _scale_rows(ws, G, row_views)
         schur = rows @ rows.T  # exactly symmetric: numpy computes it by syrk
         if not np.isfinite(schur).all():
             return _finish(SdpStatus.NUMERICAL_FAILURE, "nonfinite Schur complement")
@@ -891,14 +869,7 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
             """Correct dx so A dx = target holds to roundoff."""
             defect = target - ws.apply_A(dx_blocks)
             corr = ws.apply_AT(_cho_solve(repair_chol, defect))
-            out = []
-            for blk, spec in enumerate(ws.blocks):
-                if spec.kind is BlockKind.PSD:
-                    d = dx_blocks[blk] + corr[blk]
-                    out.append((d + d.T) / 2.0)
-                else:
-                    out.append(dx_blocks[blk] + corr[blk])
-            return out
+            return [_sym(d + c) for d, c in zip(dx_blocks, corr)]
 
         chat = _scale_down(ws.C)
         chat_flat = _flat(chat)
@@ -932,19 +903,15 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
             ]
             dshat = _scale_down(ds)
             dxhat = [rc - dsh for rc, dsh in zip(Rc_hat, dshat)]
-            dx = _scale_up(dxhat)
+            # G dxhat G^T (diag: w * dxhat), symmetrized.
+            dx = [_sym(_congruence(g.T, n)) for g, n in zip(G, dxhat)]
             if repair:
                 dx = _repair(dx, eta * ry + ws.b * dtau)
             dkappa = (rc_tk - kappa * dtau) / tau
             return dx, dy, ds, dtau, dkappa, dxhat, dshat
 
         # Predictor: eta = 1, complementarity target zero.
-        Rc_aff = []
-        for blk, spec in enumerate(ws.blocks):
-            if spec.kind is BlockKind.PSD:
-                Rc_aff.append(-np.diag(sigv[blk]))
-            else:
-                Rc_aff.append(-sigv[blk])
+        Rc_aff = [-np.diag(sig) if g.ndim == 2 else -sig for g, sig in zip(G, sigv)]
         dx_a, dy_a, ds_a, dtau_a, dkappa_a, dxhat_a, dshat_a = _direction(
             1.0, Rc_aff, -tau * kappa
         )
@@ -953,13 +920,8 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
             """Largest step that stays in the cone; NaN if a direction is
             not finite (min() would drop a NaN bound that is not first)."""
             bounds = [np.inf]
-            for blk, spec in enumerate(ws.blocks):
-                if spec.kind is BlockKind.PSD:
-                    bounds.append(_max_step_psd(Lx[blk], dx_blocks[blk]))
-                    bounds.append(_max_step_psd(Ls[blk], ds_blocks[blk]))
-                else:
-                    bounds.append(_max_step_diag(x[blk], dx_blocks[blk]))
-                    bounds.append(_max_step_diag(s[blk], ds_blocks[blk]))
+            for fx, fs, dxb, dsb in zip(Fx, Fs, dx_blocks, ds_blocks):
+                bounds += [_max_step_block(fx, dxb), _max_step_block(fs, dsb)]
             bounds += [-v / dv for v, dv in ((tau, dtau), (kappa, dkappa)) if dv < 0]
             if any(b != b for b in (*bounds, dtau, dkappa)):
                 return math.nan
@@ -982,19 +944,16 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
             """Scaled complementarity right-hand side toward target_mu; with
             second_order, less the predictor's second-order term (Mehrotra)."""
             out = []
-            for blk, spec in enumerate(ws.blocks):
-                sig = sigv[blk]
-                if spec.kind is BlockKind.PSD:
-                    target = target_mu * np.eye(spec.side) - np.diag(sig**2)
+            for g, sig, dxh, dsh in zip(G, sigv, dxhat_a, dshat_a):
+                if g.ndim == 2:
+                    target = target_mu * np.eye(len(sig)) - np.diag(sig**2)
                     if second_order:
-                        target = target - (
-                            dxhat_a[blk] @ dshat_a[blk] + dshat_a[blk] @ dxhat_a[blk]
-                        ) / 2.0
+                        target = target - (dxh @ dsh + dsh @ dxh) / 2.0
                     out.append(target / ((sig[:, None] + sig[None, :]) / 2.0))
                 else:
                     target = target_mu - sig**2
                     if second_order:
-                        target = target - dxhat_a[blk] * dshat_a[blk]
+                        target = target - dxh * dsh
                     out.append(target / sig)
             rc_tk = target_mu - tau * kappa
             if second_order:

@@ -176,6 +176,36 @@ def test_moments_check(tmp_path, capsys):
     assert "Violated" in out
 
 
+# A 1-D moment file against a system in x1, x2: a generator's exponents
+# must not be truncated to the moments' one variable, and a system without
+# generators still names its variables.
+@pytest.mark.parametrize(
+    "system_text",
+    ["n 2\ncone quadratic\ng: 1 - x1^2 - x2^2\n", "n 2\n"],
+    ids=["unit disk", "no generators"],
+)
+def test_moments_check_dimension_mismatch_is_input_error(
+    tmp_path, capsys, system_text
+):
+    system = tmp_path / "plane.sys"
+    system.write_text(system_text)
+    moments = tmp_path / "dirac.mom"
+    moments.write_text(format_moment_text(MomentSequence.dirac([0.5], 4)))
+    code, out, err = run(
+        capsys,
+        "moments-check",
+        "--moments",
+        str(moments),
+        "--system",
+        str(system),
+        "--d",
+        "1",
+    )
+    assert code == 1
+    assert out == ""
+    assert "input error: system in 2 variables, moments in 1" in err
+
+
 def test_moments_check_prints_skipped_generator(tmp_path, capsys):
     # v = ceil(4 / 2) = 2 exceeds d = 1: order -1, nothing to check.
     system = tmp_path / "quartic.sys"

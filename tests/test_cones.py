@@ -124,3 +124,10 @@ def test_system_text_errors():
         parse_system_text("cone quadratic\ng: x1\n")
     with pytest.raises(ConeModelError):
         parse_system_text("n 2\nbogus line\n")
+
+
+def test_system_text_rejects_repeated_lines():
+    with pytest.raises(ConeModelError, match="repeated 'n'"):
+        parse_system_text("n 1\nn 2\ng: x1\n")
+    with pytest.raises(ConeModelError, match="repeated 'cone'"):
+        parse_system_text("n 2\ncone preorder\ncone quadratic\n")

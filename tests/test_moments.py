@@ -339,6 +339,19 @@ def test_moment_text_requires_completeness():
         parse_moment_text(text)
 
 
+def test_moment_text_rejects_repeated_exponent():
+    text = "n 1 degree 1\n0 1.0\n1 0.5\n1 9.0\n"
+    with pytest.raises(MomentDataError, match="repeated"):
+        parse_moment_text(text)
+
+
+def test_localizing_matrix_rejects_dimension_mismatch():
+    y = MomentSequence.dirac([0.5], 4)
+    g = parse_polynomial("1 - x1^2 - x2^2", 2)
+    with pytest.raises(MomentDataError, match="2 variables, moments in 1"):
+        localizing_matrix(y, g, 1)
+
+
 def test_moment_sequence_rejects_extra_degree():
     values = {a: 1.0 for a in monomial_basis(1, 2)}
     values[(4,)] = 1.0

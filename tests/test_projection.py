@@ -253,6 +253,23 @@ def test_certificate_text_round_trip():
     assert gdoc.residuals
 
 
+TAIL = "P_VALUE\n0.5\nPROJECTION\n1\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "GRAMS\nblock unit side 2\n1 0 0\n0 1 0\n" + TAIL,
+        "GRAMS\nblock unit side 2\n1 0\n",
+        "GRAMS\nblock unit\n1\n" + TAIL,
+    ],
+    ids=["rows longer than side", "truncated block", "header without side"],
+)
+def test_parse_certificate_rejects_malformed_grams(text):
+    with pytest.raises(ValueError, match="block"):
+        parse_certificate(text)
+
+
 def test_preordering_projection_of_cross_term():
     # x1*x2 is the subset product g_{1,2} itself, hence distance zero in the
     # preordering of the positive quadrant.

@@ -469,8 +469,8 @@ def test_nonfinite_schur_complement_ends_the_run(monkeypatch):
     real = sdp_module._scale_rows
     count = [0]
 
-    def poisoned(ws, G, w_diag, views):
-        real(ws, G, w_diag, views)
+    def poisoned(ws, G, views):
+        real(ws, G, views)
         count[0] += 1
         if count[0] == 3:
             views[0][0, 0, 0] = np.nan
@@ -519,3 +519,36 @@ def test_max_step_bounds_are_nan_for_a_nonfinite_direction():
     assert sdp_module._step_length(0.5, 0.98) == 0.49
     assert sdp_module._step_length(np.inf, 0.98) == 1.0
     assert math.isnan(sdp_module._step_length(math.nan, 0.98))
+
+
+def test_nt_scaling_of_a_diagonal_block():
+    rng = np.random.default_rng(16)
+    x = rng.uniform(0.1, 2.0, size=5)
+    s = rng.uniform(0.1, 2.0, size=5)
+    w, sigma, x_factor, s_factor = sdp_module._nt_scaling(x, s)
+    assert np.array_equal(w, np.sqrt(x / s))
+    assert np.array_equal(sigma, np.sqrt(x * s))
+    assert x_factor is x and s_factor is s
+    # The congruence and its transpose are both w * n.
+    n = rng.normal(size=5)
+    assert np.array_equal(sdp_module._congruence(w, n), w * n)
+    assert np.array_equal(sdp_module._sym(sdp_module._congruence(w.T, n)), w * n)
+    x[2] = 0.0
+    assert sdp_module._nt_scaling(x, s) is None
+
+
+def test_nt_scaling_of_a_psd_block():
+    rng = np.random.default_rng(17)
+    h = rng.normal(size=(4, 4))
+    x = h @ h.T + np.eye(4)
+    s = np.diag(rng.uniform(0.5, 2.0, size=4))
+    G, sigma, lx, ls = sdp_module._nt_scaling(x, s)
+    assert np.array_equal(lx, np.linalg.cholesky(x))
+    assert np.array_equal(ls, np.linalg.cholesky(s))
+    # G^T S G = G^-1 X G^-T = diag(sigma).
+    assert G.T @ s @ G == pytest.approx(np.diag(sigma), abs=1e-12)
+    Gi = np.linalg.inv(G)
+    assert Gi @ x @ Gi.T == pytest.approx(np.diag(sigma), abs=1e-12)
+    # Not positive definite: the Cholesky factorization of s fails.
+    s[1, 1] = -1.0
+    assert sdp_module._nt_scaling(x, s) is None

@@ -193,15 +193,14 @@ def test_row_buffer_matches_hstack():
     rng = np.random.default_rng(3)
     prob = mixed_problem(rng)
     ws = _Workspace(prob)
-    G = [None] * len(SIDES)
-    w_diag = [None] * len(SIDES)
-    for blk, (side, kind) in enumerate(SIDES):
+    G = []
+    for side, kind in SIDES:
         if kind == "psd":
-            G[blk] = rng.normal(size=(side, side))
+            G.append(rng.normal(size=(side, side)))
         else:
-            w_diag[blk] = rng.uniform(0.5, 2.0, size=side)
+            G.append(rng.uniform(0.5, 2.0, size=side))
     rows, views = _row_buffer(ws)
-    _scale_rows(ws, G, w_diag, views)
+    _scale_rows(ws, G, views)
     parts = []
     for blk, (side, kind) in enumerate(SIDES):
         if kind == "psd":
@@ -209,7 +208,7 @@ def test_row_buffer_matches_hstack():
             ahat = np.einsum("ki,mij,jl->mkl", g.T, dense_A(ws, blk), g, optimize=True)
             parts.append(ahat.reshape(ws.m, -1))
         else:
-            parts.append(ws.A[blk] * w_diag[blk][None, :])
+            parts.append(ws.A[blk] * G[blk][None, :])
     expected = np.hstack(parts)
     assert rows.shape == expected.shape and rows.flags.c_contiguous
     assert np.array_equal(rows, expected)
@@ -242,7 +241,7 @@ def slab_sizes(monkeypatch, ws, g):
 
     rows, views = _row_buffer(ws)
     monkeypatch.setattr(sdp_module, "_scale_slab", counting_scale_slab)
-    _scale_rows(ws, [g], [None], views)
+    _scale_rows(ws, [g], views)
     monkeypatch.undo()
     return rows, sizes
 
@@ -327,7 +326,7 @@ def test_scale_rows_peak_memory():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        _scale_rows(ws, [g], [None], views)
+        _scale_rows(ws, [g], views)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -348,7 +347,7 @@ def test_scale_rows_allocates_no_scratch():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        _scale_rows(ws, G, [None, None], views)
+        _scale_rows(ws, G, views)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -501,9 +500,10 @@ def old_workspace(problem):
     return SimpleNamespace(A=A, C=C, b=b, t_scale=t_scale, r_scale=r_scale)
 
 
-def old_scaled_rows(ref, blocks, G, w_diag):
-    """Reference: the rows G^T A_i G (diagonal blocks: w * a_i) of the dense
-    tensors, scaled in the near-equal slabs of at least SLAB_MIN_FLOPS."""
+def old_scaled_rows(ref, blocks, G):
+    """Reference: the rows G^T A_i G (diagonal blocks: w * a_i, with w in G's
+    slot) of the dense tensors, scaled in the near-equal slabs of at least
+    SLAB_MIN_FLOPS."""
     m = len(ref.b)
     parts = []
     for blk, spec in enumerate(blocks):
@@ -518,7 +518,7 @@ def old_scaled_rows(ref, blocks, G, w_diag):
                 sdp_module._scale_slab(a[lo:hi], G[blk], scratch, out[lo:hi])
             parts.append(out.reshape(m, -1))
         else:
-            parts.append(a * w_diag[blk][None, :])
+            parts.append(a * G[blk][None, :])
     return np.hstack(parts)
 
 
@@ -536,17 +536,15 @@ def assert_workspace_matches_old(problem, seed):
     assert np.array_equal(ws.r_scale, ref.r_scale)
     assert np.array_equal(ws.b, ref.b)
 
-    X, G, w_diag = [], [], []
+    X, G = [], []
     for spec in problem.blocks:
         if spec.kind is BlockKind.PSD:
             h = rng.normal(size=(spec.side, spec.side))
             X.append(h + h.T)
             G.append(rng.normal(size=(spec.side, spec.side)))
-            w_diag.append(None)
         else:
             X.append(rng.uniform(0.1, 1.0, size=spec.side))
-            G.append(None)
-            w_diag.append(rng.uniform(0.5, 2.0, size=spec.side))
+            G.append(rng.uniform(0.5, 2.0, size=spec.side))
     y = rng.normal(size=ws.m)
     AX = np.zeros(ws.m)  # PSD blocks first, as the solver adds them
     for blk in ws.psd:
@@ -561,8 +559,8 @@ def assert_workspace_matches_old(problem, seed):
             want = y @ ref.A[blk]
         assert got.dtype == want.dtype and np.array_equal(got, want)
     rows, views = _row_buffer(ws)
-    _scale_rows(ws, G, w_diag, views)
-    assert np.array_equal(rows, old_scaled_rows(ref, problem.blocks, G, w_diag))
+    _scale_rows(ws, G, views)
+    assert np.array_equal(rows, old_scaled_rows(ref, problem.blocks, G))
     # A streamed block leaves the shared slab buffer cleared.
     assert not ws._buffer.any()
     return ws
@@ -664,11 +662,12 @@ def test_sextic_workspace_peak_memory():
     sdp = build_lambda_form_sdp(problem).sdp
     assert sdp.num_constraints == 455 and max(b.side for b in sdp.blocks) == 84
     rng = np.random.default_rng(13)
-    G, w_diag = [], []
+    G = []
     for spec in sdp.blocks:
-        psd = spec.kind is PSD
-        G.append(rng.normal(size=(spec.side, spec.side)) if psd else None)
-        w_diag.append(None if psd else rng.uniform(0.5, 2.0, size=spec.side))
+        if spec.kind is PSD:
+            G.append(rng.normal(size=(spec.side, spec.side)))
+        else:
+            G.append(rng.uniform(0.5, 2.0, size=spec.side))
     tracemalloc.start()
     try:
         ws = _Workspace(sdp)
@@ -676,7 +675,7 @@ def test_sextic_workspace_peak_memory():
         _, views = _row_buffer(ws)
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        _scale_rows(ws, G, w_diag, views)
+        _scale_rows(ws, G, views)
         scale_peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
