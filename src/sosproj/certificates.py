@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .cones import SemialgebraicSystem, build_truncation, gram_reconstruct, gram_sdp
-from .moments import MomentSequence, eig_range, localizing_matrix, psd_accepted
+from .moments import MomentSequence, eig_range, localizing_matrix, psd_accepted, riesz
 from .polynomials import Polynomial, WeightKind, monomial_basis
 from .projection import default_solver_config, perturbation_basis
 from .sdp import SdpStatus, SolverConfig, solve
@@ -116,7 +116,7 @@ def membership(
         if peak > 0:
             raw = {a: v / peak for a, v in raw.items()}
         separating = MomentSequence(system.dimension, 2 * k, raw)
-        sep_value = sum(c * raw[a] for a, c in f.terms.items())
+        sep_value = riesz(separating, f)
         sep_eigs = {}
         eig_ok = True
         for block in trunc.blocks:

@@ -81,16 +81,7 @@ class MomentSequence:
 
     @classmethod
     def dirac(cls, point: Sequence[float], max_degree: int) -> "MomentSequence":
-        p = [float(x) for x in point]
-
-        def mono(alpha: Exponent) -> float:
-            v = 1.0
-            for x, a in zip(p, alpha):
-                if a:
-                    v *= x ** a
-            return v
-
-        return cls.from_function(len(p), max_degree, mono)
+        return cls.from_atoms([point], [1.0], max_degree)
 
     @classmethod
     def from_atoms(
@@ -102,10 +93,16 @@ class MomentSequence:
         """Moments of the atomic measure sum_i weights[i] * delta(points[i])."""
         if len(points) != len(weights):
             raise MomentDataError("points and weights lengths differ")
+        if len(points) == 0:
+            raise MomentDataError("an atomic measure needs at least one point")
         n = len(points[0])
+        if any(len(p) != n for p in points):
+            raise MomentDataError("points differ in their number of coordinates")
 
         def mono(alpha: Exponent) -> float:
-            total = 0.0
+            # -0.0 is the additive identity, so one atom's moments are its
+            # weighted monomials exactly, signed zeros included.
+            total = -0.0
             for p, w in zip(points, weights):
                 v = w
                 for x, a in zip(p, alpha):
@@ -156,6 +153,14 @@ def eig_range(mat: np.ndarray) -> tuple[float, float]:
 def psd_accepted(lmin: float, lmax: float) -> bool:
     """The PSD acceptance rule, given a matrix's eig_range."""
     return lmin >= -PSD_TOL * max(1.0, abs(lmax))
+
+
+def _localizer_check(
+    y: MomentSequence, g: Polynomial, order: int
+) -> tuple[float, float, bool]:
+    """(lmin, lmax, accepted) of the order-`order` localizing matrix of g."""
+    lmin, lmax = eig_range(localizing_matrix(y, g, order))
+    return lmin, lmax, psd_accepted(lmin, lmax)
 
 
 class BasisMatrixSet:
@@ -271,19 +276,18 @@ def support_nonnegativity_test(
     y: MomentSequence, f: Polynomial, d: int
 ) -> SupportTestVerdict:
     """Check M_k(f y) PSD for k = 0..d; first violation wins."""
+    if d < 0:
+        raise ValueError(f"order must be >= 0, got {d}")
     if 2 * d + f.degree > y.max_degree:
         raise DegreeRangeError(
             f"test at order {d} needs degree {2 * d + f.degree}, "
             f"max_degree is {y.max_degree}"
         )
-    last_min = 0.0
     for k in range(d + 1):
-        mat = localizing_matrix(y, f, k)
-        lmin, lmax = eig_range(mat)
-        if not psd_accepted(lmin, lmax):
+        lmin, _lmax, ok = _localizer_check(y, f, k)
+        if not ok:
             return SupportTestVerdict(False, k, lmin)
-        last_min = lmin
-    return SupportTestVerdict(True, d, last_min)
+    return SupportTestVerdict(True, d, lmin)
 
 
 def dual_norm(y: MomentSequence, w: WeightSequence) -> float:
@@ -330,31 +334,22 @@ def kmoment_condition_check(
     matrix at order d - v_j, plus the finite dual-norm bound.  Only the
     truncated, necessary direction is decided here.
     """
+    if d < 0:
+        raise ValueError(f"order must be >= 0, got {d}")
     if system.dimension != y.dimension:
         raise MomentDataError(
             f"system in {system.dimension} variables, moments in {y.dimension}"
         )
-    generators: list[Polynomial] = list(system.generators)
+    unit = Polynomial.constant(y.dimension, 1.0)
     checks: list[GeneratorCheck] = []
-    violated: GeneratorCheck | None = None
-    for j in range(len(generators) + 1):
-        if j == 0:
-            g = Polynomial.constant(y.dimension, 1.0)
-            order = d
-        else:
-            g = generators[j - 1]
-            order = d - (g.degree + 1) // 2
+    for j, g in enumerate((unit, *system.generators)):
+        order = d - (g.degree + 1) // 2
         if order < 0:
             checks.append(GeneratorCheck(j, order, 0.0, 0.0, True, skipped=True))
             continue
-        mat = localizing_matrix(y, g, order)
-        lmin, lmax = eig_range(mat)
-        ok = psd_accepted(lmin, lmax)
-        check = GeneratorCheck(j, order, lmin, lmax, ok)
-        checks.append(check)
-        if not ok and violated is None:
-            violated = check
+        checks.append(GeneratorCheck(j, order, *_localizer_check(y, g, order)))
     bound = dual_norm(y, WeightSequence.lw())
+    violated = next((c for c in checks if not c.psd_ok), None)
     if violated is None:
         return KMomentReport(tuple(checks), bound, True)
     return KMomentReport(
@@ -396,17 +391,16 @@ def carleman_diagnostic(
             f"{2 * num_terms + f.degree}, max_degree is {y.max_degree}"
         )
     reports = []
+    bound = 0.0
     for i in range(n):
         terms = []
         flagged = []
         sums = []
         running = 0.0
         for k in range(1, num_terms + 1):
-            shift_alpha = tuple(2 * k if t == i else 0 for t in range(n))
-            z = sum(
-                c * y.value(tuple(a + b for a, b in zip(alpha, shift_alpha)))
-                for alpha, c in f.terms.items()
-            )
+            alpha = tuple(2 * k if t == i else 0 for t in range(n))
+            z = riesz(y, f * Polynomial(n, {alpha: 1.0}))
+            bound = max(bound, y.value(alpha) / math.factorial(2 * k))
             if z > 0.0:
                 term = z ** (-1.0 / (2 * k))
                 terms.append(term)
@@ -419,12 +413,6 @@ def carleman_diagnostic(
         reports.append(
             CarlemanVariableReport(i + 1, tuple(terms), tuple(flagged), tuple(sums))
         )
-    bound = 0.0
-    for i in range(n):
-        for k in range(1, num_terms + 1):
-            alpha = tuple(2 * k if t == i else 0 for t in range(n))
-            if 2 * k <= y.max_degree:
-                bound = max(bound, y.value(alpha) / math.factorial(2 * k))
     return CarlemanReport(f, num_terms, tuple(reports), bound)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import GramSdp, SemialgebraicSystem, build_truncation, gram_sdp
-from .moments import MomentSequence, format_moment_text, parse_moment_text
+from .moments import MomentSequence, format_moment_text, parse_moment_text, riesz
 from .polynomials import (
     Exponent,
     Polynomial,
@@ -383,11 +383,10 @@ def dual_moment_problem(
         for alpha, i in aindex.items()
     }
     moments = MomentSequence(n, 2 * d, y_values)
-    riesz_f = sum(c * y_values[a] for a, c in f.terms.items())
     return DualMomentResult(
         moments=moments,
         value=-float(sol.primal_objective),
-        riesz_of_f=riesz_f,
+        riesz_of_f=riesz(moments, f),
         solution=sol,
     )
 
@@ -475,6 +474,7 @@ class CertificateDocument:
 
 
 def parse_certificate(text: str) -> CertificateDocument:
+    """Read certificate text; ValueError unless it formats back byte for byte."""
     lines = text.splitlines()
     section = None
     verdict = None
@@ -502,9 +502,9 @@ def parse_certificate(text: str) -> CertificateDocument:
             verdict = line
         elif section == "LAMBDA":
             toks = line.split()
-            if toks[0] == "lambda0":
+            if toks[0] == "lambda0" and len(toks) == 2:
                 lambda0 = float(toks[1])
-            elif toks[0] == "lambda":
+            elif toks[0] == "lambda" and len(toks) == 4:
                 lambda_ik[(int(toks[1]), int(toks[2]))] = float(toks[3])
             elif toks[0].startswith("effectively_zero_at_"):
                 zero_flag_line = line
@@ -536,7 +536,7 @@ def parse_certificate(text: str) -> CertificateDocument:
             raise ValueError(f"content before any section: {line!r}")
     if p_value is None or projection_text is None:
         raise ValueError("certificate text missing P_VALUE or PROJECTION")
-    return CertificateDocument(
+    doc = CertificateDocument(
         verdict,
         lambda0,
         lambda_ik,
@@ -547,6 +547,9 @@ def parse_certificate(text: str) -> CertificateDocument:
         projection_text,
         parse_moment_text("\n".join(moment_lines)) if moment_lines else None,
     )
+    if format_certificate_document(doc) != text:
+        raise ValueError("certificate text is not as format_certificate writes it")
+    return doc
 
 
 def format_certificate(

@@ -75,6 +75,24 @@ def test_riesz_uniform_square():
     assert riesz(y, xsq) == pytest.approx(2.0 / 3.0)
 
 
+def test_dirac_is_the_point_monomials_exactly():
+    # Signed zeros included: 0.0 * -0.5 is -0.0.
+    p = [0.0, -0.5]
+    y = MomentSequence.dirac(p, 3)
+    for alpha, v in y.values.items():
+        assert v.hex() == (1.0 * p[0] ** alpha[0] * p[1] ** alpha[1]).hex()
+
+
+@pytest.mark.parametrize(
+    "points, weights",
+    [([[1.0, 2.0], [3.0]], [1.0, 1.0]), ([], [])],
+    ids=["ragged", "empty"],
+)
+def test_from_atoms_rejects_malformed_points(points, weights):
+    with pytest.raises(MomentDataError):
+        MomentSequence.from_atoms(points, weights, 2)
+
+
 def test_riesz_degree_error():
     y = MomentSequence.dirac([1.0], 2)
     with pytest.raises(DegreeRangeError):
@@ -249,6 +267,15 @@ def test_dual_norm_monotone_in_degree():
         val = dual_norm(y, WeightSequence.lw())
         assert val >= prev - 1e-15
         prev = val
+
+
+def test_negative_orders_are_rejected():
+    y = MomentSequence.dirac([0.5], 4)
+    system = SemialgebraicSystem(1, (parse_polynomial("x1", 1),))
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        support_nonnegativity_test(y, parse_polynomial("x1", 1), -1)
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        kmoment_condition_check(y, system, -1)
 
 
 def test_kmoment_box_holds():

@@ -270,6 +270,34 @@ def test_parse_certificate_rejects_malformed_grams(text):
         parse_certificate(text)
 
 
+def test_parse_certificate_reads_canonical_text():
+    doc = parse_certificate("LAMBDA\nGRAMS\n" + TAIL)
+    assert (doc.p_value, doc.projection_text) == (0.5, "1")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "LAMBDA\nlambda 1\nGRAMS\n" + TAIL,
+        "LAMBDA\nlambda0\nGRAMS\n" + TAIL,
+        "LAMBDA\nGRAMS\nP_VALUE\n0.5\nP_VALUE\n0.25\nPROJECTION\n1\n",
+        "LAMBDA\nGRAMS\n" + TAIL + "PROJECTION\n2\n",
+        "VERDICT\nin_cone\nVERDICT\nnot_in_cone\nLAMBDA\nGRAMS\n" + TAIL,
+        "LAMBDA\nlambda 1 1 0.5\nGRAMS\n" + TAIL,
+        "LAMBDA\nlambda0 0.5 7\nGRAMS\n" + TAIL,
+        "LAMBDA\nresidual 5\nGRAMS\n" + TAIL,
+    ],
+    ids=[
+        "lambda missing fields", "lambda0 missing value", "two P_VALUE",
+        "two PROJECTION", "two VERDICT", "lambda without lambda0",
+        "extra field", "residual without exponent",
+    ],
+)
+def test_parse_certificate_rejects_text_it_would_not_write(text):
+    with pytest.raises(ValueError):
+        parse_certificate(text)
+
+
 def test_preordering_projection_of_cross_term():
     # x1*x2 is the subset product g_{1,2} itself, hence distance zero in the
     # preordering of the positive quadrant.
