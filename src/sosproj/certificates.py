@@ -21,7 +21,7 @@ import numpy as np
 
 from .cones import SemialgebraicSystem, build_truncation, gram_reconstruct, gram_sdp
 from .moments import MomentSequence, eig_range, localizing_matrix, psd_accepted, riesz
-from .polynomials import Polynomial, WeightKind, monomial_basis
+from .polynomials import Polynomial, WeightKind
 from .projection import default_solver_config, perturbation_basis
 from .sdp import SdpStatus, SolverConfig, solve
 
@@ -74,8 +74,8 @@ def membership(
             for b in trunc.blocks
         }
     )
-    for alpha in monomial_basis(system.dimension, 2 * k):
-        gs.sdp.add_constraint(gs.entries(alpha), f.coefficient(alpha))
+    for _alpha, entries, rhs in gs.rows(f):
+        gs.sdp.add_constraint(entries, rhs)
 
     sol = solve(gs.sdp, cfg)
 
@@ -110,12 +110,8 @@ def membership(
 
     if sol.status is SdpStatus.INFEASIBLE and sol.ray is not None:
         ray_y, _ray_s = sol.ray
-        alphas = monomial_basis(system.dimension, 2 * k)
-        raw = {alpha: -float(v) for alpha, v in zip(alphas, ray_y)}
-        peak = max(abs(v) for v in raw.values())
-        if peak > 0:
-            raw = {a: v / peak for a, v in raw.items()}
-        separating = MomentSequence(system.dimension, 2 * k, raw)
+        peak = float(np.max(np.abs(ray_y)))
+        separating = gs.functional(ray_y / peak if peak > 0 else ray_y)
         sep_value = riesz(separating, f)
         sep_eigs = {}
         eig_ok = True

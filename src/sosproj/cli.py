@@ -9,6 +9,7 @@ failure).  A key=value config file may set defaults; explicit flags win.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from typing import Callable, NamedTuple
@@ -58,8 +59,8 @@ EXIT_NOT_CERTIFIED = 3
 def _positive(convert: Callable[[str], float]) -> Callable[[str], float]:
     def positive(text: str) -> float:
         value = convert(text)
-        if value <= 0:
-            raise ValueError(f"{text!r} is not positive")
+        if not 0 < value < math.inf:
+            raise ValueError(f"{text!r} is not finite and positive")
         return value
 
     return positive

@@ -10,6 +10,7 @@ basis matrices needed to express sums blockwise, monomial by monomial.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
@@ -17,8 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .moments import BasisMatrixSet
-from .polynomials import Exponent, Polynomial
+from .moments import BasisMatrixSet, MomentSequence
+from .polynomials import Exponent, Polynomial, monomial_basis, parse_polynomial
 from .sdp import BlockEntries, SdpProblem, SdpSolution
 
 # Subset products blow up as 2^m; refuse preorderings past this many generators.
@@ -146,14 +147,26 @@ class GramSdp:
     truncation: ConeTruncation
     block_ids: dict[tuple[int, ...], int]
 
-    def entries(self, alpha: Exponent) -> BlockEntries:
-        """SDP entries of the coefficient of x^alpha: B^J_alpha on each Gram block J."""
-        entries = {}
-        for block in self.truncation.blocks:
-            items = block.basis.entries(alpha)
-            if items:
-                entries[self.block_ids[block.label]] = items
-        return entries
+    def rows(self, f: Polynomial) -> Iterator[tuple[Exponent, BlockEntries, float]]:
+        """(alpha, entries, f_alpha) of each row h_alpha = f_alpha, |alpha| <= 2*level.
+
+        Rows come in graded-lex order.  `entries` is a fresh dict holding
+        B^J_alpha on each Gram block J; the caller may add other blocks.
+        """
+        trunc = self.truncation
+        for alpha in monomial_basis(trunc.system.dimension, 2 * trunc.level):
+            entries = {}
+            for block in trunc.blocks:
+                items = block.basis.entries(alpha)
+                if items:
+                    entries[self.block_ids[block.label]] = items
+            yield alpha, entries, f.coefficient(alpha)
+
+    def functional(self, y: np.ndarray) -> MomentSequence:
+        """L with L(x^alpha_i) = -y_i: the row multipliers y, in the order of `rows`."""
+        n, degree = self.truncation.system.dimension, 2 * self.truncation.level
+        alphas = monomial_basis(n, degree)
+        return MomentSequence(n, degree, {a: -float(v) for a, v in zip(alphas, y)})
 
     def grams(self, sol: SdpSolution) -> dict[tuple[int, ...], np.ndarray]:
         """The solution's Gram matrix of each truncation block, by label."""
@@ -218,8 +231,6 @@ def format_system_text(system: SemialgebraicSystem) -> str:
 
 
 def parse_system_text(text: str) -> SemialgebraicSystem:
-    from .polynomials import parse_polynomial
-
     n = None
     kind = None
     gen_texts: list[str] = []
@@ -227,14 +238,17 @@ def parse_system_text(text: str) -> SemialgebraicSystem:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("n "):
+        toks = line.split()
+        if toks[0] in ("n", "cone") and len(toks) != 2:
+            raise ConeModelError(f"expected '{toks[0]} <value>', got {line!r}")
+        if toks[0] == "n":
             if n is not None:
                 raise ConeModelError(f"repeated 'n' line {line!r}")
-            n = int(line.split()[1])
-        elif line.startswith("cone "):
+            n = int(toks[1])
+        elif toks[0] == "cone":
             if kind is not None:
                 raise ConeModelError(f"repeated 'cone' line {line!r}")
-            kind = ConeKind(line.split()[1])
+            kind = ConeKind(toks[1])
         elif line.startswith("g:"):
             gen_texts.append(line[2:].strip())
         else:

@@ -133,6 +133,10 @@ class MomentSequence:
 
 def riesz(y: MomentSequence, f: Polynomial) -> float:
     """Apply the Riesz functional: sum of f_alpha * y_alpha."""
+    if f.dimension != y.dimension:
+        raise MomentDataError(
+            f"polynomial in {f.dimension} variables, moments in {y.dimension}"
+        )
     if f.degree > y.max_degree:
         worst = max(f.terms, key=total_degree)
         raise DegreeRangeError(
@@ -449,4 +453,6 @@ def parse_moment_text(text: str) -> MomentSequence:
         if alpha in values:
             raise MomentDataError(f"repeated moment line for exponent {alpha}")
         values[alpha] = float(parts[n])
+        if not math.isfinite(values[alpha]):
+            raise MomentDataError(f"moment {alpha} is not finite: {parts[n]!r}")
     return MomentSequence(n, deg, values)

@@ -111,6 +111,8 @@ class Polynomial:
                 raise PolynomialError(f"negative exponent in {alpha}")
             c = float(coeff)
             if c != 0.0:
+                if not math.isfinite(c):
+                    raise PolynomialError(f"coefficient of {alpha} is not finite: {c}")
                 clean[alpha] = c
         self.dimension = dimension
         self._terms = dict(sorted(clean.items(), key=lambda kv: grevlex_key(kv[0])))

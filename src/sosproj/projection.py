@@ -171,7 +171,6 @@ def build_lambda_form_sdp(problem: ProjectionProblem) -> LambdaFormSdp:
     n, d, t = system.dimension, problem.d, problem.t
     trunc = build_truncation(system, t)
     pert = perturbation_basis(n, d, w.kind)
-    pert_by_alpha = {alpha: (key, scale) for key, alpha, scale in pert}
     pert_index = {key: p for p, (key, _a, _s) in enumerate(pert)}
     base = gram_sdp(trunc, (len(pert),))
     built = LambdaFormSdp(
@@ -180,14 +179,11 @@ def build_lambda_form_sdp(problem: ProjectionProblem) -> LambdaFormSdp:
     lam_blk = built.lam_block
     built.sdp.set_objective({lam_blk: [(p, p, 1.0) for p in range(len(pert))]})
 
-    for alpha in monomial_basis(n, 2 * t):
-        entries = built.entries(alpha)
-        hit = pert_by_alpha.get(alpha)
-        if hit is not None:
-            key, scale = hit
-            p = pert_index[key]
-            entries.setdefault(lam_blk, []).append((p, p, -scale))
-        built.sdp.add_constraint(entries, f.coefficient(alpha))
+    lam_entries = {alpha: [(p, p, -scale)] for p, (_k, alpha, scale) in enumerate(pert)}
+    for alpha, entries, rhs in built.rows(f):
+        if alpha in lam_entries:
+            entries[lam_blk] = lam_entries[alpha]
+        built.sdp.add_constraint(entries, rhs)
     return built
 
 
@@ -217,11 +213,6 @@ def project_lambda_form(
         if value != 0.0:
             shift[alpha] = shift.get(alpha, 0.0) + value
     projection = f + Polynomial(n, shift)
-    dual_moments = MomentSequence(
-        n,
-        2 * t,
-        {alpha: -float(v) for alpha, v in zip(monomial_basis(n, 2 * t), sol.y)},
-    )
     all_lambda = [lambda0] + list(lambda_ik.values())
     return ProjectionCertificate(
         norm_kind=w.kind,
@@ -232,7 +223,7 @@ def project_lambda_form(
         grams=built.grams(sol),
         lambda0=lambda0,
         lambda_ik=lambda_ik,
-        dual_moments=dual_moments,
+        dual_moments=built.functional(sol.y),
         lambda_effectively_zero=all(v <= LAMBDA_ZERO_FLAG for v in all_lambda),
         solver_status=sol.status,
         solver_iterations=sol.iterations,
@@ -258,25 +249,22 @@ def project_general_form(
         {lam_blk: [(i, i, w.weight(alpha)) for i, alpha in enumerate(low)]}
     )
 
-    for alpha in monomial_basis(n, 2 * t):
-        h_entries = gs.entries(alpha)
-        if sum(alpha) <= 2 * d:
+    # Two rows give r_alpha >= |f - h|_alpha up to degree 2d; above it h_alpha = 0.
+    for alpha, h_entries, falpha in gs.rows(f):
+        if alpha in low_index:
             i = low_index[alpha]
-            falpha = f.coefficient(alpha)
-            plus = {blk: list(items) for blk, items in h_entries.items()}
-            plus.setdefault(lam_blk, []).append((i, i, 1.0))
-            plus.setdefault(sp_blk, []).append((i, i, -1.0))
-            sdp.add_constraint(plus, falpha)
             minus = {
                 blk: [(r, c, -v) for r, c, v in items]
                 for blk, items in h_entries.items()
             }
-            minus.setdefault(lam_blk, []).append((i, i, 1.0))
-            minus.setdefault(sm_blk, []).append((i, i, -1.0))
-            sdp.add_constraint(minus, -falpha)
+            sdp.add_constraint(
+                {**h_entries, lam_blk: [(i, i, 1.0)], sp_blk: [(i, i, -1.0)]}, falpha
+            )
+            sdp.add_constraint(
+                {**minus, lam_blk: [(i, i, 1.0)], sm_blk: [(i, i, -1.0)]}, -falpha
+            )
         else:
-            # Above the target degree the reconstruction must vanish.
-            sdp.add_constraint(h_entries, 0.0)
+            sdp.add_constraint(h_entries, falpha)
 
     sol = solve(sdp, cfg)
     _require_optimal(sol, "general-form projection")
@@ -378,11 +366,8 @@ def dual_moment_problem(
 
     sol = solve(sdp, cfg)
     _require_optimal(sol, "dual moment problem")
-    y_values = {
-        alpha: float(sol.x_blocks[u_blk][i] - sol.x_blocks[v_blk][i])
-        for alpha, i in aindex.items()
-    }
-    moments = MomentSequence(n, 2 * d, y_values)
+    y = sol.x_blocks[u_blk] - sol.x_blocks[v_blk]
+    moments = MomentSequence(n, 2 * d, dict(zip(alphas, y)))
     return DualMomentResult(
         moments=moments,
         value=-float(sol.primal_objective),

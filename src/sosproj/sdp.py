@@ -181,8 +181,8 @@ class SolverConfig:
     gap_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.feas_tol <= 0 or self.gap_tol <= 0:
-            raise SdpModelError("tolerances must be positive")
+        if not (0 < self.feas_tol < math.inf and 0 < self.gap_tol < math.inf):
+            raise SdpModelError("tolerances must be finite and positive")
 
 
 class SdpStatus(Enum):

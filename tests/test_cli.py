@@ -206,6 +206,30 @@ def test_moments_check_dimension_mismatch_is_input_error(
     assert "input error: system in 2 variables, moments in 1" in err
 
 
+@pytest.mark.parametrize("text", ["1e400*x1", "1e400*x1 - 1e400*x1 + 1"])
+def test_non_finite_coefficient_is_a_polynomial_input_error(capsys, text):
+    code, out, err = run(capsys, "project", "--f", text)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("input error: coefficient")
+    assert "right-hand side" not in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_moments_check_non_finite_moment_is_input_error(tmp_path, capsys, value):
+    system = tmp_path / "line.sys"
+    system.write_text("n 1\n")
+    moments = tmp_path / "bad.mom"
+    moments.write_text(f"n 1 degree 2\n0 {value}\n1 0.0\n2 1.0\n")
+    code, out, err = run(
+        capsys, "moments-check", "--moments", str(moments), "--system",
+        str(system), "--d", "1",
+    )
+    assert code == 1
+    assert out == ""
+    assert "not finite" in err
+
+
 def test_moments_check_prints_skipped_generator(tmp_path, capsys):
     # v = ceil(4 / 2) = 2 exceeds d = 1: order -1, nothing to check.
     system = tmp_path / "quartic.sys"
@@ -283,7 +307,9 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["certify", "project", "psatz"])
-@pytest.mark.parametrize("line", ["format = structurd", "norm = l2"])
+@pytest.mark.parametrize(
+    "line", ["format = structurd", "norm = l2", "feas_tol = inf", "gap_tol = nan"]
+)
 def test_config_value_outside_choices_rejected(
     tmp_path, capsys, monkeypatch, command, line
 ):
@@ -443,10 +469,15 @@ def test_each_subcommand_takes_only_the_flags_it_reads(capsys, command, flags):
         ["project", "--f", "x1^2", "--d", "0"],
         ["project"],
         ["project", "--f", "x1^2", "--no", "l1"],
+        [
+            "project", "--f", "x1^4 - x1 + 1", "--d", "2", "--norm", "l1",
+            "--feas-tol", "inf", "--gap-tol", "inf",
+        ],
+        ["project", "--f", "x1^4 - x1 + 1", "--d", "2", "--feas-tol", "nan"],
     ],
     ids=[
         "unread-flags", "repro-unread-flags", "bad-choice", "bad-level", "no-f",
-        "flag-prefix",
+        "flag-prefix", "infinite-tols", "nan-feas-tol",
     ],
 )
 def test_bad_command_line_exits_input_error(

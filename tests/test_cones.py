@@ -8,9 +8,11 @@ from sosproj.cones import (
     build_truncation,
     format_system_text,
     gram_reconstruct,
+    gram_sdp,
     parse_system_text,
 )
-from sosproj.polynomials import Polynomial, parse_polynomial
+from sosproj.moments import localizing_matrix
+from sosproj.polynomials import Polynomial, monomial_basis, parse_polynomial
 
 RNG = np.random.default_rng(99)
 
@@ -124,6 +126,9 @@ def test_system_text_errors():
         parse_system_text("cone quadratic\ng: x1\n")
     with pytest.raises(ConeModelError):
         parse_system_text("n 2\nbogus line\n")
+    for text in ("n 2 3\n", "n 2\ncone preorder junk\n", "n\n"):
+        with pytest.raises(ConeModelError, match="expected"):
+            parse_system_text(text)
 
 
 def test_system_text_rejects_repeated_lines():
@@ -131,3 +136,60 @@ def test_system_text_rejects_repeated_lines():
         parse_system_text("n 1\nn 2\ng: x1\n")
     with pytest.raises(ConeModelError, match="repeated 'cone'"):
         parse_system_text("n 2\ncone preorder\ncone quadratic\n")
+
+
+# The unit disc as a quadratic module, and as a preordering of two
+# generators whose product block is nontrivial.
+DISC_SYSTEMS = {
+    "quadratic": ball_system(),
+    "preorder": SemialgebraicSystem(
+        2,
+        (parse_polynomial("1 - x1^2 - x2^2", 2), parse_polynomial("1 - x2^2", 2)),
+        ConeKind.PREORDERING,
+    ),
+}
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+@pytest.mark.parametrize("cone", list(DISC_SYSTEMS))
+def test_gram_sdp_rows_sum_to_the_reconstruction(cone, level):
+    trunc = build_truncation(DISC_SYSTEMS[cone], level)
+    gs = gram_sdp(trunc)
+    rng = np.random.default_rng(level)
+    grams = {}
+    for block in trunc.blocks:
+        M = rng.normal(size=(block.side, block.side))
+        grams[gs.block_ids[block.label]] = M @ M.T
+    h = gram_reconstruct(trunc, list(grams.values()))
+    alphas = []
+    for alpha, entries, rhs in gs.rows(h):
+        alphas.append(alpha)
+        assert rhs == h.coefficient(alpha)
+        # <B^J_alpha, X_J> over the stored upper triangle of the symmetric B.
+        value = sum(
+            b * grams[blk][i, j] * (1.0 if i == j else 2.0)
+            for blk, items in entries.items()
+            for i, j, b in items
+        )
+        assert value == pytest.approx(h.coefficient(alpha), rel=1e-12, abs=1e-12)
+    assert alphas == monomial_basis(2, 2 * level)
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+@pytest.mark.parametrize("cone", list(DISC_SYSTEMS))
+def test_gram_sdp_functional_localizes_the_row_multipliers(cone, level):
+    # A refutation reads L(x^alpha_i) = -y_i; its localizing matrix on each
+    # Gram block must be -sum_i y_i B^J_alpha_i.
+    trunc = build_truncation(DISC_SYSTEMS[cone], level)
+    gs = gram_sdp(trunc)
+    alphas = [alpha for alpha, _entries, _rhs in gs.rows(Polynomial.zero(2))]
+    y = np.random.default_rng(10 + level).normal(size=len(alphas))
+    functional = gs.functional(y)
+    for block in trunc.blocks:
+        expected = -sum(v * block.basis.matrix(a) for v, a in zip(y, alphas))
+        np.testing.assert_allclose(
+            localizing_matrix(functional, block.product, block.sos_order),
+            expected,
+            rtol=1e-12,
+            atol=1e-12,
+        )

@@ -99,6 +99,12 @@ def test_riesz_degree_error():
         riesz(y, parse_polynomial("x1^4", 1))
 
 
+def test_riesz_dimension_error():
+    y = MomentSequence.dirac([0.5, 0.25], 4)
+    with pytest.raises(MomentDataError, match="1 variables, moments in 2"):
+        riesz(y, parse_polynomial("x1^2", 1))
+
+
 def test_basis_matrices_unit_n1():
     B = BasisMatrixSet(Polynomial.constant(1, 1.0), 1)
     assert np.array_equal(B.matrix((0,)), [[1.0, 0.0], [0.0, 0.0]])
@@ -358,6 +364,12 @@ def test_moment_text_round_trip():
     assert z.dimension == 2 and z.max_degree == 3
     for alpha in monomial_basis(2, 3):
         assert z.value(alpha) == y.value(alpha)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_moment_text_rejects_non_finite_values(value):
+    with pytest.raises(MomentDataError, match="not finite"):
+        parse_moment_text(f"n 1 degree 1\n0 1.0\n1 {value}\n")
 
 
 def test_moment_text_requires_completeness():

@@ -8,6 +8,7 @@ from sosproj.polynomials import (
     CapacityError,
     DimensionMismatchError,
     Polynomial,
+    PolynomialError,
     PolynomialSyntaxError,
     WeightOverflowError,
     WeightSequence,
@@ -98,6 +99,20 @@ def test_parse_errors_report_position():
         parse_polynomial("(x1 + 1", 2)
     with pytest.raises(PolynomialSyntaxError):
         parse_polynomial("1/0", 1)
+
+
+@pytest.mark.parametrize(
+    "text", ["1e400*x1", "1e400*x1 - 1e400*x1 + 1", "(1e200*x1)^2"]
+)
+def test_parse_rejects_non_finite_coefficients(text):
+    with pytest.raises(PolynomialError, match="not finite"):
+        parse_polynomial(text, 1)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_polynomial_rejects_non_finite_coefficients(bad):
+    with pytest.raises(PolynomialError, match=r"coefficient of \(1, 0\)"):
+        Polynomial(2, {(0, 0): 1.0, (1, 0): bad})
 
 
 def test_arithmetic():

@@ -247,8 +247,11 @@ def test_model_validation():
         p.add_constraint({blk: []}, 0.0)  # empty constraint
     with pytest.raises(SdpModelError):
         p.add_constraint({blk: [(0, 5, 1.0)]}, 0.0)  # out of range
-    with pytest.raises(SdpModelError):
-        SolverConfig(feas_tol=-1.0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(SdpModelError, match="finite and positive"):
+            SolverConfig(feas_tol=bad)
+        with pytest.raises(SdpModelError, match="finite and positive"):
+            SolverConfig(gap_tol=bad)
     with pytest.raises(SdpModelError):
         solve(SdpProblem())
 
