@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from operator import add
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -52,7 +53,9 @@ class MomentSequence:
         missing = []
         for alpha in basis:
             if alpha in values:
-                vals[alpha] = float(values[alpha])
+                vals[alpha] = v = float(values[alpha])
+                if not math.isfinite(v):
+                    raise MomentDataError(f"moment {alpha} is not finite: {v}")
             else:
                 missing.append(alpha)
         if missing:
@@ -111,7 +114,10 @@ class MomentSequence:
                 total += v
             return total
 
-        return cls.from_function(n, max_degree, mono)
+        try:
+            return cls.from_function(n, max_degree, mono)
+        except OverflowError:
+            raise MomentDataError("an atomic moment is not finite") from None
 
     @property
     def values(self) -> dict[Exponent, float]:
@@ -167,6 +173,27 @@ def _localizer_check(
     return lmin, lmax, psd_accepted(lmin, lmax)
 
 
+def _expansion(
+    basis: Sequence[Exponent], terms: Iterable[tuple[Exponent, float]]
+) -> Iterator[tuple[int, int, list[tuple[Exponent, float]]]]:
+    """The expansion g(x) v(x) v(x)^T = sum_alpha x^alpha B_alpha, by position.
+
+    For each upper-triangle position (i, j) of the basis v, in row-major
+    order, yields (i, j, [(alpha, g_delta), ...]) with alpha = basis[i] +
+    basis[j] + delta for each term (delta, g_delta) of g, in `terms` order.
+    """
+    terms = list(terms)
+    # A constant g (the moment matrix, the unit block) skips adding delta = 0.
+    constant = len(terms) == 1 and not any(terms[0][0])
+    for i, beta in enumerate(basis):
+        for j in range(i, len(basis)):
+            pair = tuple(map(add, beta, basis[j]))
+            yield i, j, (
+                [(pair, terms[0][1])] if constant
+                else [(tuple(map(add, pair, delta)), c) for delta, c in terms]
+            )
+
+
 class BasisMatrixSet:
     """Matrices B_alpha with g(x) v_d(x) v_d(x)^T = sum_alpha x^alpha B_alpha.
 
@@ -188,14 +215,14 @@ class BasisMatrixSet:
         # alphas, so every position of B_alpha is written once, in row-major
         # order, with a nonzero generator coefficient.
         entries: dict[Exponent, list[tuple[int, int, float]]] = {}
-        terms = list(generator.terms.items())
-        for bi, beta in enumerate(self.basis):
-            for gi in range(bi, self.side):
-                gamma = self.basis[gi]
-                for delta, coeff in terms:
-                    alpha = tuple(b + g + d for b, g, d in zip(beta, gamma, delta))
-                    entries.setdefault(alpha, []).append((bi, gi, coeff))
+        for i, j, terms in self.positions():
+            for alpha, coeff in terms:
+                entries.setdefault(alpha, []).append((i, j, coeff))
         self._entries = entries
+
+    def positions(self) -> Iterator[tuple[int, int, list[tuple[Exponent, float]]]]:
+        """(i, j, [(alpha, B_alpha[i, j]), ...]) per position i <= j, row-major."""
+        return _expansion(self.basis, self.generator.terms.items())
 
     def exponents(self) -> list[Exponent]:
         """All alpha up to degree 2*order + deg(g), including zero matrices."""
@@ -224,14 +251,10 @@ def moment_matrix(y: MomentSequence, d: int) -> np.ndarray:
             f"max_degree is {y.max_degree}"
         )
     basis = monomial_basis(y.dimension, d)
-    s = len(basis)
-    mat = np.empty((s, s))
-    for i, beta in enumerate(basis):
-        for j in range(i, s):
-            gamma = basis[j]
-            v = y.value(tuple(b + g for b, g in zip(beta, gamma)))
-            mat[i, j] = v
-            mat[j, i] = v
+    vals, mat = y.values, np.empty((len(basis), len(basis)))
+    # Assigned, not summed into 0.0, so a -0.0 moment stays -0.0.
+    for i, j, terms in _expansion(basis, [((0,) * y.dimension, 1.0)]):
+        mat[i, j] = mat[j, i] = vals[terms[0][0]]
     return mat
 
 
@@ -247,18 +270,12 @@ def localizing_matrix(y: MomentSequence, g: Polynomial, d: int) -> np.ndarray:
             f"degree {2 * d + g.degree}, max_degree is {y.max_degree}"
         )
     basis = monomial_basis(y.dimension, d)
-    s = len(basis)
-    mat = np.zeros((s, s))
-    for i, beta in enumerate(basis):
-        for j in range(i, s):
-            gamma = basis[j]
-            v = 0.0
-            for delta, coeff in g.terms.items():
-                v += coeff * y.value(
-                    tuple(b + gg + dd for b, gg, dd in zip(beta, gamma, delta))
-                )
-            mat[i, j] = v
-            mat[j, i] = v
+    vals, mat = y.values, np.empty((len(basis), len(basis)))
+    for i, j, terms in _expansion(basis, g.terms.items()):
+        v = 0.0
+        for alpha, coeff in terms:
+            v += coeff * vals[alpha]
+        mat[i, j] = mat[j, i] = v
     return mat
 
 
@@ -453,6 +470,4 @@ def parse_moment_text(text: str) -> MomentSequence:
         if alpha in values:
             raise MomentDataError(f"repeated moment line for exponent {alpha}")
         values[alpha] = float(parts[n])
-        if not math.isfinite(values[alpha]):
-            raise MomentDataError(f"moment {alpha} is not finite: {parts[n]!r}")
     return MomentSequence(n, deg, values)

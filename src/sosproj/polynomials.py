@@ -299,6 +299,23 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _parse_number(val: str, pos: int) -> float:
+    """The value of a number token; an overflowing literal is a syntax error."""
+    if "/" in val:
+        p, q = val.split("/")
+        if int(q) == 0:
+            raise PolynomialSyntaxError("zero denominator", pos)
+        try:
+            value = int(p) / int(q)
+        except OverflowError:
+            value = math.inf
+    else:
+        value = float(val)
+    if not math.isfinite(value):
+        raise PolynomialSyntaxError(f"coefficient {val} is not finite", pos)
+    return value
+
+
 class _Parser:
     def __init__(self, tokens, n: int, text_len: int):
         self.tokens = tokens
@@ -369,13 +386,8 @@ class _Parser:
                     f"variable {val} out of range x1..x{self.n}", pos
                 )
             return Polynomial.variable(self.n, idx)
-        if kind == "rat":
-            p, q = val.split("/")
-            if int(q) == 0:
-                raise PolynomialSyntaxError("zero denominator", pos)
-            return Polynomial.constant(self.n, int(p) / int(q))
-        if kind == "num":
-            return Polynomial.constant(self.n, float(val))
+        if kind in ("rat", "num"):
+            return Polynomial.constant(self.n, _parse_number(val, pos))
         if kind == "op" and val == "(":
             inner = self.parse_expr()
             self.expect_op(")")

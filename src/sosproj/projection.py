@@ -335,34 +335,16 @@ def dual_moment_problem(
     # Localizing-matrix linkage: Z_J[b,g] = sum_alpha B^J_alpha[b,g] y_alpha.
     for block in trunc.blocks:
         zb = gs.block_ids[block.label]
-        side = block.side
-        linkage: dict[tuple[int, int], list[tuple[int, float]]] = {}
-        for alpha in block.basis.nonzero_exponents():
-            i = aindex[alpha]
-            for r, c, coeff in block.basis.entries(alpha):
-                linkage.setdefault((r, c), []).append((i, coeff))
-        for r in range(side):
-            for c in range(r, side):
-                entries: dict[int, list[tuple[int, int, float]]] = {
-                    zb: [(r, c, 1.0 if r == c else 0.5)]
-                }
-                terms = linkage.get((r, c))
-                if terms:
-                    entries[u_blk] = [(i, i, -coeff) for i, coeff in terms]
-                    entries[v_blk] = [(i, i, coeff) for i, coeff in terms]
-                sdp.add_constraint(entries, 0.0)
+        for r, c, terms in block.basis.positions():
+            entries = {zb: [(r, c, 1.0 if r == c else 0.5)]}
+            entries[u_blk] = [(aindex[a], aindex[a], -coeff) for a, coeff in terms]
+            entries[v_blk] = [(aindex[a], aindex[a], coeff) for a, coeff in terms]
+            sdp.add_constraint(entries, 0.0)
 
     # Weight box: u_alpha + v_alpha + slack = w_alpha, so |y_alpha| <= w_alpha.
-    for alpha in alphas:
-        i = aindex[alpha]
-        sdp.add_constraint(
-            {
-                u_blk: [(i, i, 1.0)],
-                v_blk: [(i, i, 1.0)],
-                box_blk: [(i, i, 1.0)],
-            },
-            w.weight(alpha),
-        )
+    for i, alpha in enumerate(alphas):
+        box = [(i, i, 1.0)]
+        sdp.add_constraint({u_blk: box, v_blk: box, box_blk: box}, w.weight(alpha))
 
     sol = solve(sdp, cfg)
     _require_optimal(sol, "dual moment problem")

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy
 
 Entry = tuple[int, int, float]
 BlockEntries = dict[int, list[Entry]]
@@ -56,20 +55,26 @@ SLAB_MIN_FLOPS = 1 << 22
 # The LAPACK routines behind scipy.linalg's cho_factor, cho_solve and
 # solve_triangular, called with the arguments those wrappers pass: on the
 # small systems solved here the wrappers' validation costs more than the
-# routine.  They come from scipy's Fortran extension, loaded without the
-# scipy.linalg package, whose import (numpy.f2py, numpy.testing, numpy.random
-# and numpy.ma through its array-API layer) is most of a fresh interpreter's
-# start-up.  They must be the objects get_lapack_funcs returns for float64
-# arrays, so that every call is the one the wrappers make.
+# routine.  They come from scipy's Fortran extension, found through scipy's
+# package directories and loaded on its own: neither the scipy package
+# (scipy._lib and its test and version helpers) nor scipy.linalg (numpy.f2py,
+# numpy.testing, numpy.random and numpy.ma through its array-API layer) is
+# imported, and together they are most of a fresh interpreter's start-up.
+# They must be the objects get_lapack_funcs returns for float64 arrays, so
+# that every call is the one the wrappers make.
 def _lapack_routines():
     name = "scipy.linalg._flapack"
     module = sys.modules.get(name)
     if module is None:
+        scipy_spec = importlib.util.find_spec("scipy")
+        dirs = scipy_spec.submodule_search_locations if scipy_spec else []
         spec = importlib.machinery.PathFinder.find_spec(
-            name, [os.path.join(path, "linalg") for path in scipy.__path__]
+            name, [os.path.join(path, "linalg") for path in dirs]
         )
         if spec is None:
-            raise ImportError(f"scipy {scipy.__version__} has no extension {name}")
+            from importlib.metadata import version
+
+            raise ImportError(f"scipy {version('scipy')} has no extension {name}")
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
         sys.modules[name] = module

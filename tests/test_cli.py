@@ -206,7 +206,9 @@ def test_moments_check_dimension_mismatch_is_input_error(
     assert "input error: system in 2 variables, moments in 1" in err
 
 
-@pytest.mark.parametrize("text", ["1e400*x1", "1e400*x1 - 1e400*x1 + 1"])
+@pytest.mark.parametrize(
+    "text", ["1e400*x1", "1e400*x1 - 1e400*x1 + 1", "1" + "0" * 400 + "/3*x1^2"]
+)
 def test_non_finite_coefficient_is_a_polynomial_input_error(capsys, text):
     code, out, err = run(capsys, "project", "--f", text)
     assert code == 1

@@ -372,6 +372,23 @@ def test_moment_text_rejects_non_finite_values(value):
         parse_moment_text(f"n 1 degree 1\n0 1.0\n1 {value}\n")
 
 
+def test_moment_sequence_rejects_non_finite_values():
+    with pytest.raises(MomentDataError, match=r"moment \(0,\) is not finite"):
+        MomentSequence(1, 1, {(0,): math.nan, (1,): 1.0})
+
+
+def test_atomic_moment_power_overflow_is_a_moment_error():
+    # 1e200 ** 2 raises OverflowError inside the power itself.
+    with pytest.raises(MomentDataError, match="atomic moment is not finite"):
+        MomentSequence.from_atoms([[1e200]], [1.0], 4)
+
+
+def test_atomic_moment_product_overflow_is_a_moment_error():
+    # The weight times the point is inf without an exception.
+    with pytest.raises(MomentDataError, match=r"moment \(1,\) is not finite"):
+        MomentSequence.from_atoms([[1e200]], [1e200], 1)
+
+
 def test_moment_text_requires_completeness():
     text = "n 2 degree 2\n0 0 1.0\n"
     with pytest.raises(MomentDataError):

@@ -101,12 +101,23 @@ def test_parse_errors_report_position():
         parse_polynomial("1/0", 1)
 
 
+HUGE_RATIONAL = "1" + "0" * 400 + "/3*x1^2"
+
+
 @pytest.mark.parametrize(
-    "text", ["1e400*x1", "1e400*x1 - 1e400*x1 + 1", "(1e200*x1)^2"]
+    "text", ["1e400*x1", "1e400*x1 - 1e400*x1 + 1", "(1e200*x1)^2", HUGE_RATIONAL]
 )
 def test_parse_rejects_non_finite_coefficients(text):
     with pytest.raises(PolynomialError, match="not finite"):
         parse_polynomial(text, 1)
+
+
+@pytest.mark.parametrize("text, position", [("x1^2 + 1e400*x1", 7), (HUGE_RATIONAL, 0)])
+def test_overflowing_literal_is_a_syntax_error_at_its_position(text, position):
+    with pytest.raises(PolynomialSyntaxError, match="is not finite") as info:
+        parse_polynomial(text, 1)
+    assert info.value.position == position
+    assert str(info.value).endswith(f"(at position {position})")
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])

@@ -143,6 +143,19 @@ def test_cross_formulation_agreement_motzkin():
         assert abs(p_lam - p_gen) <= max(1e-6, 1e-5 * p_lam)
 
 
+@pytest.mark.parametrize("w", [L1, LW], ids=["l1", "lw"])
+def test_general_form_above_2d_matches_lambda_form(w):
+    # At t = 3 > d = 2 the general form also has the rows h_alpha = 0 for
+    # 2d < |alpha| <= 2t.  Held to the general-form oracle tolerance
+    # (1e-6 absolute, 1e-5 relative), as on the benchmark's crosscheck.
+    f = parse_polynomial("x1^3*x2 - x1*x2 + 1/10 - x2^4", 2)
+    disk = SemialgebraicSystem(2, (parse_polynomial("1 - x1^2 - x2^2", 2),))
+    prob = ProjectionProblem(f, disk, w, 2, 3)
+    p_lam = project_lambda_form(prob).p_value
+    p_gen = project_general_form(prob).p_value
+    assert abs(p_lam - p_gen) <= max(1e-6, 1e-5 * p_lam)
+
+
 def test_dual_moment_agreement_and_weak_duality():
     prob = ProjectionProblem(MOTZKIN, PLANE, L1, 3)
     cert = project_lambda_form(prob)

@@ -1,3 +1,5 @@
+import importlib.machinery
+import importlib.metadata
 import math
 import sys
 
@@ -432,10 +434,11 @@ def test_lapack_helpers_match_the_scipy_wrappers(n):
 def test_import_leaves_scipy_linalg_unloaded(fresh_python):
     proc = fresh_python(
         "-c",
-        "import sys, sosproj, sosproj.cli; print('scipy.linalg' in sys.modules)",
+        "import sys, sosproj, sosproj.cli; "
+        "print('scipy.linalg' in sys.modules, 'scipy' in sys.modules)",
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "False False\n"
 
 
 @pytest.mark.parametrize("first", ["sosproj", "scipy.linalg"])
@@ -455,9 +458,15 @@ print([a is b for a, b in zip((sdp._POTRF, sdp._POTRS, sdp._TRTRS), funcs)])
 
 
 def test_missing_lapack_extension_names_the_scipy_version(monkeypatch):
+    # A scipy package with no directories to search finds no extension.
     monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
-    monkeypatch.setattr(sdp_module.scipy, "__path__", [])
-    with pytest.raises(ImportError, match=f"scipy {sdp_module.scipy.__version__} "):
+    monkeypatch.setattr(
+        sdp_module.importlib.util,
+        "find_spec",
+        lambda name: importlib.machinery.ModuleSpec(name, None, is_package=True),
+    )
+    version = importlib.metadata.version("scipy")
+    with pytest.raises(ImportError, match=f"scipy {version} has no extension"):
         sdp_module._lapack_routines()
 
 
