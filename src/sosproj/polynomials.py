@@ -300,13 +300,19 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 def _parse_number(val: str, pos: int) -> float:
-    """The value of a number token; an overflowing literal is a syntax error."""
+    """The value of a number token; an overflowing literal, or a rational one
+    with more digits than Python converts to an integer, is a syntax error."""
     if "/" in val:
-        p, q = val.split("/")
-        if int(q) == 0:
+        try:
+            p, q = map(int, val.split("/"))
+        except ValueError:
+            raise PolynomialSyntaxError(
+                f"rational literal of {len(val)} characters has too many digits", pos
+            ) from None
+        if q == 0:
             raise PolynomialSyntaxError("zero denominator", pos)
         try:
-            value = int(p) / int(q)
+            value = p / q
         except OverflowError:
             value = math.inf
     else:

@@ -247,7 +247,15 @@ def _inner(X: list[np.ndarray], S: list[np.ndarray]) -> float:
 class _PsdRows:
     """The constraint matrices of one PSD block, stored as their nonzeros in
     constraint order: constraint row[k] holds val[k] at flat position pos[k]
-    (i * side + j, both triangles), and constraint i owns ptr[i]:ptr[i + 1]."""
+    (i * side + j, both triangles), and constraint i owns ptr[i]:ptr[i + 1].
+
+    If no row of any constraint matrix holds two nonzeros, as in a Gram
+    block (B_alpha[beta, gamma] = 1 iff beta + gamma = alpha) or a moment
+    block tied to y by linkage rows, record_rows() also keeps each row as
+    its one nonzero: row r of constraint k holds v[k * side + r] in column
+    col[k * side + r] (value 0 and column 0 in an empty row).  Otherwise col
+    and v are None.
+    """
 
     def __init__(self, problem: SdpProblem, blk: int, side: int):
         row, pos, val = [], [], []
@@ -265,6 +273,20 @@ class _PsdRows:
         self.pos = np.array(pos, dtype=np.intp)
         self.val = np.array(val, dtype=float)
         self.ptr = np.searchsorted(self.row, np.arange(problem.num_constraints + 1))
+        self.col = self.v = None
+
+    def record_rows(self) -> None:
+        """Set col and v from the current values, if no row has two nonzeros."""
+        size = (len(self.ptr) - 1) * self.side
+        r, c = np.divmod(self.pos, self.side)
+        at = self.row * self.side + r
+        # bincount, not np.unique, whose first call in a process costs about
+        # 16 ms, more than a small solve.
+        if np.bincount(at).max(initial=0) <= 1:
+            self.col = np.zeros(size, dtype=np.intp)
+            self.col[at] = c
+            self.v = np.zeros(size)
+            self.v[at] = self.val
 
 
 class _Workspace:
@@ -323,6 +345,8 @@ class _Workspace:
             self.b_scale = b_peak
             self.b = self.b / b_peak
         self._equilibrate()
+        for blk in self.psd:
+            self.A[blk].record_rows()
         # Each block's squared column scaling: t t^T (PSD) or t * t (diagonal).
         self.t2 = [
             np.outer(t, t) if spec.kind is BlockKind.PSD else t * t
@@ -550,7 +574,8 @@ def _scale_slab(a: np.ndarray, g: np.ndarray, scratch: np.ndarray, out: np.ndarr
     np.einsum("ki,mij,jl->mkl", g.T, a, g, optimize=True) on numpy 2.4:
     a @ g (einsum multiplies a transposed copy of a, equal to a by symmetry),
     then that product reordered to (column, constraint, row) @ g, which is
-    reordered back into out.
+    reordered back into out.  A block with at most one nonzero in each row
+    of each A_i skips the first gemm and its reordering (_gather_slab).
     """
     n, s = a.shape[0], a.shape[1]
     size = n * s * s
@@ -558,6 +583,38 @@ def _scale_slab(a: np.ndarray, g: np.ndarray, scratch: np.ndarray, out: np.ndarr
     np.matmul(a.reshape(n * s, s), g, out=prod)
     turned = scratch[1, :size].reshape(s, n, s)
     turned[...] = prod.reshape(n, s, s).transpose(2, 0, 1)
+    _scale_turned(turned, g, scratch, out)
+
+
+def _gather_slab(
+    rows: _PsdRows, lo: int, hi: int, g: np.ndarray, scratch: np.ndarray, out: np.ndarray
+) -> None:
+    """out[i] = g^T A_i g for constraints lo:hi of a block with at most one
+    nonzero in each row (_PsdRows.record_rows), equal to _scale_slab's to the
+    bit.
+
+    The first gemm of _scale_slab sums, for row r of A_i, one nonzero term
+    v * g[col] from +0, so it rounds that product once, as a multiply does.
+    Here the rows of g are gathered by col straight into the reordered
+    (column, constraint, row) layout and multiplied by v, so that gemm and
+    the reordering copy are skipped; the second gemm is the same.
+    """
+    s = rows.side
+    size = (hi - lo) * s * s
+    turned = scratch[1, :size].reshape(s, size // s)
+    # Any mode but "raise" writes straight into turned, with no buffered copy.
+    np.take(g.T, rows.col[lo * s:hi * s], axis=1, out=turned, mode="clip")
+    turned *= rows.v[lo * s:hi * s]
+    _scale_turned(turned, g, scratch, out)
+
+
+def _scale_turned(
+    turned: np.ndarray, g: np.ndarray, scratch: np.ndarray, out: np.ndarray
+) -> None:
+    """The second gemm of _scale_slab: out[i] = (turned @ g) reordered, for
+    turned in the (column, constraint, row) layout, through scratch[0]."""
+    n, s = out.shape[0], out.shape[1]
+    prod = scratch[0, :n * s * s].reshape(s * n, s)
     np.matmul(turned.reshape(s * n, s), g, out=prod)
     out[...] = prod.reshape(s, n, s).transpose(1, 0, 2)
 
@@ -568,11 +625,19 @@ def _scale_rows(ws: _Workspace, G: list[np.ndarray], views: list[np.ndarray]) ->
 
     PSD blocks are scaled in the workspace's slabs of constraints, each of
     at least SLAB_MIN_FLOPS, through the workspace's scratch, so nothing is
-    allocated per call; a block below SLAB_MIN_FLOPS is one slab.
+    allocated per call; a block below SLAB_MIN_FLOPS is one slab.  A block
+    with at most one nonzero in each row gathers its first product; any
+    other block runs both gemms on its dense slabs.
     """
     for blk in ws.psd:
-        for lo, hi, a in ws.slabs(blk):
-            _scale_slab(a, G[blk], ws.scale_scratch, views[blk][lo:hi])
+        rows, g = ws.A[blk], G[blk]
+        if rows.col is None:
+            for lo, hi, a in ws.slabs(blk):
+                _scale_slab(a, g, ws.scale_scratch, views[blk][lo:hi])
+        else:
+            bounds = ws.slab_bounds[blk]
+            for lo, hi in zip(bounds, bounds[1:]):
+                _gather_slab(rows, lo, hi, g, ws.scale_scratch, views[blk][lo:hi])
     for blk in ws.diag:
         np.multiply(ws.A[blk], G[blk][None, :], out=views[blk])
 

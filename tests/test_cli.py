@@ -217,6 +217,15 @@ def test_non_finite_coefficient_is_a_polynomial_input_error(capsys, text):
     assert "right-hand side" not in err
 
 
+def test_too_long_rational_literal_is_a_polynomial_input_error(capsys):
+    text = "1" + "0" * 5000 + "/3*x1^2"
+    code, out, err = run(capsys, "project", "--f", text, "--norm", "l1", "--d", "1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("input error: rational literal")
+    assert err.rstrip().endswith("(at position 0)")
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_moments_check_non_finite_moment_is_input_error(tmp_path, capsys, value):
     system = tmp_path / "line.sys"

@@ -120,6 +120,20 @@ def test_overflowing_literal_is_a_syntax_error_at_its_position(text, position):
     assert str(info.value).endswith(f"(at position {position})")
 
 
+# More digits than Python converts to an int by default (4300).
+LONG_RATIONAL = "1" + "0" * 5000 + "/3*x1^2"
+
+
+@pytest.mark.parametrize(
+    "text, position", [(LONG_RATIONAL, 0), ("x1 + " + LONG_RATIONAL, 5), ("1/3" + "0" * 5000, 0)]
+)
+def test_too_long_rational_literal_is_a_syntax_error_at_its_position(text, position):
+    with pytest.raises(PolynomialSyntaxError, match="too many digits") as info:
+        parse_polynomial(text, 1)
+    assert info.value.position == position
+    assert str(info.value).endswith(f"(at position {position})")
+
+
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_polynomial_rejects_non_finite_coefficients(bad):
     with pytest.raises(PolynomialError, match=r"coefficient of \(1, 0\)"):

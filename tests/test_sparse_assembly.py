@@ -23,6 +23,7 @@ from sosproj.projection import (
     ProjectionProblem,
     build_lambda_form_sdp,
     dual_moment_problem,
+    project_general_form,
 )
 from sosproj.sdp import (
     EQUILIBRATE_ROUNDS,
@@ -34,6 +35,7 @@ from sosproj.sdp import (
     SolverConfig,
     _row_buffer,
     _scale_rows,
+    _scale_slab,
     _solve_once,
     _Workspace,
     check_certificate,
@@ -269,12 +271,135 @@ def test_scale_rows_small_block_is_one_call(monkeypatch):
     assert sizes == [m]
 
 
+SEXTIC = "x1^2*x2^2*(x1^2+x2^2-3*x3^2)+x3^6"
+
+
+def sextic_sdp(monkeypatch, form, d):
+    """The SDP of one projection form of the n=3 sextic at l1 degree d."""
+    problem = ProjectionProblem(
+        parse_polynomial(SEXTIC, 3), SemialgebraicSystem(3, ()), WeightSequence.l1(), d
+    )
+    if form == "lambda":
+        return build_lambda_form_sdp(problem).sdp
+    forms = {"general": project_general_form, "dual": dual_moment_problem}
+    return _captured_sdp(monkeypatch, problem, forms[form])
+
+
+def negate_every_third(sdp):
+    """A copy of sdp with every third constraint negated (not every other:
+    the general form's rows come in plus/minus pairs)."""
+    out = SdpProblem()
+    for spec in sdp.blocks:
+        out.add_block(spec.side, spec.kind)
+    out.objective = sdp.objective
+    for k, (entries, rhs) in enumerate(sdp.constraints):
+        sign = -1.0 if k % 3 == 1 else 1.0
+        out.add_constraint(
+            {blk: [(i, j, sign * v) for i, j, v in items] for blk, items in entries.items()},
+            sign * rhs,
+        )
+    return out
+
+
+def scalings_with_zeros(rng, blocks):
+    """One random scaling per block, about a quarter of it exact zeros."""
+    G = []
+    for spec in blocks:
+        if spec.kind is PSD:
+            g = rng.normal(size=(spec.side, spec.side))
+            g[rng.random(g.shape) < 0.25] = 0.0
+            G.append(g)
+        else:
+            G.append(rng.uniform(0.5, 2.0, size=spec.side))
+    return G
+
+
+# The Gram blocks of the ladder's sextic lambda forms and the Gram and
+# moment blocks of crosscheck's general and dual forms (m = 795 at side 35).
+@pytest.mark.parametrize(
+    "form, d, m", [("lambda", 4, 165), ("lambda", 5, 286), ("lambda", 6, 455),
+                   ("general", 4, 330), ("dual", 4, 795)]
+)
+def test_gathered_rows_equal_both_gemms_to_the_byte(monkeypatch, form, d, m):
+    ws = _Workspace(negate_every_third(sextic_sdp(monkeypatch, form, d)))
+    assert ws.m == m
+    rng = np.random.default_rng(d)
+    G = scalings_with_zeros(rng, ws.blocks)
+    _, views = _row_buffer(ws)
+    monkeypatch.setattr(sdp_module, "_scale_slab", None)  # never called
+    _scale_rows(ws, G, views)
+    monkeypatch.undo()
+    for blk in ws.psd:
+        stored = ws.A[blk]
+        assert stored.col is not None
+        assert (stored.v < 0).any() and (stored.v > 0).any()
+        g, side = G[blk], stored.side
+        slabbed = np.empty((ws.m, side, side))
+        for lo, hi, a in ws.slabs(blk):
+            _scale_slab(a, g, ws.scale_scratch, slabbed[lo:hi])
+        whole = np.einsum("ki,mij,jl->mkl", g.T, dense_A(ws, blk), g, optimize=True)
+        assert views[blk].tobytes() == slabbed.tobytes() == whole.tobytes()
+
+
+def test_block_with_two_nonzeros_in_a_row_runs_both_gemms(monkeypatch):
+    # Block 0 holds two nonzeros in row 0 of one constraint; block 1 holds at
+    # most one nonzero in every row of every constraint.
+    prob = SdpProblem()
+    prob.add_psd_block(4)
+    prob.add_psd_block(3)
+    prob.add_constraint({0: [(0, 0, 1.0)], 1: [(0, 1, -2.0)]}, 1.0)
+    prob.add_constraint({0: [(0, 1, 0.5), (0, 2, -3.0)], 1: [(2, 2, 4.0)]}, 0.0)
+    prob.add_constraint({0: [(3, 3, 2.0)], 1: [(0, 0, 1.0), (1, 2, 0.25)]}, 2.0)
+    ws = _Workspace(prob)
+    assert ws.A[0].col is None and ws.A[1].col is not None
+    assert ws.A[1].col.reshape(3, 3)[2].tolist() == [0, 2, 1]
+    rng = np.random.default_rng(4)
+    G = [rng.normal(size=(4, 4)), rng.normal(size=(3, 3))]
+    shapes = []
+    scale_slab = sdp_module._scale_slab
+
+    def recording_scale_slab(a, *args):
+        shapes.append(a.shape)
+        return scale_slab(a, *args)
+
+    monkeypatch.setattr(sdp_module, "_scale_slab", recording_scale_slab)
+    _, views = _row_buffer(ws)
+    _scale_rows(ws, G, views)
+    monkeypatch.undo()
+    assert shapes == [(3, 4, 4)]
+    for blk, g in enumerate(G):
+        want = np.einsum("ki,mij,jl->mkl", g.T, dense_A(ws, blk), g, optimize=True)
+        assert views[blk].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("form, d", [("lambda", 6), ("dual", 4)])
+def test_gathered_rows_allocate_no_slab(monkeypatch, form, d):
+    """A call on gathered blocks allocates far less than one slab: the
+    gather writes into the workspace's scratch, and the only temporaries
+    are a transposed copy of G (side^2 doubles) and numpy's buffers."""
+    ws = _Workspace(sextic_sdp(monkeypatch, form, d))
+    (blk,) = ws.psd
+    assert ws.A[blk].col is not None and len(ws.slab_bounds[blk]) > 2
+    slab_bytes = ws.scale_scratch[0].nbytes
+    G = scalings_with_zeros(np.random.default_rng(d), ws.blocks)
+    _, views = _row_buffer(ws)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _scale_rows(ws, G, views)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < slab_bytes / 4
+
+
 class _Captured(Exception):
     pass
 
 
-def _captured_dual_sdp(monkeypatch, problem):
-    """The SDP that dual_moment_problem builds, captured before any solve."""
+def _captured_sdp(monkeypatch, problem, form=dual_moment_problem):
+    """The SDP that a projection form (by default dual_moment_problem)
+    builds, captured before any solve."""
     captured = {}
 
     def capture(sdp, config=None):
@@ -283,7 +408,7 @@ def _captured_dual_sdp(monkeypatch, problem):
 
     monkeypatch.setattr(projection_module, "solve", capture)
     with pytest.raises(_Captured):
-        dual_moment_problem(problem)
+        form(problem)
     monkeypatch.undo()
     return captured["sdp"]
 
@@ -306,7 +431,7 @@ def test_equilibrated_psd_constraints_are_exactly_symmetric(
     )
     sdps = [
         build_lambda_form_sdp(problem).sdp,
-        _captured_dual_sdp(monkeypatch, problem),
+        _captured_sdp(monkeypatch, problem),
     ]
     for sdp in sdps:
         ws = _Workspace(sdp)
@@ -422,7 +547,7 @@ def test_dual_constraints_match_dense_assembly(monkeypatch, f, system, d):
     problem = ProjectionProblem(
         parse_polynomial(f, system.dimension), system, WeightSequence.l1(), d
     )
-    sdp = _captured_dual_sdp(monkeypatch, problem)
+    sdp = _captured_sdp(monkeypatch, problem)
 
     trunc = build_truncation(system, d)
     alphas = monomial_basis(system.dimension, 2 * d)
@@ -633,7 +758,7 @@ def test_workspace_matches_dense_reference_on_generator_blocks(
     )
     for sdp in (
         build_lambda_form_sdp(problem).sdp,
-        _captured_dual_sdp(monkeypatch, problem),
+        _captured_sdp(monkeypatch, problem),
     ):
         assert_workspace_matches_old(sdp, 0)
 
