@@ -90,7 +90,10 @@ def run_tests() -> tuple[int, list[dict]]:
         lambda _n: os.environ.get("PYTEST_CURRENT_TEST", "").rsplit(" (", 1)[0]
     )
     with contextlib.redirect_stdout(sys.stderr):
-        code = int(pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")]))
+        code = int(pytest.main([
+            "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors",
+            str(ROOT / "tests"),
+        ]))
     return code, solves
 
 

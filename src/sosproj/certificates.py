@@ -13,7 +13,6 @@ decide the underlying "for every eps" statements.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -200,16 +199,6 @@ class PsatzResult:
         return f"NotFoundUpTo({self.searched_up_to})"
 
 
-def _level_sweep(
-    candidate: Polynomial, system: SemialgebraicSystem, levels: range, config
-) -> Iterator[MembershipResult]:
-    """Membership of candidate at each level of `levels`, lowest first."""
-    # On R^n the top-degree forms of squares cannot cancel (Reznick 1978),
-    # so every level above the first repeats its answer.
-    for level in levels if system.generators else levels[:1]:
-        yield membership(candidate, system, level, config)
-
-
 def psatz_search(
     query: PsatzQuery, config: SolverConfig | None = None
 ) -> PsatzResult:
@@ -229,7 +218,8 @@ def psatz_search(
         pert = perturbation_polynomial(system.dimension, d, query.mode)
         candidate = f + pert.scale(query.epsilon)
         levels = range(max(half_f, d), max(half_f, d, top) + 1)
-        for result in _level_sweep(candidate, system, levels, config):
+        for level in system.distinct_levels(levels):
+            result = membership(candidate, system, level, config)
             solves += 1
             if result.verdict is MembershipVerdict.IN_CONE:
                 return PsatzResult(
@@ -281,7 +271,8 @@ def seq_closure_probe(
     for eps in eps_list:
         candidate = f + pert.scale(eps)
         levels = range((candidate.degree + 1) // 2, t_max + 1)
-        for result in _level_sweep(candidate, system, levels, config):
+        for level in system.distinct_levels(levels):
+            result = membership(candidate, system, level, config)
             if result.verdict is not MembershipVerdict.NOT_IN_CONE:
                 break
         found = result.level if result.verdict is MembershipVerdict.IN_CONE else None

@@ -32,12 +32,13 @@ from .polynomials import (
 )
 from .projection import (
     LAMBDA_ZERO_FLAG,
-    ProjectionCertificate,
+    CertificateDocument,
     ProjectionFailure,
     ProjectionProblem,
     build_lambda_form_sdp,
     default_solver_config,
     format_certificate,
+    format_certificate_document,
     project_lambda_form,
 )
 from .sdp import SolverConfig
@@ -224,11 +225,11 @@ def cmd_certify(args) -> int:
         print(f"separation L_y(f) = {result.separation:.6e}")
         verdict = f"not_in_cone level {args.d} separation {result.separation:.17g}"
     if args.out or args.format == "structured":
-        cert = ProjectionCertificate(
-            norm_kind=WeightSequence.lw().kind,  # the text does not record it
-            d=args.d, t=args.d, p_value=0.0, projection=f, grams=result.grams or {},
+        doc = CertificateDocument(
+            verdict=verdict, grams=result.grams or {}, p_value=0.0,
+            projection_text=str(f), separating_moments=result.separating,
         )
-        _emit(format_certificate(cert, verdict, result.separating), args.out)
+        _emit(format_certificate_document(doc), args.out)
     return EXIT_OK if in_cone else EXIT_NOT_CERTIFIED
 
 

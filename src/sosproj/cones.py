@@ -76,6 +76,14 @@ class SemialgebraicSystem:
             out.extend(combinations(range(1, m + 1), size))
         return out
 
+    def distinct_levels(self, levels: range) -> range:
+        """The levels of `levels` whose cone answers can differ, lowest first.
+
+        On R^n the top-degree forms of squares cannot cancel (Reznick 1978),
+        so every level above the lowest repeats its answer.
+        """
+        return levels if self.generators else levels[:1]
+
     def product(self, label: tuple[int, ...]) -> Polynomial:
         g = Polynomial.constant(self.dimension, 1.0)
         for j in label:

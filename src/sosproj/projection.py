@@ -15,7 +15,7 @@ value equals the projection distance, giving an independent check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,7 +26,9 @@ from .polynomials import (
     Polynomial,
     WeightKind,
     WeightSequence,
+    max_variable_index,
     monomial_basis,
+    parse_polynomial,
 )
 from .sdp import (
     SdpSolution,
@@ -392,7 +394,7 @@ def closure_probe(
     certs: dict[int, ProjectionCertificate] = {}
     rows = []
     for problem in problems:
-        level = problem.t if system.generators else d
+        level = system.distinct_levels(range(d, problem.t + 1))[-1]
         if level not in certs:
             certs[level] = project_lambda_form(
                 ProjectionProblem(f, system, w, d, level), config
@@ -406,12 +408,23 @@ def closure_probe(
 
 # ---------------------------------------------------------------------------
 # Certificate text format: sections LAMBDA, GRAMS, P_VALUE, PROJECTION in
-# that order (an optional VERDICT section comes first when present).
-# Matrices are row-major, 17 significant digits, stable field order.
+# that order, after an optional VERDICT and before an optional
+# SEPARATING_MOMENTS.  Matrices are row-major, 17 significant digits.
 # ---------------------------------------------------------------------------
 
 def _fmt(v: float) -> str:
     return "%.17g" % v
+
+
+def _number(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"certificate number {text!r} is not finite")
+    return value
+
+
+def _zero_flag_line(flag: bool) -> str:
+    return f"effectively_zero_at_{_fmt(LAMBDA_ZERO_FLAG)} {'true' if flag else 'false'}"
 
 
 def _label_str(label: tuple[int, ...]) -> str:
@@ -421,158 +434,142 @@ def _label_str(label: tuple[int, ...]) -> str:
 def _label_parse(text: str) -> tuple[int, ...]:
     if text == "unit":
         return ()
-    return tuple(int(tok) for tok in text.split(","))
+    label = tuple(int(tok) for tok in text.split(","))
+    if label[0] < 1 or any(a >= b for a, b in zip(label, label[1:])):
+        raise ValueError(
+            f"block label {text!r} is neither 'unit' nor increasing generator "
+            "indices >= 1"
+        )
+    return label
 
 
 @dataclass
 class CertificateDocument:
-    """Parsed form of the certificate text; formats back byte-identically."""
+    """The certificate text as a record; formats back byte-identically.
 
-    verdict: str | None
-    lambda0: float | None
-    lambda_ik: dict[tuple[int, int], float]
-    zero_flag_line: str | None
-    residuals: list[tuple[tuple[int, ...], float]]
-    grams: list[tuple[tuple[int, ...], np.ndarray]]
-    p_value: float
-    projection_text: str
+    The writer orders lambdas by (i, k), residuals by degree then exponent,
+    and Gram blocks by label size then label.
+    """
+
+    verdict: str | None = None
+    lambda0: float | None = None
+    lambda_ik: dict[tuple[int, int], float] = field(default_factory=dict)
+    lambda_effectively_zero: bool | None = None
+    residuals: dict[Exponent, float] = field(default_factory=dict)
+    grams: dict[tuple[int, ...], np.ndarray] = field(default_factory=dict)
+    p_value: float = 0.0
+    projection_text: str = "0"
     # A refutation's separating functional, written after PROJECTION.
     separating_moments: MomentSequence | None = None
 
 
+def _one_line(sections: dict[str, list[str]], name: str) -> str:
+    lines = sections.get(name, [])
+    if len(lines) != 1:
+        raise ValueError(f"certificate section {name} needs one line, has {len(lines)}")
+    return lines[0]
+
+
 def parse_certificate(text: str) -> CertificateDocument:
     """Read certificate text; ValueError unless it formats back byte for byte."""
-    lines = text.splitlines()
-    section = None
-    verdict = None
-    lambda0 = None
-    lambda_ik: dict[tuple[int, int], float] = {}
-    zero_flag_line = None
-    residuals: list[tuple[tuple[int, ...], float]] = []
-    grams: list[tuple[tuple[int, ...], np.ndarray]] = []
-    p_value = None
-    projection_text = None
-    moment_lines: list[str] = []
-    idx = 0
-    while idx < len(lines):
-        line = lines[idx]
-        idx += 1
+    sections: dict[str, list[str]] = {}
+    current = None
+    for line in text.splitlines():
         if line in (
             "VERDICT", "LAMBDA", "GRAMS", "P_VALUE", "PROJECTION",
             "SEPARATING_MOMENTS",
         ):
-            section = line
+            current = sections.setdefault(line, [])
+        elif not line.strip():
             continue
-        if not line.strip():
-            continue
-        if section == "VERDICT":
-            verdict = line
-        elif section == "LAMBDA":
-            toks = line.split()
-            if toks[0] == "lambda0" and len(toks) == 2:
-                lambda0 = float(toks[1])
-            elif toks[0] == "lambda" and len(toks) == 4:
-                lambda_ik[(int(toks[1]), int(toks[2]))] = float(toks[3])
-            elif toks[0].startswith("effectively_zero_at_"):
-                zero_flag_line = line
-            elif toks[0] == "residual":
-                residuals.append(
-                    (tuple(int(t) for t in toks[1:-1]), float(toks[-1]))
-                )
-            else:
-                raise ValueError(f"unrecognized LAMBDA line {line!r}")
-        elif section == "GRAMS":
-            toks = line.split()
-            if len(toks) != 4 or toks[0] != "block" or toks[2] != "side":
-                raise ValueError(f"expected 'block <label> side <n>', got {line!r}")
-            label = _label_parse(toks[1])
-            side = int(toks[3])
-            rows = [row.split() for row in lines[idx:idx + side]]
-            if side < 1 or len(rows) < side or any(len(r) != side for r in rows):
-                raise ValueError(f"block {toks[1]} needs {side} rows of {side} entries")
-            mat = np.array([[float(v) for v in row] for row in rows])
-            idx += side
-            grams.append((label, mat))
-        elif section == "P_VALUE":
-            p_value = float(line)
-        elif section == "PROJECTION":
-            projection_text = line
-        elif section == "SEPARATING_MOMENTS":
-            moment_lines.append(line)
-        else:
+        elif current is None:
             raise ValueError(f"content before any section: {line!r}")
-    if p_value is None or projection_text is None:
-        raise ValueError("certificate text missing P_VALUE or PROJECTION")
-    doc = CertificateDocument(
-        verdict,
-        lambda0,
-        lambda_ik,
-        zero_flag_line,
-        residuals,
-        grams,
-        p_value,
-        projection_text,
-        parse_moment_text("\n".join(moment_lines)) if moment_lines else None,
-    )
+        else:
+            current.append(line)
+
+    doc = CertificateDocument()
+    flags = {_zero_flag_line(True): True, _zero_flag_line(False): False}
+    for line in sections.get("LAMBDA", []):
+        toks = line.split()
+        if toks[0] == "lambda0" and len(toks) == 2:
+            doc.lambda0 = _number(toks[1])
+        elif toks[0] == "lambda" and len(toks) == 4:
+            doc.lambda_ik[(int(toks[1]), int(toks[2]))] = _number(toks[3])
+        elif line in flags:
+            doc.lambda_effectively_zero = flags[line]
+        elif toks[0] == "residual" and len(toks) >= 3:
+            alpha = tuple(int(tok) for tok in toks[1:-1])
+            if min(alpha) < 0:
+                raise ValueError(f"negative exponent in {line!r}")
+            doc.residuals[alpha] = _number(toks[-1])
+        else:
+            raise ValueError(f"unrecognized LAMBDA line {line!r}")
+
+    rows = sections.get("GRAMS", [])
+    idx = 0
+    while idx < len(rows):
+        toks = rows[idx].split()
+        if len(toks) != 4 or toks[0] != "block" or toks[2] != "side":
+            raise ValueError(f"expected 'block <label> side <n>', got {rows[idx]!r}")
+        side = int(toks[3])
+        body = [row.split() for row in rows[idx + 1:idx + 1 + side]]
+        if side < 1 or len(body) < side or any(len(r) != side for r in body):
+            raise ValueError(f"block {toks[1]} needs {side} rows of {side} entries")
+        doc.grams[_label_parse(toks[1])] = np.array(
+            [[_number(v) for v in row] for row in body]
+        )
+        idx += 1 + side
+
+    if "VERDICT" in sections:
+        doc.verdict = _one_line(sections, "VERDICT")
+    doc.p_value = _number(_one_line(sections, "P_VALUE"))
+    doc.projection_text = _one_line(sections, "PROJECTION")
+    n = max(1, max_variable_index(doc.projection_text))
+    parse_polynomial(doc.projection_text, n)
+    if "SEPARATING_MOMENTS" in sections:
+        doc.separating_moments = parse_moment_text(
+            "\n".join(sections["SEPARATING_MOMENTS"])
+        )
     if format_certificate_document(doc) != text:
         raise ValueError("certificate text is not as format_certificate writes it")
     return doc
 
 
-def format_certificate(
-    cert: ProjectionCertificate,
-    verdict: str | None = None,
-    separating_moments: MomentSequence | None = None,
-) -> str:
-    zero_flag_line = None
-    if cert.lambda0 is not None:
-        flag = "true" if cert.lambda_effectively_zero else "false"
-        zero_flag_line = f"effectively_zero_at_{_fmt(LAMBDA_ZERO_FLAG)} {flag}"
-    residuals = sorted(
-        (cert.residuals or {}).items(), key=lambda item: (sum(item[0]), item[0])
+def format_certificate(cert: ProjectionCertificate) -> str:
+    return format_certificate_document(
+        CertificateDocument(
+            lambda0=cert.lambda0,
+            lambda_ik=cert.lambda_ik or {},
+            lambda_effectively_zero=cert.lambda_effectively_zero,
+            residuals=cert.residuals or {},
+            grams=cert.grams,
+            p_value=cert.p_value,
+            projection_text=str(cert.projection),
+        )
     )
-    grams = [
-        (label, np.asarray(cert.grams[label]))
-        for label in sorted(cert.grams, key=lambda L: (len(L), L))
-    ]
-    doc = CertificateDocument(
-        verdict,
-        cert.lambda0,
-        cert.lambda_ik or {},
-        zero_flag_line,
-        residuals,
-        grams,
-        cert.p_value,
-        str(cert.projection),
-        separating_moments,
-    )
-    return format_certificate_document(doc)
 
 
 def format_certificate_document(doc: CertificateDocument) -> str:
     lines: list[str] = []
     if doc.verdict is not None:
-        lines.append("VERDICT")
-        lines.append(doc.verdict)
+        lines += ["VERDICT", doc.verdict]
     lines.append("LAMBDA")
     if doc.lambda0 is not None:
         lines.append(f"lambda0 {_fmt(doc.lambda0)}")
         for (i, k), v in sorted(doc.lambda_ik.items()):
             lines.append(f"lambda {i} {k} {_fmt(v)}")
-        if doc.zero_flag_line is not None:
-            lines.append(doc.zero_flag_line)
-    for alpha, v in doc.residuals:
+        if doc.lambda_effectively_zero is not None:
+            lines.append(_zero_flag_line(doc.lambda_effectively_zero))
+    for alpha in sorted(doc.residuals, key=lambda a: (sum(a), a)):
         coords = " ".join(str(x) for x in alpha)
-        lines.append(f"residual {coords} {_fmt(v)}")
+        lines.append(f"residual {coords} {_fmt(doc.residuals[alpha])}")
     lines.append("GRAMS")
-    for label, mat in doc.grams:
+    for label in sorted(doc.grams, key=lambda L: (len(L), L)):
+        mat = doc.grams[label]
         lines.append(f"block {_label_str(label)} side {mat.shape[0]}")
         for row in mat:
             lines.append(" ".join(_fmt(v) for v in row))
-    lines.append("P_VALUE")
-    lines.append(_fmt(doc.p_value))
-    lines.append("PROJECTION")
-    lines.append(doc.projection_text)
+    lines += ["P_VALUE", _fmt(doc.p_value), "PROJECTION", doc.projection_text]
     if doc.separating_moments is not None:
         lines.append("SEPARATING_MOMENTS")
         lines.extend(format_moment_text(doc.separating_moments).splitlines())

@@ -84,13 +84,13 @@ def test_membership_degree_guard():
         membership(MOTZKIN, PLANE, 2)
 
 
-def _forced_solve(status):
+def _forced_solve(status, x_blocks=(), ray=None):
     """A stand-in for solve that ends every run in status."""
 
     def fake_solve(problem, config=None):
         return SdpSolution(
             status=status,
-            x_blocks=[],
+            x_blocks=list(x_blocks),
             y=np.zeros(problem.num_constraints),
             s_blocks=[],
             primal_objective=0.0,
@@ -100,6 +100,7 @@ def _forced_solve(status):
             primal_residual=1.0,
             dual_residual=1.0,
             iterations=1,
+            ray=ray,
             message="forced",
         )
 
@@ -128,6 +129,32 @@ def test_inaccurate_solve_is_inconclusive(monkeypatch):
     assert not result.certified
     assert result.inconclusive == [(1, 3), (2, 3), (3, 3)]
     assert result.solves == 3
+
+
+def test_in_cone_claim_with_indefinite_gram_is_inconclusive(monkeypatch):
+    # diag(1, -1) reconstructs 1 - x1^2 exactly; only its eigenvalue -1
+    # tells that it is no Gram certificate.
+    gram = np.diag([1.0, -1.0])
+    monkeypatch.setattr(
+        certificates_module, "solve", _forced_solve(SdpStatus.OPTIMAL, [gram])
+    )
+    res = membership(parse_polynomial("1 - x1^2", 1), SemialgebraicSystem(1, ()), 1)
+    assert res.verdict is MembershipVerdict.INCONCLUSIVE
+    assert res.reconstruction_error == 0.0
+    assert res.gram_min_eigs[()] == pytest.approx(-1.0)
+
+
+def test_refutation_with_indefinite_localizing_matrix_is_inconclusive(monkeypatch):
+    # The ray gives L = (1, 0, -1) on 1, x1, x1^2: L(x1^2) = -1 < 0, but its
+    # moment matrix diag(1, -1) is not PSD, so L separates nothing.
+    ray = (np.array([-1.0, 0.0, 1.0]), [np.zeros((2, 2))])
+    monkeypatch.setattr(
+        certificates_module, "solve", _forced_solve(SdpStatus.INFEASIBLE, ray=ray)
+    )
+    res = membership(parse_polynomial("x1^2", 1), SemialgebraicSystem(1, ()), 1)
+    assert res.verdict is MembershipVerdict.INCONCLUSIVE
+    assert res.separation == -1.0
+    assert res.separating_min_eigs[()] == pytest.approx(-1.0)
 
 
 def test_perturbation_polynomials():

@@ -393,6 +393,12 @@ def test_moment_text_requires_completeness():
     text = "n 2 degree 2\n0 0 1.0\n"
     with pytest.raises(MomentDataError):
         parse_moment_text(text)
+    with pytest.raises(MomentDataError, match="empty moment file"):
+        parse_moment_text("")
+    with pytest.raises(MomentDataError, match="bad header"):
+        parse_moment_text("n 1\n0 1.0\n")
+    with pytest.raises(MomentDataError, match="expected 2 fields"):
+        parse_moment_text("n 1 degree 1\n0 1.0 2.0\n1 1.0\n")
 
 
 def test_moment_text_rejects_repeated_exponent():

@@ -99,6 +99,14 @@ def test_parse_errors_report_position():
         parse_polynomial("(x1 + 1", 2)
     with pytest.raises(PolynomialSyntaxError):
         parse_polynomial("1/0", 1)
+    for text, message, position in [
+        ("", "empty input", 0),
+        ("x1 x2", "trailing input", 3),
+        ("(x1 x2)", r"expected '\)'", 4),
+    ]:
+        with pytest.raises(PolynomialSyntaxError, match=message) as err:
+            parse_polynomial(text, 2)
+        assert err.value.position == position
 
 
 HUGE_RATIONAL = "1" + "0" * 400 + "/3*x1^2"

@@ -252,7 +252,9 @@ def test_closure_probe_matches_degree_runs_at_t_equal_d():
 
 def test_certificate_text_round_trip():
     cert = project_lambda_form(ProjectionProblem(MOTZKIN, PLANE, L1, 3))
-    text = format_certificate(cert, verdict="in_cone level 3")
+    doc = parse_certificate(format_certificate(cert))
+    doc.verdict = "in_cone level 3"
+    text = format_certificate_document(doc)
     doc = parse_certificate(text)
     assert format_certificate_document(doc) == text
     assert doc.p_value == pytest.approx(cert.p_value)
@@ -299,11 +301,24 @@ def test_parse_certificate_reads_canonical_text():
         "LAMBDA\nlambda 1 1 0.5\nGRAMS\n" + TAIL,
         "LAMBDA\nlambda0 0.5 7\nGRAMS\n" + TAIL,
         "LAMBDA\nresidual 5\nGRAMS\n" + TAIL,
+        "LAMBDA\nGRAMS\nP_VALUE\nnan\nPROJECTION\n1\n",
+        "LAMBDA\nlambda0 inf\nGRAMS\n" + TAIL,
+        "LAMBDA\nGRAMS\nblock unit side 1\nnan\n" + TAIL,
+        "LAMBDA\nGRAMS\nP_VALUE\n0.5\nPROJECTION\nx1 +\n",
+        "LAMBDA\nlambda0 0.5\neffectively_zero_at_5 maybe\nGRAMS\n" + TAIL,
+        "LAMBDA\nresidual 1 0 0.5\nresidual 1 0 0.5\nGRAMS\n" + TAIL,
+        "LAMBDA\nGRAMS\nblock 1 side 1\n1\nblock 1 side 1\n1\n" + TAIL,
+        "LAMBDA\nGRAMS\nblock 0,-1 side 1\n1\n" + TAIL,
+        "LAMBDA\nGRAMS\nblock 1,1 side 1\n1\n" + TAIL,
+        "LAMBDA\nresidual -1 0 0.5\nGRAMS\n" + TAIL,
     ],
     ids=[
         "lambda missing fields", "lambda0 missing value", "two P_VALUE",
         "two PROJECTION", "two VERDICT", "lambda without lambda0",
-        "extra field", "residual without exponent",
+        "extra field", "residual without exponent", "P_VALUE nan",
+        "lambda0 inf", "Gram entry nan", "PROJECTION not a polynomial",
+        "flag misspelled", "repeated residual", "repeated block",
+        "label with index below 1", "label not increasing", "negative exponent",
     ],
 )
 def test_parse_certificate_rejects_text_it_would_not_write(text):

@@ -142,3 +142,11 @@ def test_parse_rejects_malformed():
         parse_sdpa("1\n1\n")
     with pytest.raises(SdpModelError):
         parse_sdpa("1\n1\n2 2\n1.0\n")  # block count mismatch
+    with pytest.raises(SdpModelError, match="rhs line"):
+        parse_sdpa("1\n1\n2\n1.0 2.0\n")
+    with pytest.raises(SdpModelError, match="zero block size"):
+        parse_sdpa("1\n1\n0\n1.0\n")
+    with pytest.raises(SdpModelError, match="bad entry line"):
+        parse_sdpa("1\n1\n2\n1.0\n1 1 1 1\n")
+    with pytest.raises(SdpModelError, match="matrix index 2 out of range"):
+        parse_sdpa("1\n1\n2\n1.0\n2 1 1 1 1.0\n")
