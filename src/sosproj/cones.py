@@ -149,32 +149,34 @@ class GramSdp:
 
     Nonnegative-diagonal blocks come first, at indices 0, 1, ...; then one
     PSD block per truncation block, at the index `block_ids` gives its label.
+    `row_exponents` lists the alpha of each coefficient row, in row order:
+    every alpha with |alpha| <= 2*level, graded-lex.
     """
 
     sdp: SdpProblem
     truncation: ConeTruncation
     block_ids: dict[tuple[int, ...], int]
+    row_exponents: list[Exponent]
 
     def rows(self, f: Polynomial) -> Iterator[tuple[Exponent, BlockEntries, float]]:
-        """(alpha, entries, f_alpha) of each row h_alpha = f_alpha, |alpha| <= 2*level.
+        """(alpha, entries, f_alpha) of each row h_alpha = f_alpha, in row order.
 
-        Rows come in graded-lex order.  `entries` is a fresh dict holding
-        B^J_alpha on each Gram block J; the caller may add other blocks.
+        `entries` is a fresh dict holding B^J_alpha on each Gram block J; the
+        caller may add other blocks.
         """
-        trunc = self.truncation
-        for alpha in monomial_basis(trunc.system.dimension, 2 * trunc.level):
+        for alpha in self.row_exponents:
             entries = {}
-            for block in trunc.blocks:
+            for block in self.truncation.blocks:
                 items = block.basis.entries(alpha)
                 if items:
                     entries[self.block_ids[block.label]] = items
             yield alpha, entries, f.coefficient(alpha)
 
     def functional(self, y: np.ndarray) -> MomentSequence:
-        """L with L(x^alpha_i) = -y_i: the row multipliers y, in the order of `rows`."""
-        n, degree = self.truncation.system.dimension, 2 * self.truncation.level
-        alphas = monomial_basis(n, degree)
-        return MomentSequence(n, degree, {a: -float(v) for a, v in zip(alphas, y)})
+        """L with L(x^alpha_i) = -y_i: the row multipliers y, in row order."""
+        trunc = self.truncation
+        values = {a: -float(v) for a, v in zip(self.row_exponents, y)}
+        return MomentSequence(trunc.system.dimension, 2 * trunc.level, values)
 
     def grams(self, sol: SdpSolution) -> dict[tuple[int, ...], np.ndarray]:
         """The solution's Gram matrix of each truncation block, by label."""
@@ -192,7 +194,8 @@ def gram_sdp(truncation: ConeTruncation, diag_sides: Sequence[int] = ()) -> Gram
     block_ids = {
         block.label: sdp.add_psd_block(block.side) for block in truncation.blocks
     }
-    return GramSdp(sdp, truncation, block_ids)
+    n, degree = truncation.system.dimension, 2 * truncation.level
+    return GramSdp(sdp, truncation, block_ids, monomial_basis(n, degree))
 
 
 def gram_reconstruct(

@@ -244,18 +244,8 @@ class BasisMatrixSet:
 
 
 def moment_matrix(y: MomentSequence, d: int) -> np.ndarray:
-    """Matrix with entry (beta, gamma) = y_{beta+gamma} over the order-d basis."""
-    if 2 * d > y.max_degree:
-        raise DegreeRangeError(
-            f"moment matrix of order {d} needs degree {2 * d}, "
-            f"max_degree is {y.max_degree}"
-        )
-    basis = monomial_basis(y.dimension, d)
-    vals, mat = y.values, np.empty((len(basis), len(basis)))
-    # Assigned, not summed into 0.0, so a -0.0 moment stays -0.0.
-    for i, j, terms in _expansion(basis, [((0,) * y.dimension, 1.0)]):
-        mat[i, j] = mat[j, i] = vals[terms[0][0]]
-    return mat
+    """Matrix with entry (beta, gamma) = y_{beta+gamma}: the localizing matrix of 1."""
+    return localizing_matrix(y, Polynomial.constant(y.dimension, 1.0), d)
 
 
 def localizing_matrix(y: MomentSequence, g: Polynomial, d: int) -> np.ndarray:

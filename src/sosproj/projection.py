@@ -15,6 +15,7 @@ value equals the projection distance, giving an independent check.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,8 +27,9 @@ from .polynomials import (
     Polynomial,
     WeightKind,
     WeightSequence,
+    count_monomials,
+    format_polynomial,
     max_variable_index,
-    monomial_basis,
     parse_polynomial,
 )
 from .sdp import (
@@ -175,9 +177,7 @@ def build_lambda_form_sdp(problem: ProjectionProblem) -> LambdaFormSdp:
     pert = perturbation_basis(n, d, w.kind)
     pert_index = {key: p for p, (key, _a, _s) in enumerate(pert)}
     base = gram_sdp(trunc, (len(pert),))
-    built = LambdaFormSdp(
-        base.sdp, base.truncation, base.block_ids, 0, pert, pert_index
-    )
+    built = LambdaFormSdp(**vars(base), lam_block=0, pert=pert, pert_index=pert_index)
     lam_blk = built.lam_block
     built.sdp.set_objective({lam_blk: [(p, p, 1.0) for p in range(len(pert))]})
 
@@ -241,20 +241,20 @@ def project_general_form(
     f, system, w = problem.f, problem.system, problem.norm
     n, d, t = system.dimension, problem.d, problem.t
     trunc = build_truncation(system, t)
-    low = monomial_basis(n, 2 * d)
-    low_index = {alpha: i for i, alpha in enumerate(low)}
+    # Rows run by degree, so the first N are the monomials of degree <= 2d.
+    N = count_monomials(n, 2 * d)
 
-    gs = gram_sdp(trunc, (len(low),) * 3)
+    gs = gram_sdp(trunc, (N,) * 3)
     sdp = gs.sdp
+    low = gs.row_exponents[:N]
     lam_blk, sp_blk, sm_blk = range(3)
     sdp.set_objective(
         {lam_blk: [(i, i, w.weight(alpha)) for i, alpha in enumerate(low)]}
     )
 
     # Two rows give r_alpha >= |f - h|_alpha up to degree 2d; above it h_alpha = 0.
-    for alpha, h_entries, falpha in gs.rows(f):
-        if alpha in low_index:
-            i = low_index[alpha]
+    for i, (_alpha, h_entries, falpha) in enumerate(gs.rows(f)):
+        if i < N:
             minus = {
                 blk: [(r, c, -v) for r, c, v in items]
                 for blk, items in h_entries.items()
@@ -275,9 +275,7 @@ def project_general_form(
 
     grams = gs.grams(sol)
     projection = gram_reconstruct(trunc, list(grams.values()))
-    residuals = {
-        alpha: float(sol.x_blocks[lam_blk][i]) for alpha, i in low_index.items()
-    }
+    residuals = {alpha: float(r) for alpha, r in zip(low, sol.x_blocks[lam_blk])}
     return ProjectionCertificate(
         norm_kind=w.kind,
         d=d,
@@ -319,12 +317,12 @@ def dual_moment_problem(
     f, system, w = problem.f, problem.system, problem.norm
     n, d = system.dimension, problem.d
     trunc = build_truncation(system, d)
-    alphas = monomial_basis(n, 2 * d)
-    aindex = {alpha: i for i, alpha in enumerate(alphas)}
-    N = len(alphas)
+    N = count_monomials(n, 2 * d)
 
     gs = gram_sdp(trunc, (N, N, N))
     sdp = gs.sdp
+    alphas = gs.row_exponents
+    aindex = {alpha: i for i, alpha in enumerate(alphas)}
     u_blk, v_blk, box_blk = range(3)
 
     # minimize L_y(f) = sum f_alpha (u_alpha - v_alpha); report the negation.
@@ -515,17 +513,24 @@ def parse_certificate(text: str) -> CertificateDocument:
         body = [row.split() for row in rows[idx + 1:idx + 1 + side]]
         if side < 1 or len(body) < side or any(len(r) != side for r in body):
             raise ValueError(f"block {toks[1]} needs {side} rows of {side} entries")
-        doc.grams[_label_parse(toks[1])] = np.array(
-            [[_number(v) for v in row] for row in body]
-        )
+        gram = np.array([[_number(v) for v in row] for row in body])
+        if not np.array_equal(gram, gram.T):
+            raise ValueError(f"block {toks[1]} is not symmetric")
+        doc.grams[_label_parse(toks[1])] = gram
         idx += 1 + side
 
     if "VERDICT" in sections:
-        doc.verdict = _one_line(sections, "VERDICT")
+        # Only the two lines certify writes; a separation prints back as itself.
+        doc.verdict = line = _one_line(sections, "VERDICT")
+        k = r"level (0|[1-9]\d*)"
+        written = re.fullmatch(rf"in_cone {k}|not_in_cone {k} separation (\S+)", line)
+        if not written or (written[3] and _fmt(_number(written[3])) != written[3]):
+            raise ValueError(f"VERDICT {line!r} is not a line certify writes")
     doc.p_value = _number(_one_line(sections, "P_VALUE"))
-    doc.projection_text = _one_line(sections, "PROJECTION")
-    n = max(1, max_variable_index(doc.projection_text))
-    parse_polynomial(doc.projection_text, n)
+    doc.projection_text = projection = _one_line(sections, "PROJECTION")
+    n = max(1, max_variable_index(projection))
+    if format_polynomial(parse_polynomial(projection, n)) != projection:
+        raise ValueError(f"PROJECTION {projection!r} does not print back as itself")
     if "SEPARATING_MOMENTS" in sections:
         doc.separating_moments = parse_moment_text(
             "\n".join(sections["SEPARATING_MOMENTS"])

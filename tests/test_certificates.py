@@ -84,6 +84,19 @@ def test_membership_degree_guard():
         membership(MOTZKIN, PLANE, 2)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: membership(MOTZKIN, SemialgebraicSystem(3), 3),
+        lambda: PsatzQuery(MOTZKIN, SemialgebraicSystem(3), 0.1, 3),
+    ],
+    ids=["membership", "psatz query"],
+)
+def test_f_and_K_of_different_dimensions_are_rejected(call):
+    with pytest.raises(ValueError, match="dimensions differ"):
+        call()
+
+
 def _forced_solve(status, x_blocks=(), ray=None):
     """A stand-in for solve that ends every run in status."""
 

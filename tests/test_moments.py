@@ -85,12 +85,26 @@ def test_dirac_is_the_point_monomials_exactly():
 
 @pytest.mark.parametrize(
     "points, weights",
-    [([[1.0, 2.0], [3.0]], [1.0, 1.0]), ([], [])],
-    ids=["ragged", "empty"],
+    [([[1.0, 2.0], [3.0]], [1.0, 1.0]), ([], []), ([[1.0], [2.0]], [1.0])],
+    ids=["ragged", "empty", "fewer weights than points"],
 )
 def test_from_atoms_rejects_malformed_points(points, weights):
     with pytest.raises(MomentDataError):
         MomentSequence.from_atoms(points, weights, 2)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: MomentSequence(0, 2, {}),
+        lambda: MomentSequence(1, -1, {}),
+        lambda: BasisMatrixSet(Polynomial.constant(1, 1.0), -1),
+    ],
+    ids=["dimension 0", "max_degree -1", "basis order -1"],
+)
+def test_moment_machinery_rejects_sizes_below_range(build):
+    with pytest.raises(ValueError, match="must be >= "):
+        build()
 
 
 def test_riesz_degree_error():

@@ -148,6 +148,16 @@ def test_polynomial_rejects_non_finite_coefficients(bad):
         Polynomial(2, {(0, 0): 1.0, (1, 0): bad})
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda: Polynomial(2, {(1, -1): 1.0}), lambda: Polynomial.variable(2, 1) ** -1],
+    ids=["negative exponent", "negative power"],
+)
+def test_negative_exponents_are_rejected(build):
+    with pytest.raises(PolynomialError, match="negative"):
+        build()
+
+
 def test_arithmetic():
     x1 = Polynomial.variable(2, 1)
     assert (x1 * x1).terms == {(2, 0): 1.0}

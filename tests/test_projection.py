@@ -39,6 +39,12 @@ def test_problem_validation():
         ProjectionProblem(parse_polynomial("x1", 1), PLANE, L1, 1)
 
 
+@pytest.mark.parametrize("d, t", [(0, None), (2, 3)], ids=["d = 0", "deg f above 2d"])
+def test_problem_rejects_a_truncation_degree_it_cannot_use(d, t):
+    with pytest.raises(ValueError, match="must be >= 1|exceeds truncation degree"):
+        ProjectionProblem(MOTZKIN, PLANE, L1, d, t)
+
+
 def test_perturbation_basis_shapes():
     l1_basis = perturbation_basis(2, 3, L1.kind)
     assert [key for key, _a, _s in l1_basis] == [(0, 0), (1, 3), (2, 3)]
@@ -268,7 +274,7 @@ def test_certificate_text_round_trip():
     assert gdoc.residuals
 
 
-TAIL = "P_VALUE\n0.5\nPROJECTION\n1\n"
+TAIL = "P_VALUE\n0.5\nPROJECTION\n1.0\n"
 
 
 @pytest.mark.parametrize(
@@ -287,7 +293,15 @@ def test_parse_certificate_rejects_malformed_grams(text):
 
 def test_parse_certificate_reads_canonical_text():
     doc = parse_certificate("LAMBDA\nGRAMS\n" + TAIL)
-    assert (doc.p_value, doc.projection_text) == (0.5, "1")
+    assert (doc.p_value, doc.projection_text) == (0.5, "1.0")
+
+
+@pytest.mark.parametrize(
+    "verdict", ["in_cone level 2", "not_in_cone level 0 separation -0.25"]
+)
+def test_parse_certificate_reads_the_verdicts_certify_writes(verdict):
+    doc = parse_certificate(f"VERDICT\n{verdict}\nLAMBDA\nGRAMS\n" + TAIL)
+    assert doc.verdict == verdict
 
 
 @pytest.mark.parametrize(
@@ -311,6 +325,16 @@ def test_parse_certificate_reads_canonical_text():
         "LAMBDA\nGRAMS\nblock 0,-1 side 1\n1\n" + TAIL,
         "LAMBDA\nGRAMS\nblock 1,1 side 1\n1\n" + TAIL,
         "LAMBDA\nresidual -1 0 0.5\nGRAMS\n" + TAIL,
+        "VERDICT\nmaybe\nLAMBDA\nGRAMS\n" + TAIL,
+        "VERDICT\nin_cone level 2 separation 0.5\nLAMBDA\nGRAMS\n" + TAIL,
+        "VERDICT\nnot_in_cone level 2 separation inf\nLAMBDA\nGRAMS\n" + TAIL,
+        "VERDICT\nnot_in_cone level 2 separation -0.50\nLAMBDA\nGRAMS\n" + TAIL,
+        "VERDICT\nin_cone level 02\nLAMBDA\nGRAMS\n" + TAIL,
+        "LAMBDA\nGRAMS\nblock unit side 2\n1 5\n0 1\n" + TAIL,
+        "LAMBDA\nGRAMS\nP_VALUE\n0.5\nPROJECTION\n1\n",
+        "LAMBDA\nGRAMS\nP_VALUE\n0.5\nPROJECTION\n1.0000\n",
+        "LAMBDA\nGRAMS\nP_VALUE\n0.5\nPROJECTION\nx1 + x1\n",
+        "stray\nLAMBDA\nGRAMS\n" + TAIL,
     ],
     ids=[
         "lambda missing fields", "lambda0 missing value", "two P_VALUE",
@@ -319,6 +343,10 @@ def test_parse_certificate_reads_canonical_text():
         "lambda0 inf", "Gram entry nan", "PROJECTION not a polynomial",
         "flag misspelled", "repeated residual", "repeated block",
         "label with index below 1", "label not increasing", "negative exponent",
+        "verdict certify never writes", "in_cone with a separation",
+        "separation inf", "separation not canonical", "level not canonical",
+        "Gram not symmetric", "PROJECTION 1", "PROJECTION 1.0000",
+        "PROJECTION terms not merged", "text before any section",
     ],
 )
 def test_parse_certificate_rejects_text_it_would_not_write(text):

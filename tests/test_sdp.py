@@ -258,6 +258,21 @@ def test_model_validation():
         solve(SdpProblem())
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda p: p.add_psd_block(0),
+        lambda p: p.add_constraint({1: [(0, 0, 1.0)]}, 0.0),
+    ],
+    ids=["block side 0", "block index out of range"],
+)
+def test_model_rejects_blocks_it_cannot_hold(build):
+    p = SdpProblem()
+    p.add_psd_block(1)
+    with pytest.raises(SdpModelError, match="block"):
+        build(p)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_model_data_is_a_model_error(bad):
     p = SdpProblem()
@@ -396,6 +411,16 @@ def test_iteration_cap_near_and_far_from_tolerance(monkeypatch, max_iter, status
     sol = sdp_module._solve_once(_boundary_workspace(), NEAR)
     assert sol.status is status
     assert sol.message.startswith(f"no convergence in {max_iter} iterations")
+
+
+def test_iteration_cap_after_convergence_returns_the_best_iterate(monkeypatch):
+    # The sixth iterate meets both tolerances while the gap still drops, so
+    # the cap stops a converged run: optimal, through the best iterate.
+    monkeypatch.setattr(sdp_module, "MAX_ITER", 6)
+    sol = sdp_module._solve_once(_boundary_workspace(), NEAR)
+    assert sol.status is SdpStatus.OPTIMAL
+    assert sol.message == "converged (best iterate; no convergence in 6 iterations)"
+    assert sol.relative_gap <= NEAR.gap_tol
 
 
 @pytest.mark.parametrize("n", [15, 66, 455])
