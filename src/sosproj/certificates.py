@@ -19,10 +19,10 @@ from enum import Enum
 import numpy as np
 
 from .cones import SemialgebraicSystem, build_truncation, gram_reconstruct, gram_sdp
-from .moments import MomentSequence, eig_range, localizing_matrix, psd_accepted, riesz
-from .polynomials import Polynomial, WeightKind
-from .projection import default_solver_config, perturbation_basis
-from .sdp import SdpStatus, SolverConfig, solve
+from .moments import MomentSequence, localizing_matrix, riesz
+from .polynomials import Polynomial, WeightKind, half_degree
+from .projection import perturbation_basis
+from .sdp import SdpStatus, SolverConfig, eig_range, psd_accepted, solve
 
 
 class MembershipVerdict(Enum):
@@ -63,7 +63,6 @@ def membership(
         raise ValueError("polynomial and system dimensions differ")
     if f.degree > 2 * k:
         raise ValueError(f"deg f = {f.degree} exceeds cone degree {2 * k}")
-    cfg = config or default_solver_config()
     trunc = build_truncation(system, k)
 
     gs = gram_sdp(trunc)
@@ -76,7 +75,7 @@ def membership(
     for _alpha, entries, rhs in gs.rows(f):
         gs.sdp.add_constraint(entries, rhs)
 
-    sol = solve(gs.sdp, cfg)
+    sol = solve(gs.sdp, config)
 
     if sol.status is SdpStatus.OPTIMAL:
         grams = gs.grams(sol)
@@ -86,7 +85,7 @@ def membership(
         min_eigs = {}
         eig_ok = True
         for label, gram in grams.items():
-            lmin, lmax = eig_range(np.atleast_2d(gram))
+            lmin, lmax = eig_range(gram)
             min_eigs[label] = lmin
             if not psd_accepted(lmin, lmax):
                 eig_ok = False
@@ -210,7 +209,7 @@ def psatz_search(
     refutations.
     """
     f, system = query.f, query.system
-    half_f = (f.degree + 1) // 2
+    half_f = half_degree(f)
     top = query.d_max if query.mode is PerturbationKind.TOP_EVEN_POWER else 0
     inconclusive: list[tuple[int, int]] = []
     solves = 0
@@ -263,14 +262,14 @@ def seq_closure_probe(
         raise ValueError("eps values must be finite and positive")
     if list(eps_list) != sorted(eps_list, reverse=True):
         raise ValueError("eps values must be decreasing")
-    if t_max < max((f.degree + 1) // 2, d):
+    if t_max < max(half_degree(f), d):
         raise ValueError(f"t_max = {t_max} is below ceil(max(deg f, 2d) / 2)")
     n = system.dimension
     pert = perturbation_polynomial(n, d, PerturbationKind.TOP_EVEN_POWER)
     rows: list[tuple[float, int | None]] = []
     for eps in eps_list:
         candidate = f + pert.scale(eps)
-        levels = range((candidate.degree + 1) // 2, t_max + 1)
+        levels = range(half_degree(candidate), t_max + 1)
         for level in system.distinct_levels(levels):
             result = membership(candidate, system, level, config)
             if result.verdict is not MembershipVerdict.NOT_IN_CONE:

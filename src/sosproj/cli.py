@@ -36,10 +36,10 @@ from .projection import (
     ProjectionFailure,
     ProjectionProblem,
     build_lambda_form_sdp,
-    default_solver_config,
     format_certificate,
     format_certificate_document,
     project_lambda_form,
+    verdict_line,
 )
 from .sdp import SolverConfig
 from .sdpa_io import export_sdpa
@@ -90,8 +90,8 @@ OPTIONS = {
     "dmax": Option(4, int),
     "format": Option("text", choices=("text", "structured")),
     "out": Option(None, unset=("",)),
-    "feas_tol": Option(default_solver_config().feas_tol, _positive(float)),
-    "gap_tol": Option(default_solver_config().gap_tol, _positive(float)),
+    "feas_tol": Option(SolverConfig.feas_tol, _positive(float)),
+    "gap_tol": Option(SolverConfig.gap_tol, _positive(float)),
 }
 
 
@@ -220,13 +220,12 @@ def cmd_certify(args) -> int:
     in_cone = result.verdict is MembershipVerdict.IN_CONE
     if in_cone:
         print(f"reconstruction_error {result.reconstruction_error:.3e}")
-        verdict = f"in_cone level {args.d}"
     else:
         print(f"separation L_y(f) = {result.separation:.6e}")
-        verdict = f"not_in_cone level {args.d} separation {result.separation:.17g}"
     if args.out or args.format == "structured":
         doc = CertificateDocument(
-            verdict=verdict, grams=result.grams or {}, p_value=0.0,
+            verdict=verdict_line(args.d, None if in_cone else result.separation),
+            grams=result.grams or {}, p_value=0.0,
             projection_text=str(f), separating_moments=result.separating,
         )
         _emit(format_certificate_document(doc), args.out)

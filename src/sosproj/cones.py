@@ -19,7 +19,9 @@ from typing import Sequence
 import numpy as np
 
 from .moments import BasisMatrixSet, MomentSequence
-from .polynomials import Exponent, Polynomial, monomial_basis, parse_polynomial
+from .polynomials import (
+    Exponent, Polynomial, half_degree, monomial_basis, parse_polynomial,
+)
 from .sdp import BlockEntries, SdpProblem, SdpSolution
 
 # Subset products blow up as 2^m; refuse preorderings past this many generators.
@@ -117,11 +119,6 @@ class ConeTruncation:
             if b.label == tuple(label):
                 return b
         raise KeyError(f"no block with label {label}")
-
-
-def half_degree(g: Polynomial) -> int:
-    """v = ceil(deg(g) / 2)."""
-    return (g.degree + 1) // 2
 
 
 def build_truncation(system: SemialgebraicSystem, k: int) -> ConeTruncation:

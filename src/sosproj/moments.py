@@ -22,12 +22,12 @@ from .polynomials import (
     Exponent,
     Polynomial,
     WeightSequence,
+    grevlex_key,
+    half_degree,
     monomial_basis,
     total_degree,
 )
-
-# A symmetric matrix is accepted as PSD iff lmin >= -PSD_TOL * max(1, |lmax|).
-PSD_TOL = 1e-8
+from .sdp import eig_range, psd_accepted
 
 
 class MomentDataError(ValueError):
@@ -152,19 +152,6 @@ def riesz(y: MomentSequence, f: Polynomial) -> float:
     return sum(c * y.value(alpha) for alpha, c in f.terms.items())
 
 
-def eig_range(mat: np.ndarray) -> tuple[float, float]:
-    """(smallest, largest) eigenvalue of a symmetric matrix."""
-    if mat.shape[0] == 0:
-        return (0.0, 0.0)
-    vals = np.linalg.eigvalsh((mat + mat.T) / 2.0)
-    return (float(vals[0]), float(vals[-1]))
-
-
-def psd_accepted(lmin: float, lmax: float) -> bool:
-    """The PSD acceptance rule, given a matrix's eig_range."""
-    return lmin >= -PSD_TOL * max(1.0, abs(lmax))
-
-
 def _localizer_check(
     y: MomentSequence, g: Polynomial, order: int
 ) -> tuple[float, float, bool]:
@@ -210,7 +197,6 @@ class BasisMatrixSet:
         self.order = order
         self.basis = monomial_basis(generator.dimension, order)
         self.side = len(self.basis)
-        self.max_exponent_degree = 2 * order + generator.degree
         # Distinct generator terms send one (beta, gamma) pair to distinct
         # alphas, so every position of B_alpha is written once, in row-major
         # order, with a nonzero generator coefficient.
@@ -224,12 +210,8 @@ class BasisMatrixSet:
         """(i, j, [(alpha, B_alpha[i, j]), ...]) per position i <= j, row-major."""
         return _expansion(self.basis, self.generator.terms.items())
 
-    def exponents(self) -> list[Exponent]:
-        """All alpha up to degree 2*order + deg(g), including zero matrices."""
-        return monomial_basis(self.generator.dimension, self.max_exponent_degree)
-
     def nonzero_exponents(self) -> list[Exponent]:
-        return sorted(self._entries, key=lambda a: (sum(a), a))
+        return sorted(self._entries, key=grevlex_key)
 
     def matrix(self, alpha: Exponent) -> np.ndarray:
         mat = np.zeros((self.side, self.side))
@@ -354,7 +336,7 @@ def kmoment_condition_check(
     unit = Polynomial.constant(y.dimension, 1.0)
     checks: list[GeneratorCheck] = []
     for j, g in enumerate((unit, *system.generators)):
-        order = d - (g.degree + 1) // 2
+        order = d - half_degree(g)
         if order < 0:
             checks.append(GeneratorCheck(j, order, 0.0, 0.0, True, skipped=True))
             continue

@@ -214,6 +214,11 @@ class Polynomial:
         return f"Polynomial({self.dimension}, {format_polynomial(self)!r})"
 
 
+def half_degree(p: Polynomial) -> int:
+    """ceil(deg(p) / 2)."""
+    return (p.degree + 1) // 2
+
+
 class WeightKind(Enum):
     L1 = "l1"
     LW = "lw"

@@ -29,6 +29,7 @@ from .polynomials import (
     WeightSequence,
     count_monomials,
     format_polynomial,
+    grevlex_key,
     max_variable_index,
     parse_polynomial,
 )
@@ -39,11 +40,9 @@ from .sdp import (
     solve,
 )
 
-# Defaults for projection solves: feasibility repair keeps the equality
-# residual near roundoff, and the gap polishes well past gap_tol whenever
-# the instance allows it.
 def default_solver_config() -> SolverConfig:
-    return SolverConfig(feas_tol=1e-8, gap_tol=1e-6)
+    """SolverConfig(), the config every solve defaults to."""
+    return SolverConfig()
 
 
 # Computed lambda entries at or below this are flagged as effectively zero;
@@ -193,13 +192,12 @@ def project_lambda_form(
     problem: ProjectionProblem, config: SolverConfig | None = None
 ) -> ProjectionCertificate:
     """Minimal perturbation mass lambda lifting f into the truncated cone."""
-    cfg = config or default_solver_config()
     f, w = problem.f, problem.norm
     n, d, t = problem.system.dimension, problem.d, problem.t
     built = build_lambda_form_sdp(problem)
     lam_blk, pert, pert_index = built.lam_block, built.pert, built.pert_index
 
-    sol = solve(built.sdp, cfg)
+    sol = solve(built.sdp, config)
     _require_optimal(sol, "lambda-form projection")
 
     lam_values = sol.x_blocks[lam_blk]
@@ -237,7 +235,6 @@ def project_general_form(
     problem: ProjectionProblem, config: SolverConfig | None = None
 ) -> ProjectionCertificate:
     """Per-monomial slack formulation: minimize sum of w_alpha |f - h|_alpha."""
-    cfg = config or default_solver_config()
     f, system, w = problem.f, problem.system, problem.norm
     n, d, t = system.dimension, problem.d, problem.t
     trunc = build_truncation(system, t)
@@ -268,7 +265,7 @@ def project_general_form(
         else:
             sdp.add_constraint(h_entries, falpha)
 
-    sol = solve(sdp, cfg)
+    sol = solve(sdp, config)
     _require_optimal(sol, "general-form projection")
 
     from .cones import gram_reconstruct
@@ -308,7 +305,6 @@ def dual_moment_problem(
     L_y(x_i^{2k}) <= (2k)! are implied by the box and therefore not
     duplicated as rows.
     """
-    cfg = config or default_solver_config()
     if problem.t != problem.d:
         raise ValueError(
             "dual moment form is defined for t = d; use closure_probe for "
@@ -346,7 +342,7 @@ def dual_moment_problem(
         box = [(i, i, 1.0)]
         sdp.add_constraint({u_blk: box, v_blk: box, box_blk: box}, w.weight(alpha))
 
-    sol = solve(sdp, cfg)
+    sol = solve(sdp, config)
     _require_optimal(sol, "dual moment problem")
     y = sol.x_blocks[u_blk] - sol.x_blocks[v_blk]
     moments = MomentSequence(n, 2 * d, dict(zip(alphas, y)))
@@ -419,6 +415,14 @@ def _number(text: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"certificate number {text!r} is not finite")
     return value
+
+
+def verdict_line(level: int, separation: float | None = None) -> str:
+    """The VERDICT line of a certify run: in_cone at `level`, or not_in_cone
+    with the separating functional's L_y(f)."""
+    if separation is None:
+        return f"in_cone level {level}"
+    return f"not_in_cone level {level} separation {_fmt(separation)}"
 
 
 def _zero_flag_line(flag: bool) -> str:
@@ -520,11 +524,11 @@ def parse_certificate(text: str) -> CertificateDocument:
         idx += 1 + side
 
     if "VERDICT" in sections:
-        # Only the two lines certify writes; a separation prints back as itself.
         doc.verdict = line = _one_line(sections, "VERDICT")
-        k = r"level (0|[1-9]\d*)"
-        written = re.fullmatch(rf"in_cone {k}|not_in_cone {k} separation (\S+)", line)
-        if not written or (written[3] and _fmt(_number(written[3])) != written[3]):
+        read = re.fullmatch(r"(?:not_)?in_cone level (\d+)(?: separation (\S+))?", line)
+        if not read or line != verdict_line(
+            int(read[1]), None if read[2] is None else _number(read[2])
+        ):
             raise ValueError(f"VERDICT {line!r} is not a line certify writes")
     doc.p_value = _number(_one_line(sections, "P_VALUE"))
     doc.projection_text = projection = _one_line(sections, "PROJECTION")
@@ -565,7 +569,7 @@ def format_certificate_document(doc: CertificateDocument) -> str:
             lines.append(f"lambda {i} {k} {_fmt(v)}")
         if doc.lambda_effectively_zero is not None:
             lines.append(_zero_flag_line(doc.lambda_effectively_zero))
-    for alpha in sorted(doc.residuals, key=lambda a: (sum(a), a)):
+    for alpha in sorted(doc.residuals, key=grevlex_key):
         coords = " ".join(str(x) for x in alpha)
         lines.append(f"residual {coords} {_fmt(doc.residuals[alpha])}")
     lines.append("GRAMS")

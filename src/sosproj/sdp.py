@@ -38,6 +38,8 @@ SIGMA_MAX = 0.99999
 REG_INIT = 1e-12
 # Relative residual below which a ray certifies infeasibility.
 RAY_TOL = 1e-7
+# A symmetric matrix is accepted as PSD iff lmin >= -PSD_TOL * max(1, |lmax|).
+PSD_TOL = 1e-8
 # Iterations without a 10% merit improvement before a run counts as stalled.
 STALL_PATIENCE = 25
 # Iteration cap of one interior-point run.
@@ -182,7 +184,9 @@ class SdpProblem:
 
 @dataclass
 class SolverConfig:
-    feas_tol: float = 1e-7
+    # The feasibility repair keeps the equality residual near roundoff, and
+    # the gap polishes well past gap_tol whenever the instance allows it.
+    feas_tol: float = 1e-8
     gap_tol: float = 1e-6
 
     def __post_init__(self):
@@ -234,10 +238,20 @@ def _sym(a: np.ndarray) -> np.ndarray:
     return (a + a.T) / 2.0
 
 
-def _sym_eig_min(mat: np.ndarray) -> float:
+def eig_range(mat: np.ndarray) -> tuple[float, float]:
+    """(smallest, largest) eigenvalue of a symmetric matrix; for a diagonal
+    block's vector, its smallest and largest entry."""
+    if mat.shape[0] == 0:
+        return (0.0, 0.0)
     if mat.ndim == 1:
-        return float(mat.min())
-    return float(np.linalg.eigvalsh(_sym(mat))[0])
+        return (float(mat.min()), float(mat.max()))
+    vals = np.linalg.eigvalsh(_sym(mat))
+    return (float(vals[0]), float(vals[-1]))
+
+
+def psd_accepted(lmin: float, lmax: float) -> bool:
+    """The PSD acceptance rule, given a matrix's eig_range."""
+    return lmin >= -PSD_TOL * max(1.0, abs(lmax))
 
 
 def _inner(X: list[np.ndarray], S: list[np.ndarray]) -> float:
@@ -684,7 +698,7 @@ def _max_step_psd(chol_lower: np.ndarray, delta: np.ndarray) -> float:
     scaled = _solve_lower(chol_lower, tmp.T)
     if not np.isfinite(scaled).all():
         return math.nan
-    lmin = _sym_eig_min(scaled)
+    lmin = eig_range(scaled)[0]
     if lmin >= -1e-14:
         return np.inf
     return -1.0 / lmin
@@ -746,7 +760,7 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
         """v + (1 + max(0, -lambda_min(v))) e per block, e the unit of its
         cone (the identity, or all ones), guaranteeing PD."""
         return [
-            v + (1.0 + max(0.0, -_sym_eig_min(v))) * unit
+            v + (1.0 + max(0.0, -eig_range(v)[0])) * unit
             for v, unit in zip(blocks, units)
         ]
 
@@ -807,10 +821,8 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
         )
         if res > RAY_TOL * (1.0 + float(np.linalg.norm(ry_))):
             return None
-        for s_blk in rS:
-            lmin = _sym_eig_min(s_blk)
-            if lmin < -1e-8 * max(1.0, float(np.max(np.abs(s_blk)))):
-                return None
+        if not all(psd_accepted(*eig_range(s_blk)) for s_blk in rS):
+            return None
         # Renormalize so the user-space ray has b . y = 1 exactly.
         yu, Su = ws.unscale_dual(ry_, rS)
         return yu / ws.obj_scale, [sb / ws.obj_scale for sb in Su]
@@ -1097,8 +1109,8 @@ def check_certificate(problem: SdpProblem, sol: SdpSolution) -> CertificateRepor
     dobj = float(b @ y)
     return CertificateReport(
         constraint_residual=float(np.max(np.abs(resid))) if len(b) else 0.0,
-        primal_min_eigs=tuple(_sym_eig_min(x) for x in sol.x_blocks),
-        dual_min_eigs=tuple(_sym_eig_min(s) for s in S_implied),
+        primal_min_eigs=tuple(eig_range(x)[0] for x in sol.x_blocks),
+        dual_min_eigs=tuple(eig_range(s)[0] for s in S_implied),
         primal_objective=pobj,
         dual_objective=dobj,
         duality_gap=pobj - dobj,

@@ -9,7 +9,11 @@ from sosproj import projection as projection_module
 from sosproj.certificates import MembershipResult, MembershipVerdict
 from sosproj.cli import main
 from sosproj.moments import MomentSequence, format_moment_text
-from sosproj.projection import format_certificate_document, parse_certificate
+from sosproj.projection import (
+    ProjectionFailure,
+    format_certificate_document,
+    parse_certificate,
+)
 from sosproj.sdp import SdpSolution, SdpStatus
 
 MOTZKIN = "x1^2*x2^2*(x1^2+x2^2-1)+1/27"
@@ -289,6 +293,16 @@ def test_repro_motzkin(capsys):
     lines = [ln for ln in out.splitlines() if ln and ln[0] in "345"]
     assert len(lines) == 3
     assert all("PASS" in ln for ln in lines)
+
+
+def test_repro_motzkin_solver_failure_exits_numerical(monkeypatch, capsys):
+    def failing(problem, config=None):
+        raise ProjectionFailure("forced")
+
+    monkeypatch.setattr(cli_module, "project_lambda_form", failing)
+    code, _out, err = run(capsys, "repro-motzkin")
+    assert code == 2
+    assert err == "3   solver failure: forced\n"
 
 
 def test_config_file_defaults_and_flag_override(tmp_path, capsys):

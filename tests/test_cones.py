@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sosproj.cones import (
+    PREORDER_CAP,
     ConeKind,
     ConeModelError,
     SemialgebraicSystem,
@@ -109,10 +110,14 @@ def test_gram_reconstruct_dimension_check():
         lambda: SemialgebraicSystem(2, (parse_polynomial("x1", 1),)),
         lambda: build_truncation(ball_system(), -1),
         lambda: gram_reconstruct(build_truncation(ball_system(), 2), [np.eye(6)]),
+        lambda: SemialgebraicSystem(
+            1, (parse_polynomial("1 - x1^2", 1),) * (PREORDER_CAP + 1),
+            ConeKind.PREORDERING,
+        ),
     ],
     ids=[
         "dimension 0", "generator of another dimension", "level -1",
-        "one Gram for two blocks",
+        "one Gram for two blocks", "preordering above the cap",
     ],
 )
 def test_cone_model_rejects_bad_input(build):

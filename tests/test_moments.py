@@ -113,6 +113,20 @@ def test_riesz_degree_error():
         riesz(y, parse_polynomial("x1^4", 1))
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda y: y.value((3,)),
+        lambda y: localizing_matrix(y, parse_polynomial("1 - x1^2", 1), 1),
+        lambda y: support_nonnegativity_test(y, parse_polynomial("1 - x1^2", 1), 1),
+    ],
+    ids=["moment value", "localizing matrix", "support test"],
+)
+def test_moment_machinery_rejects_degrees_above_max_degree(build):
+    with pytest.raises(DegreeRangeError, match="max_degree is 2"):
+        build(MomentSequence.dirac([1.0], 2))
+
+
 def test_riesz_dimension_error():
     y = MomentSequence.dirac([0.5, 0.25], 4)
     with pytest.raises(MomentDataError, match="1 variables, moments in 2"):

@@ -103,6 +103,7 @@ def test_parse_errors_report_position():
         ("", "empty input", 0),
         ("x1 x2", "trailing input", 3),
         ("(x1 x2)", r"expected '\)'", 4),
+        ("x1^x2", "exponent must be a nonnegative integer", 3),
     ]:
         with pytest.raises(PolynomialSyntaxError, match=message) as err:
             parse_polynomial(text, 2)
@@ -146,6 +147,26 @@ def test_too_long_rational_literal_is_a_syntax_error_at_its_position(text, posit
 def test_polynomial_rejects_non_finite_coefficients(bad):
     with pytest.raises(PolynomialError, match=r"coefficient of \(1, 0\)"):
         Polynomial(2, {(0, 0): 1.0, (1, 0): bad})
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: Polynomial(0, {}), PolynomialError, "dimension must be >= 1"),
+        (lambda: Polynomial(2, {(1,): 1.0}), DimensionMismatchError, "length 1"),
+        (lambda: Polynomial.variable(2, 3), PolynomialError, "index 3 out of range"),
+        (lambda: monomial_basis(0, 2), PolynomialError, "dimension must be >= 1"),
+        (lambda: monomial_basis(2, -1), PolynomialError, "degree must be >= 0"),
+        (lambda: parse_polynomial("x1", 0), PolynomialError, "dimension must be >= 1"),
+    ],
+    ids=[
+        "dimension 0", "exponent of another length", "variable out of range",
+        "basis dimension 0", "basis degree -1", "parse dimension 0",
+    ],
+)
+def test_sizes_out_of_range_are_rejected(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
 
 
 @pytest.mark.parametrize(

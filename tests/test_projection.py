@@ -4,6 +4,7 @@ import pytest
 from sosproj import projection as projection_module
 from sosproj.cones import SemialgebraicSystem, build_truncation, gram_reconstruct
 from sosproj.moments import riesz
+from sosproj.sdp import SdpSolution, SdpStatus
 from sosproj.polynomials import (
     Polynomial,
     WeightSequence,
@@ -12,6 +13,7 @@ from sosproj.polynomials import (
 )
 from sosproj.projection import (
     ClosureRow,
+    ProjectionFailure,
     ProjectionProblem,
     closure_probe,
     dual_moment_problem,
@@ -43,6 +45,32 @@ def test_problem_validation():
 def test_problem_rejects_a_truncation_degree_it_cannot_use(d, t):
     with pytest.raises(ValueError, match="must be >= 1|exceeds truncation degree"):
         ProjectionProblem(MOTZKIN, PLANE, L1, d, t)
+
+
+def test_reported_infeasibility_is_a_numerical_failure(monkeypatch):
+    # The lifted feasible set is never empty, so an infeasible exit can only
+    # be numerical; the failure carries the solver's solution.
+    def fake_solve(problem, config=None):
+        return SdpSolution(
+            status=SdpStatus.INFEASIBLE,
+            x_blocks=[],
+            y=np.zeros(problem.num_constraints),
+            s_blocks=[],
+            primal_objective=0.0,
+            dual_objective=0.0,
+            gap=1.0,
+            relative_gap=1.0,
+            primal_residual=1.0,
+            dual_residual=1.0,
+            iterations=3,
+            message="forced",
+        )
+
+    monkeypatch.setattr(projection_module, "solve", fake_solve)
+    with pytest.raises(ProjectionFailure, match="lifted formulation excludes") as info:
+        project_lambda_form(ProjectionProblem(MOTZKIN, PLANE, L1, 3))
+    assert info.value.solution.status is SdpStatus.INFEASIBLE
+    assert info.value.solution.message == "forced"
 
 
 def test_perturbation_basis_shapes():
@@ -305,36 +333,51 @@ def test_parse_certificate_reads_the_verdicts_certify_writes(verdict):
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, message",
     [
-        "LAMBDA\nlambda 1\nGRAMS\n" + TAIL,
-        "LAMBDA\nlambda0\nGRAMS\n" + TAIL,
-        "LAMBDA\nGRAMS\nP_VALUE\n0.5\nP_VALUE\n0.25\nPROJECTION\n1\n",
-        "LAMBDA\nGRAMS\n" + TAIL + "PROJECTION\n2\n",
-        "VERDICT\nin_cone\nVERDICT\nnot_in_cone\nLAMBDA\nGRAMS\n" + TAIL,
-        "LAMBDA\nlambda 1 1 0.5\nGRAMS\n" + TAIL,
-        "LAMBDA\nlambda0 0.5 7\nGRAMS\n" + TAIL,
-        "LAMBDA\nresidual 5\nGRAMS\n" + TAIL,
-        "LAMBDA\nGRAMS\nP_VALUE\nnan\nPROJECTION\n1\n",
-        "LAMBDA\nlambda0 inf\nGRAMS\n" + TAIL,
-        "LAMBDA\nGRAMS\nblock unit side 1\nnan\n" + TAIL,
-        "LAMBDA\nGRAMS\nP_VALUE\n0.5\nPROJECTION\nx1 +\n",
-        "LAMBDA\nlambda0 0.5\neffectively_zero_at_5 maybe\nGRAMS\n" + TAIL,
-        "LAMBDA\nresidual 1 0 0.5\nresidual 1 0 0.5\nGRAMS\n" + TAIL,
-        "LAMBDA\nGRAMS\nblock 1 side 1\n1\nblock 1 side 1\n1\n" + TAIL,
-        "LAMBDA\nGRAMS\nblock 0,-1 side 1\n1\n" + TAIL,
-        "LAMBDA\nGRAMS\nblock 1,1 side 1\n1\n" + TAIL,
-        "LAMBDA\nresidual -1 0 0.5\nGRAMS\n" + TAIL,
-        "VERDICT\nmaybe\nLAMBDA\nGRAMS\n" + TAIL,
-        "VERDICT\nin_cone level 2 separation 0.5\nLAMBDA\nGRAMS\n" + TAIL,
-        "VERDICT\nnot_in_cone level 2 separation inf\nLAMBDA\nGRAMS\n" + TAIL,
-        "VERDICT\nnot_in_cone level 2 separation -0.50\nLAMBDA\nGRAMS\n" + TAIL,
-        "VERDICT\nin_cone level 02\nLAMBDA\nGRAMS\n" + TAIL,
-        "LAMBDA\nGRAMS\nblock unit side 2\n1 5\n0 1\n" + TAIL,
-        "LAMBDA\nGRAMS\nP_VALUE\n0.5\nPROJECTION\n1\n",
-        "LAMBDA\nGRAMS\nP_VALUE\n0.5\nPROJECTION\n1.0000\n",
-        "LAMBDA\nGRAMS\nP_VALUE\n0.5\nPROJECTION\nx1 + x1\n",
-        "stray\nLAMBDA\nGRAMS\n" + TAIL,
+        ("LAMBDA\nlambda 1\nGRAMS\n" + TAIL, "unrecognized LAMBDA line"),
+        ("LAMBDA\nlambda0\nGRAMS\n" + TAIL, "unrecognized LAMBDA line"),
+        ("LAMBDA\nGRAMS\nP_VALUE\n0.5\nP_VALUE\n0.25\nPROJECTION\n1.0\n",
+         "P_VALUE needs one line"),
+        ("LAMBDA\nGRAMS\n" + TAIL + "PROJECTION\n2\n", "PROJECTION needs one line"),
+        ("VERDICT\nin_cone\nVERDICT\nnot_in_cone\nLAMBDA\nGRAMS\n" + TAIL,
+         "VERDICT needs one line"),
+        ("LAMBDA\nlambda 1 1 0.5\nGRAMS\n" + TAIL,
+         "not as format_certificate writes it"),
+        ("LAMBDA\nlambda0 0.5 7\nGRAMS\n" + TAIL, "unrecognized LAMBDA line"),
+        ("LAMBDA\nresidual 5\nGRAMS\n" + TAIL, "unrecognized LAMBDA line"),
+        ("LAMBDA\nGRAMS\nP_VALUE\nnan\nPROJECTION\n1.0\n", "'nan' is not finite"),
+        ("LAMBDA\nlambda0 inf\nGRAMS\n" + TAIL, "'inf' is not finite"),
+        ("LAMBDA\nGRAMS\nblock unit side 1\nnan\n" + TAIL, "'nan' is not finite"),
+        ("LAMBDA\nGRAMS\nP_VALUE\n0.5\nPROJECTION\nx1 +\n", "unexpected end of input"),
+        ("LAMBDA\nlambda0 0.5\neffectively_zero_at_5 maybe\nGRAMS\n" + TAIL,
+         "unrecognized LAMBDA line"),
+        ("LAMBDA\nresidual 1 0 0.5\nresidual 1 0 0.5\nGRAMS\n" + TAIL,
+         "not as format_certificate writes it"),
+        ("LAMBDA\nGRAMS\nblock 1 side 1\n1\nblock 1 side 1\n1\n" + TAIL,
+         "not as format_certificate writes it"),
+        ("LAMBDA\nGRAMS\nblock 0,-1 side 1\n1\n" + TAIL,
+         "neither .unit. nor increasing"),
+        ("LAMBDA\nGRAMS\nblock 1,1 side 1\n1\n" + TAIL,
+         "neither .unit. nor increasing"),
+        ("LAMBDA\nresidual -1 0 0.5\nGRAMS\n" + TAIL, "negative exponent"),
+        ("VERDICT\nmaybe\nLAMBDA\nGRAMS\n" + TAIL, "not a line certify writes"),
+        ("VERDICT\nin_cone level 2 separation 0.5\nLAMBDA\nGRAMS\n" + TAIL,
+         "not a line certify writes"),
+        ("VERDICT\nnot_in_cone level 2 separation inf\nLAMBDA\nGRAMS\n" + TAIL,
+         "'inf' is not finite"),
+        ("VERDICT\nnot_in_cone level 2 separation -0.50\nLAMBDA\nGRAMS\n" + TAIL,
+         "not a line certify writes"),
+        ("VERDICT\nin_cone level 02\nLAMBDA\nGRAMS\n" + TAIL,
+         "not a line certify writes"),
+        ("LAMBDA\nGRAMS\nblock unit side 2\n1 5\n0 1\n" + TAIL, "is not symmetric"),
+        ("LAMBDA\nGRAMS\nP_VALUE\n0.5\nPROJECTION\n1\n",
+         "does not print back as itself"),
+        ("LAMBDA\nGRAMS\nP_VALUE\n0.5\nPROJECTION\n1.0000\n",
+         "does not print back as itself"),
+        ("LAMBDA\nGRAMS\nP_VALUE\n0.5\nPROJECTION\nx1 + x1\n",
+         "does not print back as itself"),
+        ("stray\nLAMBDA\nGRAMS\n" + TAIL, "content before any section"),
     ],
     ids=[
         "lambda missing fields", "lambda0 missing value", "two P_VALUE",
@@ -349,8 +392,9 @@ def test_parse_certificate_reads_the_verdicts_certify_writes(verdict):
         "PROJECTION terms not merged", "text before any section",
     ],
 )
-def test_parse_certificate_rejects_text_it_would_not_write(text):
-    with pytest.raises(ValueError):
+def test_parse_certificate_rejects_text_it_would_not_write(text, message):
+    """Each input breaks one rule, and is rejected for that rule."""
+    with pytest.raises(ValueError, match=message):
         parse_certificate(text)
 
 

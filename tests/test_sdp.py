@@ -22,6 +22,7 @@ from sosproj.projection import (
 )
 from sosproj import sdp as sdp_module
 from sosproj.sdp import (
+    PSD_TOL,
     BlockKind,
     SdpModelError,
     SdpProblem,
@@ -29,6 +30,8 @@ from sosproj.sdp import (
     SdpStatus,
     SolverConfig,
     check_certificate,
+    eig_range,
+    psd_accepted,
     solve,
 )
 
@@ -177,15 +180,39 @@ def test_untouched_diagonal_entry_is_equilibrated_without_warning():
     assert sol.x_blocks[0][1] == pytest.approx(0.0, abs=1e-6)
 
 
-def test_infeasible_lp_detected():
+def infeasible_lp():
     # x0 = -1 with x >= 0 is infeasible.
     p = SdpProblem()
     blk = p.add_diag_block(1)
     p.set_objective({blk: [(0, 0, 1.0)]})
     p.add_constraint({blk: [(0, 0, 1.0)]}, -1.0)
-    sol = solve(p, DEFAULT)
+    return p
+
+
+def test_infeasible_lp_detected():
+    sol = solve(infeasible_lp(), DEFAULT)
     assert sol.status is SdpStatus.INFEASIBLE
     assert sol.ray is not None
+
+
+def test_ray_check_reads_the_shared_psd_rule(monkeypatch):
+    # A ray whose slack the PSD rule turns away certifies nothing.
+    monkeypatch.setattr(sdp_module, "psd_accepted", lambda lmin, lmax: False)
+    sol = solve(infeasible_lp(), DEFAULT)
+    assert sol.status is not SdpStatus.INFEASIBLE
+    assert sol.ray is None
+
+
+def test_eig_range_of_a_matrix_and_of_a_diagonal_block():
+    assert eig_range(np.array([3.0, -2.0, 5.0])) == (-2.0, 5.0)
+    assert eig_range(np.array([[2.0, 1.0], [1.0, 2.0]])) == pytest.approx((1.0, 3.0))
+
+
+@pytest.mark.parametrize("lmax", [0.5, -3.0, 1e4])
+def test_psd_accepted_at_the_tolerance_and_just_below(lmax):
+    edge = -PSD_TOL * max(1.0, abs(lmax))
+    assert psd_accepted(edge, lmax)
+    assert not psd_accepted(np.nextafter(edge, -np.inf), lmax)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

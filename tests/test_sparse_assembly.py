@@ -18,7 +18,12 @@ from sosproj.cones import (
     gram_reconstruct,
 )
 from sosproj.moments import BasisMatrixSet
-from sosproj.polynomials import WeightSequence, monomial_basis, parse_polynomial
+from sosproj.polynomials import (
+    WeightSequence,
+    grevlex_key,
+    monomial_basis,
+    parse_polynomial,
+)
 from sosproj.projection import (
     ProjectionProblem,
     build_lambda_form_sdp,
@@ -86,8 +91,8 @@ def dense_entries(mat):
 def test_sparse_basis_matrices_match_dense(g, order):
     B = BasisMatrixSet(g, order)
     dense = dense_basis_matrices(g, order)
-    assert B.nonzero_exponents() == sorted(dense, key=lambda a: (sum(a), a))
-    for alpha in B.exponents():
+    assert B.nonzero_exponents() == sorted(dense, key=grevlex_key)
+    for alpha in monomial_basis(g.dimension, 2 * order + g.degree):
         ref = dense.get(alpha, np.zeros((B.side, B.side)))
         assert np.array_equal(B.matrix(alpha), ref)
         assert B.entries(alpha) == dense_entries(ref)
@@ -517,7 +522,7 @@ def dense_dual_linkage(trunc, z_ids, u_blk, v_blk, aindex):
     out = []
     for block in trunc.blocks:
         mats = dense_basis_matrices(block.product, block.sos_order)
-        alphas = sorted(mats, key=lambda a: (sum(a), a))
+        alphas = sorted(mats, key=grevlex_key)
         for r in range(block.side):
             for c in range(r, block.side):
                 entries = {z_ids[block.label]: [(r, c, 1.0 if r == c else 0.5)]}
