@@ -8,7 +8,7 @@ Example:
 import argparse
 
 from sosproj.cones import SemialgebraicSystem, parse_system_text
-from sosproj.polynomials import WeightSequence, max_variable_index, parse_polynomial
+from sosproj.polynomials import WeightSequence, parse_polynomial, text_dimension
 from sosproj.projection import closure_probe
 
 
@@ -25,7 +25,7 @@ def main() -> int:
         with open(args.system) as fh:
             system = parse_system_text(fh.read())
     else:
-        system = SemialgebraicSystem(max(1, max_variable_index(args.f)), ())
+        system = SemialgebraicSystem(text_dimension(args.f), ())
     f = parse_polynomial(args.f, system.dimension)
     rows = closure_probe(
         f, system, args.d, args.t, WeightSequence.from_name(args.norm)

@@ -18,6 +18,14 @@ measure --seconds 0` in this process (the cli workload solves in child
 processes, so it is not offered); --tests runs the tier-1 suite instead.
 Both pin BLAS to one thread, as the benchmark does.  The exit status is
 that of the run: pytest's, or 1 if a benchmark call deviated.
+
+--compare BASE.json CHANGE.json reads two such outputs and prints how many
+of the change's solves have the sha256 of the base's solve at the same
+place: the same "where" and the same position among the solves of that
+"where" (all solves of one tier-1 test share its test id, so a solve is
+matched by its order within its test).  Up to five places whose hash
+differs are listed below the count.  A file that cannot be read counts as
+no solves.  It only reports, and exits 0.
 """
 
 import argparse
@@ -115,13 +123,47 @@ def run_workload(name: str, seed: int) -> tuple[int, list[dict]]:
     return int(result["deviations"] > 0), solves
 
 
+def hashes_by_place(path: str) -> dict[tuple[str, int], str]:
+    """sha256 of each solve in a printed run, keyed by (where, position)."""
+    try:
+        with open(path) as fh:
+            solves = json.load(fh)["hashes"]
+    except (OSError, ValueError, KeyError):
+        return {}
+    seen: Counter = Counter()
+    out = {}
+    for h in solves:
+        out[h["where"], seen[h["where"]]] = h["sha256"]
+        seen[h["where"]] += 1
+    return out
+
+
+def compare(base_path: str, change_path: str, label: str) -> list[str]:
+    """The summary lines of --compare."""
+    base, change = hashes_by_place(base_path), hashes_by_place(change_path)
+    differ = [place for place, sha in change.items() if base.get(place) != sha]
+    lines = [
+        f"{label}: {len(change) - len(differ)} of {len(change)} solve hashes "
+        f"equal to base ({len(base)} base solves)"
+    ]
+    lines += [f"- differs: {where}, solve {position}" for where, position in differ[:5]]
+    return lines
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     target = parser.add_mutually_exclusive_group(required=True)
     target.add_argument("--workload", choices=("ladder", "search", "crosscheck"))
     target.add_argument("--tests", action="store_true")
+    target.add_argument("--compare", nargs=2, metavar=("BASE.json", "CHANGE.json"))
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument(
+        "--label", default="solves", help="name of the run in the --compare summary"
+    )
     args = parser.parse_args()
+    if args.compare:
+        print("\n".join(compare(*args.compare, args.label)))
+        return 0
     if args.tests:
         code, solves = run_tests()
     else:

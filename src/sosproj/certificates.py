@@ -46,6 +46,19 @@ class MembershipResult:
     message: str = ""
 
 
+def _psd_verdicts(mats) -> tuple[dict[tuple[int, ...], float], bool]:
+    """Smallest eigenvalue per label of (label, matrix) pairs, and whether
+    every matrix passes psd_accepted."""
+    min_eigs = {}
+    all_accepted = True
+    for label, mat in mats:
+        lmin, lmax = eig_range(mat)
+        min_eigs[label] = lmin
+        if not psd_accepted(lmin, lmax):
+            all_accepted = False
+    return min_eigs, all_accepted
+
+
 def membership(
     f: Polynomial,
     system: SemialgebraicSystem,
@@ -76,72 +89,44 @@ def membership(
         gs.sdp.add_constraint(entries, rhs)
 
     sol = solve(gs.sdp, config)
-
-    if sol.status is SdpStatus.OPTIMAL:
-        grams = gs.grams(sol)
-        recon = gram_reconstruct(trunc, list(grams.values()))
-        diff = recon - f
-        err = max((abs(c) for c in diff.terms.values()), default=0.0)
-        min_eigs = {}
-        eig_ok = True
-        for label, gram in grams.items():
-            lmin, lmax = eig_range(gram)
-            min_eigs[label] = lmin
-            if not psd_accepted(lmin, lmax):
-                eig_ok = False
-        scale = 1.0 + max(abs(c) for c in f.terms.values()) if f.terms else 1.0
-        valid = err <= 1e-6 * scale and eig_ok
-        return MembershipResult(
-            MembershipVerdict.IN_CONE if valid else MembershipVerdict.INCONCLUSIVE,
-            k,
-            grams=grams,
-            reconstruction_error=err,
-            gram_min_eigs=min_eigs,
-            solver_status=sol.status,
-            solver_iterations=sol.iterations,
-            message=(
-                "Gram reconstruction validated"
-                if valid
-                else "solver claimed optimality but revalidation failed"
-            ),
-        )
-
-    if sol.status is SdpStatus.INFEASIBLE and sol.ray is not None:
-        ray_y, _ray_s = sol.ray
-        peak = float(np.max(np.abs(ray_y)))
-        separating = gs.functional(ray_y / peak if peak > 0 else ray_y)
-        sep_value = riesz(separating, f)
-        sep_eigs = {}
-        eig_ok = True
-        for block in trunc.blocks:
-            mat = localizing_matrix(separating, block.product, block.sos_order)
-            lmin, lmax = eig_range(mat)
-            sep_eigs[block.label] = lmin
-            if not psd_accepted(lmin, lmax):
-                eig_ok = False
-        valid = sep_value < 0 and eig_ok
-        return MembershipResult(
-            MembershipVerdict.NOT_IN_CONE if valid else MembershipVerdict.INCONCLUSIVE,
-            k,
-            separating=separating,
-            separation=sep_value,
-            separating_min_eigs=sep_eigs,
-            solver_status=sol.status,
-            solver_iterations=sol.iterations,
-            message=(
-                "separating functional validated"
-                if valid
-                else "infeasibility ray failed revalidation"
-            ),
-        )
-
-    return MembershipResult(
+    result = MembershipResult(
         MembershipVerdict.INCONCLUSIVE,
         k,
         solver_status=sol.status,
         solver_iterations=sol.iterations,
         message=f"solver status {sol.status.value}: {sol.message}",
     )
+
+    if sol.status is SdpStatus.OPTIMAL:
+        result.grams = grams = gs.grams(sol)
+        diff = gram_reconstruct(trunc, list(grams.values())) - f
+        err = max((abs(c) for c in diff.terms.values()), default=0.0)
+        result.reconstruction_error = err
+        result.gram_min_eigs, eig_ok = _psd_verdicts(grams.items())
+        scale = 1.0 + max(abs(c) for c in f.terms.values()) if f.terms else 1.0
+        if err <= 1e-6 * scale and eig_ok:
+            result.verdict = MembershipVerdict.IN_CONE
+            result.message = "Gram reconstruction validated"
+        else:
+            result.message = "solver claimed optimality but revalidation failed"
+
+    elif sol.status is SdpStatus.INFEASIBLE and sol.ray is not None:
+        ray_y, _ray_s = sol.ray
+        peak = float(np.max(np.abs(ray_y)))
+        result.separating = separating = gs.functional(
+            ray_y / peak if peak > 0 else ray_y
+        )
+        result.separation = sep_value = riesz(separating, f)
+        result.separating_min_eigs, eig_ok = _psd_verdicts(
+            (block.label, localizing_matrix(separating, block.product, block.sos_order))
+            for block in trunc.blocks
+        )
+        if sep_value < 0 and eig_ok:
+            result.verdict = MembershipVerdict.NOT_IN_CONE
+            result.message = "separating functional validated"
+        else:
+            result.message = "infeasibility ray failed revalidation"
+    return result
 
 
 class PerturbationKind(Enum):
@@ -211,34 +196,22 @@ def psatz_search(
     f, system = query.f, query.system
     half_f = half_degree(f)
     top = query.d_max if query.mode is PerturbationKind.TOP_EVEN_POWER else 0
-    inconclusive: list[tuple[int, int]] = []
-    solves = 0
+    result = PsatzResult(False, searched_up_to=query.d_max)
     for d in range(1, query.d_max + 1):
         pert = perturbation_polynomial(system.dimension, d, query.mode)
         candidate = f + pert.scale(query.epsilon)
         levels = range(max(half_f, d), max(half_f, d, top) + 1)
         for level in system.distinct_levels(levels):
-            result = membership(candidate, system, level, config)
-            solves += 1
-            if result.verdict is MembershipVerdict.IN_CONE:
-                return PsatzResult(
-                    True,
-                    d=d,
-                    level=result.level,
-                    grams=result.grams,
-                    perturbed=candidate,
-                    searched_up_to=d,
-                    inconclusive=inconclusive,
-                    solves=solves,
-                )
-            if result.verdict is MembershipVerdict.INCONCLUSIVE:
-                inconclusive.append((d, result.level))
-    return PsatzResult(
-        False,
-        searched_up_to=query.d_max,
-        inconclusive=inconclusive,
-        solves=solves,
-    )
+            member = membership(candidate, system, level, config)
+            result.solves += 1
+            if member.verdict is MembershipVerdict.IN_CONE:
+                result.certified = True
+                result.d, result.level, result.grams = d, member.level, member.grams
+                result.perturbed, result.searched_up_to = candidate, d
+                return result
+            if member.verdict is MembershipVerdict.INCONCLUSIVE:
+                result.inconclusive.append((d, member.level))
+    return result
 
 
 def seq_closure_probe(

@@ -27,8 +27,8 @@ from .polynomials import (
     Polynomial,
     PolynomialError,
     WeightSequence,
-    max_variable_index,
     parse_polynomial,
+    text_dimension,
 )
 from .projection import (
     LAMBDA_ZERO_FLAG,
@@ -172,8 +172,7 @@ def _system_and_f(args) -> tuple[SemialgebraicSystem, Polynomial]:
         if args.cone is not None:
             system = replace(system, cone_kind=ConeKind(args.cone))
     else:
-        n = max(1, max_variable_index(args.f))
-        system = SemialgebraicSystem(n, (), ConeKind(args.cone))
+        system = SemialgebraicSystem(text_dimension(args.f), (), ConeKind(args.cone))
     return system, parse_polynomial(args.f, system.dimension)
 
 

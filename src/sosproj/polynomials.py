@@ -452,6 +452,13 @@ def format_polynomial(f: Polynomial) -> str:
     return " ".join(pieces)
 
 
-def max_variable_index(text: str) -> int:
-    """Largest variable index mentioned in polynomial text (0 if none)."""
-    return max((int(m[1:]) for m in re.findall(r"x\d+", text)), default=0)
+def text_dimension(text: str) -> int:
+    """The dimension that polynomial text needs on its own: the largest
+    variable index it mentions, and at least 1 (also for none, or x0)."""
+    return max([1] + [int(m[1:]) for m in re.findall(r"x\d+", text)])
+
+
+def format_float(v: float) -> str:
+    """A float in every text format: 17 significant digits, so it reads back
+    as the same double."""
+    return "%.17g" % v

@@ -28,10 +28,11 @@ from .polynomials import (
     WeightKind,
     WeightSequence,
     count_monomials,
+    format_float,
     format_polynomial,
     grevlex_key,
-    max_variable_index,
     parse_polynomial,
+    text_dimension,
 )
 from .sdp import (
     SdpSolution,
@@ -141,10 +142,7 @@ class ProjectionCertificate:
 def _require_optimal(sol: SdpSolution, what: str) -> None:
     if sol.status is SdpStatus.OPTIMAL:
         return
-    achieved = (
-        f"relp {sol.primal_residual:.2e}, reld {sol.dual_residual:.2e}, "
-        f"relgap {sol.relative_gap:.2e}"
-    )
+    achieved = sol.residuals_text()
     if sol.status is SdpStatus.INFEASIBLE:
         # The lifted feasible set is never empty, so a reported infeasibility
         # can only be numerical.
@@ -188,47 +186,43 @@ def build_lambda_form_sdp(problem: ProjectionProblem) -> LambdaFormSdp:
     return built
 
 
-def project_lambda_form(
-    problem: ProjectionProblem, config: SolverConfig | None = None
+def lambda_certificate(
+    problem: ProjectionProblem, built: LambdaFormSdp, sol: SdpSolution
 ) -> ProjectionCertificate:
-    """Minimal perturbation mass lambda lifting f into the truncated cone."""
-    f, w = problem.f, problem.norm
-    n, d, t = problem.system.dimension, problem.d, problem.t
-    built = build_lambda_form_sdp(problem)
-    lam_blk, pert, pert_index = built.lam_block, built.pert, built.pert_index
-
-    sol = solve(built.sdp, config)
-    _require_optimal(sol, "lambda-form projection")
-
-    lam_values = sol.x_blocks[lam_blk]
-    lambda0 = float(lam_values[pert_index[(0, 0)]])
-    lambda_ik = {
-        key: float(lam_values[p])
-        for key, p in pert_index.items()
-        if key != (0, 0)
-    }
-    shift: dict[Exponent, float] = {}
-    for key, alpha, scale in pert:
-        value = float(lam_values[pert_index[key]]) * scale
-        if value != 0.0:
-            shift[alpha] = shift.get(alpha, 0.0) + value
-    projection = f + Polynomial(n, shift)
-    all_lambda = [lambda0] + list(lambda_ik.values())
+    """The certificate of an optimal solve of `problem`'s lambda-form SDP."""
+    lam = sol.x_blocks[built.lam_block]
+    lambda_ik = {key: float(lam[p]) for p, (key, _a, _s) in enumerate(built.pert)}
+    lambda0 = lambda_ik.pop((0, 0))
+    # The perturbation exponents are distinct, so each lambda sets its own
+    # coefficient of the shift; Polynomial drops the zero ones.
+    shift = {alpha: lam[p] * scale for p, (_k, alpha, scale) in enumerate(built.pert)}
     return ProjectionCertificate(
-        norm_kind=w.kind,
-        d=d,
-        t=t,
+        norm_kind=problem.norm.kind,
+        d=problem.d,
+        t=problem.t,
         p_value=float(sol.primal_objective),
-        projection=projection,
+        projection=problem.f + Polynomial(problem.system.dimension, shift),
         grams=built.grams(sol),
         lambda0=lambda0,
         lambda_ik=lambda_ik,
         dual_moments=built.functional(sol.y),
-        lambda_effectively_zero=all(v <= LAMBDA_ZERO_FLAG for v in all_lambda),
+        lambda_effectively_zero=all(
+            v <= LAMBDA_ZERO_FLAG for v in [lambda0, *lambda_ik.values()]
+        ),
         solver_status=sol.status,
         solver_iterations=sol.iterations,
         solver_gap=sol.gap,
     )
+
+
+def project_lambda_form(
+    problem: ProjectionProblem, config: SolverConfig | None = None
+) -> ProjectionCertificate:
+    """Minimal perturbation mass lambda lifting f into the truncated cone."""
+    built = build_lambda_form_sdp(problem)
+    sol = solve(built.sdp, config)
+    _require_optimal(sol, "lambda-form projection")
+    return lambda_certificate(problem, built, sol)
 
 
 def project_general_form(
@@ -406,10 +400,6 @@ def closure_probe(
 # SEPARATING_MOMENTS.  Matrices are row-major, 17 significant digits.
 # ---------------------------------------------------------------------------
 
-def _fmt(v: float) -> str:
-    return "%.17g" % v
-
-
 def _number(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -422,11 +412,11 @@ def verdict_line(level: int, separation: float | None = None) -> str:
     with the separating functional's L_y(f)."""
     if separation is None:
         return f"in_cone level {level}"
-    return f"not_in_cone level {level} separation {_fmt(separation)}"
+    return f"not_in_cone level {level} separation {format_float(separation)}"
 
 
 def _zero_flag_line(flag: bool) -> str:
-    return f"effectively_zero_at_{_fmt(LAMBDA_ZERO_FLAG)} {'true' if flag else 'false'}"
+    return f"effectively_zero_at_{format_float(LAMBDA_ZERO_FLAG)} {str(flag).lower()}"
 
 
 def _label_str(label: tuple[int, ...]) -> str:
@@ -472,6 +462,13 @@ def _one_line(sections: dict[str, list[str]], name: str) -> str:
     return lines[0]
 
 
+def _put_once(values: dict, key, text: str, line: str) -> None:
+    """values[key] = the number `text`; a key read before is an error."""
+    if key in values:
+        raise ValueError(f"LAMBDA line {line!r} repeats an earlier {line.split()[0]}")
+    values[key] = _number(text)
+
+
 def parse_certificate(text: str) -> CertificateDocument:
     """Read certificate text; ValueError unless it formats back byte for byte."""
     sections: dict[str, list[str]] = {}
@@ -495,15 +492,18 @@ def parse_certificate(text: str) -> CertificateDocument:
         toks = line.split()
         if toks[0] == "lambda0" and len(toks) == 2:
             doc.lambda0 = _number(toks[1])
-        elif toks[0] == "lambda" and len(toks) == 4:
-            doc.lambda_ik[(int(toks[1]), int(toks[2]))] = _number(toks[3])
-        elif line in flags:
-            doc.lambda_effectively_zero = flags[line]
+        elif (toks[0] == "lambda" and len(toks) == 4) or line in flags:
+            if doc.lambda0 is None:
+                raise ValueError(f"LAMBDA line {line!r} comes before any lambda0 line")
+            if line in flags:
+                doc.lambda_effectively_zero = flags[line]
+            else:
+                _put_once(doc.lambda_ik, (int(toks[1]), int(toks[2])), toks[3], line)
         elif toks[0] == "residual" and len(toks) >= 3:
             alpha = tuple(int(tok) for tok in toks[1:-1])
             if min(alpha) < 0:
                 raise ValueError(f"negative exponent in {line!r}")
-            doc.residuals[alpha] = _number(toks[-1])
+            _put_once(doc.residuals, alpha, toks[-1], line)
         else:
             raise ValueError(f"unrecognized LAMBDA line {line!r}")
 
@@ -520,7 +520,10 @@ def parse_certificate(text: str) -> CertificateDocument:
         gram = np.array([[_number(v) for v in row] for row in body])
         if not np.array_equal(gram, gram.T):
             raise ValueError(f"block {toks[1]} is not symmetric")
-        doc.grams[_label_parse(toks[1])] = gram
+        label = _label_parse(toks[1])
+        if label in doc.grams:
+            raise ValueError(f"Gram block {toks[1]!r} appears twice")
+        doc.grams[label] = gram
         idx += 1 + side
 
     if "VERDICT" in sections:
@@ -532,7 +535,7 @@ def parse_certificate(text: str) -> CertificateDocument:
             raise ValueError(f"VERDICT {line!r} is not a line certify writes")
     doc.p_value = _number(_one_line(sections, "P_VALUE"))
     doc.projection_text = projection = _one_line(sections, "PROJECTION")
-    n = max(1, max_variable_index(projection))
+    n = text_dimension(projection)
     if format_polynomial(parse_polynomial(projection, n)) != projection:
         raise ValueError(f"PROJECTION {projection!r} does not print back as itself")
     if "SEPARATING_MOMENTS" in sections:
@@ -564,21 +567,21 @@ def format_certificate_document(doc: CertificateDocument) -> str:
         lines += ["VERDICT", doc.verdict]
     lines.append("LAMBDA")
     if doc.lambda0 is not None:
-        lines.append(f"lambda0 {_fmt(doc.lambda0)}")
+        lines.append(f"lambda0 {format_float(doc.lambda0)}")
         for (i, k), v in sorted(doc.lambda_ik.items()):
-            lines.append(f"lambda {i} {k} {_fmt(v)}")
+            lines.append(f"lambda {i} {k} {format_float(v)}")
         if doc.lambda_effectively_zero is not None:
             lines.append(_zero_flag_line(doc.lambda_effectively_zero))
     for alpha in sorted(doc.residuals, key=grevlex_key):
         coords = " ".join(str(x) for x in alpha)
-        lines.append(f"residual {coords} {_fmt(doc.residuals[alpha])}")
+        lines.append(f"residual {coords} {format_float(doc.residuals[alpha])}")
     lines.append("GRAMS")
     for label in sorted(doc.grams, key=lambda L: (len(L), L)):
         mat = doc.grams[label]
         lines.append(f"block {_label_str(label)} side {mat.shape[0]}")
         for row in mat:
-            lines.append(" ".join(_fmt(v) for v in row))
-    lines += ["P_VALUE", _fmt(doc.p_value), "PROJECTION", doc.projection_text]
+            lines.append(" ".join(format_float(v) for v in row))
+    lines += ["P_VALUE", format_float(doc.p_value), "PROJECTION", doc.projection_text]
     if doc.separating_moments is not None:
         lines.append("SEPARATING_MOMENTS")
         lines.extend(format_moment_text(doc.separating_moments).splitlines())

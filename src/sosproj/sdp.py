@@ -219,6 +219,13 @@ class SdpSolution:
     ray: tuple[np.ndarray, list[np.ndarray]] | None = None
     message: str = ""
 
+    def residuals_text(self) -> str:
+        """How far the run got: its relative residuals and gap, for messages."""
+        return (
+            f"relp {self.primal_residual:.2e}, reld {self.dual_residual:.2e}, "
+            f"relgap {self.relative_gap:.2e}"
+        )
+
 
 @dataclass(frozen=True)
 class CertificateReport:
@@ -241,8 +248,6 @@ def _sym(a: np.ndarray) -> np.ndarray:
 def eig_range(mat: np.ndarray) -> tuple[float, float]:
     """(smallest, largest) eigenvalue of a symmetric matrix; for a diagonal
     block's vector, its smallest and largest entry."""
-    if mat.shape[0] == 0:
-        return (0.0, 0.0)
     if mat.ndim == 1:
         return (float(mat.min()), float(mat.max()))
     vals = np.linalg.eigvalsh(_sym(mat))
@@ -840,8 +845,7 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
             sol.status = SdpStatus.INACCURATE
             sol.message = (
                 f"{message}; best iterate within {INACCURATE_FACTOR:g}x feas_tol "
-                f"(relp {sol.primal_residual:.2e}, reld {sol.dual_residual:.2e}, "
-                f"relgap {sol.relative_gap:.2e})"
+                f"({sol.residuals_text()})"
             )
         return sol
 

@@ -12,11 +12,8 @@ a double quote and round-trip through the parser.
 
 from __future__ import annotations
 
+from .polynomials import format_float
 from .sdp import BlockKind, SdpModelError, SdpProblem
-
-
-def _fmt(v: float) -> str:
-    return "%.17g" % v
 
 
 def export_sdpa(problem: SdpProblem, comments: tuple[str, ...] = ()) -> str:
@@ -32,7 +29,7 @@ def export_sdpa(problem: SdpProblem, comments: tuple[str, ...] = ()) -> str:
         for spec in problem.blocks
     ]
     lines.append(" ".join(sizes))
-    lines.append(" ".join(_fmt(rhs) for _e, rhs in problem.constraints))
+    lines.append(" ".join(format_float(rhs) for _e, rhs in problem.constraints))
 
     def emit(matno: int, entries, scale: float) -> None:
         for blk in sorted(entries):
@@ -40,7 +37,7 @@ def export_sdpa(problem: SdpProblem, comments: tuple[str, ...] = ()) -> str:
                 value = scale * v
                 if value != 0.0:
                     lines.append(
-                        f"{matno} {blk + 1} {i + 1} {j + 1} {_fmt(value)}"
+                        f"{matno} {blk + 1} {i + 1} {j + 1} {format_float(value)}"
                     )
 
     emit(0, problem.objective, -1.0)

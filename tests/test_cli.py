@@ -307,7 +307,7 @@ def test_repro_motzkin_solver_failure_exits_numerical(monkeypatch, capsys):
 
 def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("norm=l1\nd=3\nformat=text\n")
+    cfg.write_text("# defaults\nnorm=l1\n\nd=3  # half-degree\nformat=text\n")
     code, out, _err = run(
         capsys, "project", "--f", MOTZKIN, "--config", str(cfg)
     )

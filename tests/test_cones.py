@@ -41,6 +41,8 @@ def test_preordering_subset_blocks():
     assert labels == [(), (1,), (2,), (1, 2)]
     # product polynomial for {1,2} is x1*x2
     assert trunc.block_by_label((1, 2)).product == parse_polynomial("x1*x2", 2)
+    with pytest.raises(KeyError, match="no block with label"):
+        trunc.block_by_label((3,))
 
 
 def test_quadratic_module_block_count_and_orders():
@@ -158,7 +160,7 @@ def test_system_text_round_trip():
         ConeKind.PREORDERING,
     )
     text = format_system_text(system)
-    back = parse_system_text(text)
+    back = parse_system_text(f"# a comment\n\n{text}")
     assert back.dimension == 2
     assert back.cone_kind is ConeKind.PREORDERING
     assert back.generators == system.generators

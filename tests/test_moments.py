@@ -244,9 +244,11 @@ def test_support_test_consistent_on_halfline():
         return 1.0 / (alpha[0] + 1)  # Lebesgue on [0,1]
 
     y = MomentSequence.from_function(1, 5, mono)
+    assert repr(y) == "MomentSequence(n=1, max_degree=5)"
     verdict = support_nonnegativity_test(y, parse_polynomial("x1", 1), 2)
     assert verdict.consistent
     assert verdict.order == 2
+    assert str(verdict) == "ConsistentUpTo(2)"
 
 
 def test_support_test_violation_on_symmetric_interval():
@@ -255,6 +257,7 @@ def test_support_test_violation_on_symmetric_interval():
     assert not verdict.consistent
     assert verdict.order == 1
     assert verdict.min_eigenvalue == pytest.approx(-2.0 / 3.0, rel=1e-12)
+    assert str(verdict) == "Violated(order=1, eig=-6.667e-01)"
 
 
 def test_support_test_dirac_positive():

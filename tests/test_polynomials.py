@@ -83,6 +83,7 @@ def test_parse_motzkin():
 
 def test_parse_zero_and_cancellation():
     assert parse_polynomial("0", 3).is_zero()
+    assert parse_polynomial("x1 ", 1) == Polynomial.variable(1, 1)
     f = parse_polynomial("2*x2 - x2", 2)
     assert f.terms == {(0, 1): 1.0}
 
@@ -188,6 +189,11 @@ def test_arithmetic():
     assert ((one + x1) * (one - x1)).terms == {(0, 0): 1.0, (2, 0): -1.0}
     with pytest.raises(DimensionMismatchError):
         Polynomial.variable(2, 1) + Polynomial.variable(3, 1)
+    assert -x1 == x1.scale(-1.0)
+    assert x1 != "x1"
+    assert len({x1, Polynomial.variable(2, 1), one}) == 2
+    assert repr(one - x1) == "Polynomial(2, '1.0 - x1')"
+    assert repr(WeightSequence.lw()) == "WeightSequence(lw)"
 
 
 def coeff_strategy():

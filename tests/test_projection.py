@@ -158,6 +158,7 @@ def test_general_form_in_cone():
     f = parse_polynomial("(1 - x1*x2)^2", 2)
     cert = project_general_form(ProjectionProblem(f, PLANE, L1, 2))
     assert cert.p_value <= 1e-6
+    assert cert.lambda_sum() is None
     diff = cert.projection - f
     assert max((abs(c) for c in diff.terms.values()), default=0.0) <= 1e-5
 
@@ -343,7 +344,7 @@ def test_parse_certificate_reads_the_verdicts_certify_writes(verdict):
         ("VERDICT\nin_cone\nVERDICT\nnot_in_cone\nLAMBDA\nGRAMS\n" + TAIL,
          "VERDICT needs one line"),
         ("LAMBDA\nlambda 1 1 0.5\nGRAMS\n" + TAIL,
-         "not as format_certificate writes it"),
+         "'lambda 1 1 0.5' comes before any lambda0 line"),
         ("LAMBDA\nlambda0 0.5 7\nGRAMS\n" + TAIL, "unrecognized LAMBDA line"),
         ("LAMBDA\nresidual 5\nGRAMS\n" + TAIL, "unrecognized LAMBDA line"),
         ("LAMBDA\nGRAMS\nP_VALUE\nnan\nPROJECTION\n1.0\n", "'nan' is not finite"),
@@ -352,10 +353,10 @@ def test_parse_certificate_reads_the_verdicts_certify_writes(verdict):
         ("LAMBDA\nGRAMS\nP_VALUE\n0.5\nPROJECTION\nx1 +\n", "unexpected end of input"),
         ("LAMBDA\nlambda0 0.5\neffectively_zero_at_5 maybe\nGRAMS\n" + TAIL,
          "unrecognized LAMBDA line"),
-        ("LAMBDA\nresidual 1 0 0.5\nresidual 1 0 0.5\nGRAMS\n" + TAIL,
-         "not as format_certificate writes it"),
+        ("LAMBDA\nresidual 1 0 0.5\nresidual 1 0 0.25\nGRAMS\n" + TAIL,
+         "'residual 1 0 0.25' repeats an earlier residual"),
         ("LAMBDA\nGRAMS\nblock 1 side 1\n1\nblock 1 side 1\n1\n" + TAIL,
-         "not as format_certificate writes it"),
+         "Gram block '1' appears twice"),
         ("LAMBDA\nGRAMS\nblock 0,-1 side 1\n1\n" + TAIL,
          "neither .unit. nor increasing"),
         ("LAMBDA\nGRAMS\nblock 1,1 side 1\n1\n" + TAIL,
@@ -378,6 +379,11 @@ def test_parse_certificate_reads_the_verdicts_certify_writes(verdict):
         ("LAMBDA\nGRAMS\nP_VALUE\n0.5\nPROJECTION\nx1 + x1\n",
          "does not print back as itself"),
         ("stray\nLAMBDA\nGRAMS\n" + TAIL, "content before any section"),
+        ("LAMBDA\neffectively_zero_at_9.9999999999999995e-08 true\nGRAMS\n" + TAIL,
+         "'effectively_zero_at_.* true' comes before any lambda0 line"),
+        ("LAMBDA\nlambda0 0.5\nlambda 1 1 0.5\nlambda 1 1 0.25\nGRAMS\n" + TAIL,
+         "'lambda 1 1 0.25' repeats an earlier lambda"),
+        ("LAMBDA\n\nGRAMS\n" + TAIL, "not as format_certificate writes it"),
     ],
     ids=[
         "lambda missing fields", "lambda0 missing value", "two P_VALUE",
@@ -390,6 +396,7 @@ def test_parse_certificate_reads_the_verdicts_certify_writes(verdict):
         "separation inf", "separation not canonical", "level not canonical",
         "Gram not symmetric", "PROJECTION 1", "PROJECTION 1.0000",
         "PROJECTION terms not merged", "text before any section",
+        "flag without lambda0", "repeated lambda", "blank line",
     ],
 )
 def test_parse_certificate_rejects_text_it_would_not_write(text, message):

@@ -137,6 +137,12 @@ def test_diag_block_negative_size_line():
     assert lines[2] == "-3 2"
 
 
+def test_parse_skips_blank_lines_and_mirrors_lower_triangle_entries():
+    problem, comments = parse_sdpa('"one\n*two\n\n1\n1\n2\n1.0\n1 1 2 1 0.5\n')
+    assert comments == ("one", "two")
+    assert problem.constraints == [({0: [(0, 1, 0.5)]}, 1.0)]
+
+
 def test_parse_rejects_malformed():
     with pytest.raises(SdpModelError):
         parse_sdpa("1\n1\n")
