@@ -23,9 +23,13 @@ that of the run: pytest's, or 1 if a benchmark call deviated.
 of the change's solves have the sha256 of the base's solve at the same
 place: the same "where" and the same position among the solves of that
 "where" (all solves of one tier-1 test share its test id, so a solve is
-matched by its order within its test).  Up to five places whose hash
-differs are listed below the count.  A file that cannot be read counts as
-no solves.  It only reports, and exits 0.
+matched by its order within its test).  It also prints how many of the
+change's solves appear in the base's list in order (the longest common
+subsequence of the two sha256 lists): a change that drops solves and keeps
+every other one reads all of its solves here, though the places after the
+first dropped solve differ.  Up to five places whose hash differs are
+listed below the counts.  A file that cannot be read counts as no solves.
+It only reports, exits 0 and needs no sosproj on the path.
 """
 
 import argparse
@@ -43,12 +47,11 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-from sosproj import sdp  # noqa: E402
-
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def solution_hash(sol: sdp.SdpSolution) -> str:
+def solution_hash(sol) -> str:
+    """sha256 of an `sdp.SdpSolution`."""
     h = hashlib.sha256()
 
     def arrays(items) -> None:
@@ -74,6 +77,8 @@ def solution_hash(sol: sdp.SdpSolution) -> str:
 
 def record_solves(where) -> list[dict]:
     """Wrap sdp._solve_once so each solve appends its hash, status and exit."""
+    from sosproj import sdp
+
     solves: list[dict] = []
     inner = sdp._solve_once
 
@@ -123,13 +128,17 @@ def run_workload(name: str, seed: int) -> tuple[int, list[dict]]:
     return int(result["deviations"] > 0), solves
 
 
-def hashes_by_place(path: str) -> dict[tuple[str, int], str]:
-    """sha256 of each solve in a printed run, keyed by (where, position)."""
+def read_solves(path: str) -> list[dict]:
+    """The solves of a printed run; none if the file cannot be read."""
     try:
         with open(path) as fh:
-            solves = json.load(fh)["hashes"]
+            return json.load(fh)["hashes"]
     except (OSError, ValueError, KeyError):
-        return {}
+        return []
+
+
+def hashes_by_place(solves: list[dict]) -> dict[tuple[str, int], str]:
+    """sha256 of each solve, keyed by (where, position)."""
     seen: Counter = Counter()
     out = {}
     for h in solves:
@@ -138,13 +147,29 @@ def hashes_by_place(path: str) -> dict[tuple[str, int], str]:
     return out
 
 
+def in_order(base: list[str], change: list[str]) -> int:
+    """Length of the longest common subsequence of two hash lists."""
+    prev = [0] * (len(base) + 1)
+    for sha in change:
+        row = [0]
+        for j, base_sha in enumerate(base):
+            row.append(prev[j] + 1 if sha == base_sha else max(prev[j + 1], row[j]))
+        prev = row
+    return prev[-1]
+
+
 def compare(base_path: str, change_path: str, label: str) -> list[str]:
     """The summary lines of --compare."""
-    base, change = hashes_by_place(base_path), hashes_by_place(change_path)
+    base_solves, change_solves = read_solves(base_path), read_solves(change_path)
+    base, change = hashes_by_place(base_solves), hashes_by_place(change_solves)
     differ = [place for place, sha in change.items() if base.get(place) != sha]
+    kept = in_order(
+        [h["sha256"] for h in base_solves], [h["sha256"] for h in change_solves]
+    )
     lines = [
         f"{label}: {len(change) - len(differ)} of {len(change)} solve hashes "
-        f"equal to base ({len(base)} base solves)"
+        f"equal to base ({len(base)} base solves); {kept} of {len(change)} "
+        f"in the base's order"
     ]
     lines += [f"- differs: {where}, solve {position}" for where, position in differ[:5]]
     return lines

@@ -18,7 +18,13 @@ from enum import Enum
 
 import numpy as np
 
-from .cones import SemialgebraicSystem, build_truncation, gram_reconstruct, gram_sdp
+from .cones import (
+    ConeTruncation,
+    SemialgebraicSystem,
+    build_truncation,
+    gram_reconstruct,
+    gram_sdp,
+)
 from .moments import MomentSequence, localizing_matrix, riesz
 from .polynomials import Polynomial, WeightKind, half_degree
 from .projection import perturbation_basis
@@ -59,6 +65,52 @@ def _psd_verdicts(mats) -> tuple[dict[tuple[int, ...], float], bool]:
     return min_eigs, all_accepted
 
 
+def validate_grams(
+    f: Polynomial, truncation: ConeTruncation, grams: dict[tuple[int, ...], np.ndarray]
+) -> MembershipResult:
+    """IN_CONE when the Grams are PSD and reconstruct f; else inconclusive."""
+    result = MembershipResult(
+        MembershipVerdict.INCONCLUSIVE, truncation.level, grams=grams
+    )
+    diff = gram_reconstruct(truncation, list(grams.values())) - f
+    err = max((abs(c) for c in diff.terms.values()), default=0.0)
+    result.reconstruction_error = err
+    result.gram_min_eigs, eig_ok = _psd_verdicts(grams.items())
+    scale = 1.0 + max(abs(c) for c in f.terms.values()) if f.terms else 1.0
+    if err <= 1e-6 * scale and eig_ok:
+        result.verdict = MembershipVerdict.IN_CONE
+        result.message = "Gram reconstruction validated"
+    else:
+        result.message = "solver claimed optimality but revalidation failed"
+    return result
+
+
+def validate_separator(
+    f: Polynomial, truncation: ConeTruncation, functional: MomentSequence
+) -> MembershipResult:
+    """NOT_IN_CONE when L(f) < 0 and every localizing matrix of the
+    truncation is PSD; else inconclusive.
+
+    The functional may have a higher level than the truncation: its
+    localizing matrices at a lower level are principal submatrices of its
+    own, and the check runs on the truncation's.
+    """
+    result = MembershipResult(
+        MembershipVerdict.INCONCLUSIVE, truncation.level, separating=functional
+    )
+    result.separation = sep_value = riesz(functional, f)
+    result.separating_min_eigs, eig_ok = _psd_verdicts(
+        (block.label, localizing_matrix(functional, block.product, block.sos_order))
+        for block in truncation.blocks
+    )
+    if sep_value < 0 and eig_ok:
+        result.verdict = MembershipVerdict.NOT_IN_CONE
+        result.message = "separating functional validated"
+    else:
+        result.message = "infeasibility ray failed revalidation"
+    return result
+
+
 def membership(
     f: Polynomial,
     system: SemialgebraicSystem,
@@ -68,9 +120,10 @@ def membership(
     """Level-k Gram feasibility for f; validated either way.
 
     A minimum-trace objective keeps the feasibility SDP bounded.  InCone
-    answers are revalidated by reconstructing f from the returned Grams;
-    NotInCone answers are revalidated through the separating functional.
-    A numerical failure is reported as inconclusive, never as NotInCone.
+    answers are revalidated by reconstructing f from the returned Grams
+    (`validate_grams`); NotInCone answers are revalidated through the
+    separating functional (`validate_separator`).  A numerical failure is
+    reported as inconclusive, never as NotInCone.
     """
     if f.dimension != system.dimension:
         raise ValueError("polynomial and system dimensions differ")
@@ -89,44 +142,58 @@ def membership(
         gs.sdp.add_constraint(entries, rhs)
 
     sol = solve(gs.sdp, config)
-    result = MembershipResult(
-        MembershipVerdict.INCONCLUSIVE,
-        k,
-        solver_status=sol.status,
-        solver_iterations=sol.iterations,
-        message=f"solver status {sol.status.value}: {sol.message}",
-    )
-
     if sol.status is SdpStatus.OPTIMAL:
-        result.grams = grams = gs.grams(sol)
-        diff = gram_reconstruct(trunc, list(grams.values())) - f
-        err = max((abs(c) for c in diff.terms.values()), default=0.0)
-        result.reconstruction_error = err
-        result.gram_min_eigs, eig_ok = _psd_verdicts(grams.items())
-        scale = 1.0 + max(abs(c) for c in f.terms.values()) if f.terms else 1.0
-        if err <= 1e-6 * scale and eig_ok:
-            result.verdict = MembershipVerdict.IN_CONE
-            result.message = "Gram reconstruction validated"
-        else:
-            result.message = "solver claimed optimality but revalidation failed"
-
+        result = validate_grams(f, trunc, gs.grams(sol))
     elif sol.status is SdpStatus.INFEASIBLE and sol.ray is not None:
         ray_y, _ray_s = sol.ray
         peak = float(np.max(np.abs(ray_y)))
-        result.separating = separating = gs.functional(
-            ray_y / peak if peak > 0 else ray_y
+        result = validate_separator(
+            f, trunc, gs.functional(ray_y / peak if peak > 0 else ray_y)
         )
-        result.separation = sep_value = riesz(separating, f)
-        result.separating_min_eigs, eig_ok = _psd_verdicts(
-            (block.label, localizing_matrix(separating, block.product, block.sos_order))
-            for block in trunc.blocks
+    else:
+        result = MembershipResult(
+            MembershipVerdict.INCONCLUSIVE,
+            k,
+            message=f"solver status {sol.status.value}: {sol.message}",
         )
-        if sep_value < 0 and eig_ok:
-            result.verdict = MembershipVerdict.NOT_IN_CONE
-            result.message = "separating functional validated"
-        else:
-            result.message = "infeasibility ray failed revalidation"
+    result.solver_status, result.solver_iterations = sol.status, sol.iterations
     return result
+
+
+@dataclass
+class _ReusingMembership:
+    """Membership per cell of one search, tried first with the separating
+    functionals that earlier cells of the search validated.
+
+    A stored functional decides a cell only if its level is at least the
+    cell's and `validate_separator` accepts it on the cell's candidate and
+    truncation; otherwise the cell is solved.  Only a validated NotInCone
+    that carries its functional is stored.
+    """
+
+    system: SemialgebraicSystem
+    config: SolverConfig | None = None
+    separators: list[MomentSequence] = field(default_factory=list)
+    solves: int = 0
+    reused: int = 0
+
+    def __call__(self, f: Polynomial, level: int) -> MembershipResult:
+        stored = [y for y in self.separators if y.max_degree >= 2 * level]
+        if stored:
+            trunc = build_truncation(self.system, level)
+            for functional in reversed(stored):
+                member = validate_separator(f, trunc, functional)
+                if member.verdict is MembershipVerdict.NOT_IN_CONE:
+                    self.reused += 1
+                    return member
+        member = membership(f, self.system, level, self.config)
+        self.solves += 1
+        if (
+            member.verdict is MembershipVerdict.NOT_IN_CONE
+            and member.separating is not None
+        ):
+            self.separators.append(member.separating)
+        return member
 
 
 class PerturbationKind(Enum):
@@ -175,7 +242,11 @@ class PsatzResult:
     perturbed: Polynomial | None = None
     searched_up_to: int = 0
     inconclusive: list[tuple[int, int]] = field(default_factory=list)
-    solves: int = 0                            # membership solves run
+    # Membership solves run, including the exponential tower's top cell
+    # when a lower d certifies; cells decided by a stored separator count
+    # in `reused` instead.
+    solves: int = 0
+    reused: int = 0
 
     def __str__(self):
         if self.certified:
@@ -190,27 +261,43 @@ def psatz_search(
 
     Each d starts at level s = ceil(max(deg f, 2d) / 2), the only level
     solved on R^n; with generators the top-power mode sweeps s to max(s, d_max).
-    Inconclusive solves are recorded and skipped, never treated as
-    refutations.
+    Cells (d, level) are visited in ascending d, then level, and a cell is
+    first tried with the separating functionals validated at earlier cells
+    (`_ReusingMembership`).  The exponential tower solves its top cell d_max
+    first: theta_d <= theta_{d+1} term by term and its level never drops as
+    d grows, so that cell's separator, revalidated at each lower cell,
+    refutes them all.  Inconclusive cells below the answer are recorded in
+    ascending order and skipped, never treated as refutations.
     """
     f, system = query.f, query.system
     half_f = half_degree(f)
     top = query.d_max if query.mode is PerturbationKind.TOP_EVEN_POWER else 0
+
+    def lift(d: int) -> Polynomial:
+        pert = perturbation_polynomial(system.dimension, d, query.mode)
+        return f + pert.scale(query.epsilon)
+
+    cell = _ReusingMembership(system, config)
+    decided: dict[tuple[int, int], MembershipResult] = {}
+    if query.mode is PerturbationKind.EXP_PARTIAL_SUM:
+        top_level = max(half_f, query.d_max)
+        decided[query.d_max, top_level] = cell(lift(query.d_max), top_level)
     result = PsatzResult(False, searched_up_to=query.d_max)
     for d in range(1, query.d_max + 1):
-        pert = perturbation_polynomial(system.dimension, d, query.mode)
-        candidate = f + pert.scale(query.epsilon)
+        candidate = lift(d)
         levels = range(max(half_f, d), max(half_f, d, top) + 1)
         for level in system.distinct_levels(levels):
-            member = membership(candidate, system, level, config)
-            result.solves += 1
+            member = decided.pop((d, level), None) or cell(candidate, level)
             if member.verdict is MembershipVerdict.IN_CONE:
                 result.certified = True
                 result.d, result.level, result.grams = d, member.level, member.grams
                 result.perturbed, result.searched_up_to = candidate, d
-                return result
+                break
             if member.verdict is MembershipVerdict.INCONCLUSIVE:
                 result.inconclusive.append((d, member.level))
+        if result.certified:
+            break
+    result.solves, result.reused = cell.solves, cell.reused
     return result
 
 
@@ -229,7 +316,10 @@ def seq_closure_probe(
     from ceil(max(deg f, 2d) / 2) to t_max, only the first on R^n.  A row
     reads None when no level certifies, and also when a level below the
     first certifying one was inconclusive: the minimal level is then
-    unknown, and a higher one would overstate it.
+    unknown, and a higher one would overstate it.  Each (eps, level) is
+    first tried with the separating functionals validated earlier in the
+    probe (`_ReusingMembership`): L(1 + sum x_i^{2d}) >= 0, so a separator
+    at a larger eps also separates every smaller one at its level or below.
     """
     if not all(0 < e < math.inf for e in eps_list):
         raise ValueError("eps values must be finite and positive")
@@ -239,12 +329,13 @@ def seq_closure_probe(
         raise ValueError(f"t_max = {t_max} is below ceil(max(deg f, 2d) / 2)")
     n = system.dimension
     pert = perturbation_polynomial(n, d, PerturbationKind.TOP_EVEN_POWER)
+    cell = _ReusingMembership(system, config)
     rows: list[tuple[float, int | None]] = []
     for eps in eps_list:
         candidate = f + pert.scale(eps)
         levels = range(half_degree(candidate), t_max + 1)
         for level in system.distinct_levels(levels):
-            result = membership(candidate, system, level, config)
+            result = cell(candidate, level)
             if result.verdict is not MembershipVerdict.NOT_IN_CONE:
                 break
         found = result.level if result.verdict is MembershipVerdict.IN_CONE else None

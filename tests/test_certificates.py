@@ -11,15 +11,22 @@ from sosproj.certificates import (
     perturbation_polynomial,
     psatz_search,
     seq_closure_probe,
+    validate_separator,
 )
-from sosproj.moments import localizing_matrix, eig_range
-from sosproj.polynomials import Polynomial, WeightSequence, parse_polynomial
+from sosproj.moments import MomentSequence, localizing_matrix, eig_range
+from sosproj.polynomials import (
+    Polynomial,
+    WeightSequence,
+    half_degree,
+    parse_polynomial,
+)
 from sosproj.projection import ProjectionProblem, project_lambda_form
 from sosproj import certificates as certificates_module
 from sosproj.sdp import SdpSolution, SdpStatus
 
 MOTZKIN = parse_polynomial("x1^2*x2^2*(x1^2+x2^2-1)+1/27", 2)
 PLANE = SemialgebraicSystem(2, ())
+LINE = SemialgebraicSystem(1, ())
 SEGMENT = SemialgebraicSystem(
     1, (parse_polynomial("x1", 1), parse_polynomial("1 - x1", 1))
 )
@@ -184,32 +191,55 @@ def test_psatz_positive_constant():
     assert res.certified and res.d == 1
 
 
-def _spy_membership(monkeypatch) -> list[tuple[int, int]]:
-    """Record (d, level) of every membership solve of a top-power search."""
-    calls = []
+def _spy_membership(monkeypatch) -> tuple[list[tuple[int, int]], list]:
+    """Record (d, level) and the result of every membership solve of a search."""
+    calls, results = [], []
     inner = certificates_module.membership
 
     def spy(f, system, k, config=None):
-        # The lift eps * x1^{2d} is f's only pure power of x1.
+        # The lift eps * x1^{2d} (top power) or its tower up to x1^{2d} holds
+        # f's only pure powers of x1.
         d = max((a[0] // 2 for a in f.terms if a[0] and not any(a[1:])), default=0)
         calls.append((d, k))
-        return inner(f, system, k, config)
+        results.append(inner(f, system, k, config))
+        return results[-1]
 
     monkeypatch.setattr(certificates_module, "membership", spy)
-    return calls
+    return calls, results
+
+
+def _lift(query: PsatzQuery, d: int) -> Polynomial:
+    pert = perturbation_polynomial(query.system.dimension, d, query.mode)
+    return query.f + pert.scale(query.epsilon)
+
+
+def _assert_refuted_by_solved_cells(query, cells, results):
+    """Each cell is refuted by the separator of a solved cell of at least its
+    level, revalidated on the cell's own candidate and truncation."""
+    for d, level in cells:
+        trunc = build_truncation(query.system, level)
+        assert any(
+            r.separating is not None
+            and r.level >= level
+            and validate_separator(_lift(query, d), trunc, r.separating).verdict
+            is MembershipVerdict.NOT_IN_CONE
+            for r in results
+        ), (d, level)
 
 
 def test_psatz_motzkin_certifies_top_power(monkeypatch):
-    calls = _spy_membership(monkeypatch)
+    calls, results = _spy_membership(monkeypatch)
     query = PsatzQuery(
         MOTZKIN, PLANE, 1e-2, 4, PerturbationKind.TOP_EVEN_POWER
     )
     res = psatz_search(query)
     assert res.certified
-    assert res.d <= 4
-    # On R^n a level above s = 3 repeats level s: one solve per d.
-    assert calls == [(d, 3) for d in range(1, res.d + 1)]
-    assert res.solves == len(calls)
+    assert (res.d, res.level) == (3, 3)
+    # On R^n a level above s = 3 repeats level s: one cell per d.  The
+    # separator of d = 1 refutes d = 2 too, so that cell is not solved.
+    assert calls == [(1, 3), (3, 3)]
+    assert (res.solves, res.reused) == (2, 1)
+    _assert_refuted_by_solved_cells(query, [(2, 3)], results)
     # Monotone in the certificate level: the same perturbed polynomial
     # stays in the cone one level up.
     higher = membership(res.perturbed, PLANE, res.level + 1)
@@ -235,14 +265,18 @@ def test_psatz_negative_function_not_found():
 
 
 def test_psatz_top_power_sweeps_every_level_with_generators(monkeypatch):
-    calls = _spy_membership(monkeypatch)
+    calls, results = _spy_membership(monkeypatch)
     query = PsatzQuery(
         Polynomial.constant(1, -1.0), SEGMENT, 0.1, 4, PerturbationKind.TOP_EVEN_POWER
     )
     res = psatz_search(query)
     assert not res.certified
-    assert calls == [(d, t) for d in range(1, 5) for t in range(d, 5)]
-    assert res.solves == len(calls)
+    # d = 1 sweeps every level; each later cell (d, t) is refuted by the
+    # separator d = 1 found at level t or above.
+    cells = [(d, t) for d in range(1, 5) for t in range(d, 5)]
+    assert calls == [(1, t) for t in range(1, 5)]
+    assert (res.solves, res.reused) == (4, len(cells) - 4)
+    _assert_refuted_by_solved_cells(query, cells[4:], results)
 
 
 def test_psatz_top_power_dmax_below_half_degree_still_solves():
@@ -260,6 +294,133 @@ def test_psatz_exp_tower_motzkin_small_eps_not_found():
         PsatzQuery(MOTZKIN, PLANE, 1e-2, 3, PerturbationKind.EXP_PARTIAL_SUM)
     )
     assert not res.certified
+
+
+def test_psatz_exp_tower_top_cell_separator_decides_every_cell(monkeypatch):
+    # The level-5 separator of the top cell d = 5 is revalidated at each
+    # lower cell, on its level-3 and level-4 localizing matrices (principal
+    # submatrices of its own): one solve decides the whole search.
+    calls, _results = _spy_membership(monkeypatch)
+    orders = []
+    inner = certificates_module.localizing_matrix
+
+    def spy(y, g, order):
+        orders.append(order)
+        return inner(y, g, order)
+
+    monkeypatch.setattr(certificates_module, "localizing_matrix", spy)
+    query = PsatzQuery(MOTZKIN, PLANE, 1e-2, 5, PerturbationKind.EXP_PARTIAL_SUM)
+    res = psatz_search(query)
+    assert str(res) == "NotFoundUpTo(5)"
+    assert res.inconclusive == []
+    assert calls == [(5, 5)]
+    assert (res.solves, res.reused) == (1, 4)
+    # The solve validates at level 5, then cells d = 1..4 at 3, 3, 3, 4.
+    assert orders == [5, 3, 3, 3, 4]
+
+
+def _stored_cell(monkeypatch, functional, f, system, level):
+    """Decide one cell with `functional` kept; return the decider, its
+    result and the levels that fell through to a solve."""
+    solved = []
+
+    def fake_membership(f, system, k, config=None):
+        solved.append(k)
+        return MembershipResult(MembershipVerdict.INCONCLUSIVE, k)
+
+    monkeypatch.setattr(certificates_module, "membership", fake_membership)
+    cell = certificates_module._ReusingMembership(system, separators=[functional])
+    return cell, cell(f, level), solved
+
+
+def test_stored_separator_of_higher_level_decides_lower_cell(monkeypatch):
+    # The Dirac functional at 0, kept at level 2, separates x1^2 - 1 at
+    # level 1: L(x1^2 - 1) = -1, and its level-1 moment matrix is PSD.
+    y = MomentSequence.dirac((0.0,), 4)
+    cell, member, solved = _stored_cell(
+        monkeypatch, y, parse_polynomial("x1^2 - 1", 1), LINE, 1
+    )
+    assert solved == []
+    assert member.verdict is MembershipVerdict.NOT_IN_CONE
+    assert (member.level, member.separation) == (1, -1.0)
+    assert list(member.separating_min_eigs) == [()]
+    assert (cell.solves, cell.reused) == (0, 1)
+
+
+@pytest.mark.parametrize(
+    "functional, level",
+    [
+        # L(x1^2 - 1) = 0 at the Dirac functional at 1: no separation.
+        (MomentSequence.dirac((1.0,), 2), 1),
+        # L = (1, 0, -1) gives L(x1^2 - 1) = -2, but its moment matrix
+        # diag(1, -1) fails psd_accepted.
+        (MomentSequence(1, 2, {(0,): 1.0, (1,): 0.0, (2,): -1.0}), 1),
+        # A level-1 functional cannot decide a level-2 cell.
+        (MomentSequence.dirac((0.0,), 2), 2),
+    ],
+    ids=["no separation", "indefinite moment matrix", "level too low"],
+)
+def test_stored_functional_that_fails_revalidation_leads_to_a_solve(
+    monkeypatch, functional, level
+):
+    cell, member, solved = _stored_cell(
+        monkeypatch, functional, parse_polynomial("x1^2 - 1", 1), LINE, level
+    )
+    assert solved == [level]
+    assert member.verdict is MembershipVerdict.INCONCLUSIVE
+    assert (cell.solves, cell.reused) == (1, 0)
+
+
+def test_not_in_cone_without_functional_is_never_reused(monkeypatch):
+    # A NotInCone verdict that carries no functional decides only its own
+    # cell: every cell is solved, the exponential tower's top cell first.
+    calls = []
+
+    def fake_membership(f, system, k, config=None):
+        calls.append((max(a[0] for a in f.terms) // 2, k))
+        return MembershipResult(MembershipVerdict.NOT_IN_CONE, k, message="forced")
+
+    monkeypatch.setattr(certificates_module, "membership", fake_membership)
+    res = psatz_search(PsatzQuery(Polynomial.constant(1, -1.0), LINE, 0.1, 4))
+    assert not res.certified
+    assert calls == [(4, 4), (1, 1), (2, 2), (3, 3)]
+    assert (res.solves, res.reused) == (4, 0)
+    rows = seq_closure_probe(
+        Polynomial.constant(1, -1.0), SEGMENT, 1, [0.5, 0.1], 2
+    )
+    assert rows == [(0.5, None), (0.1, None)]
+    assert len(calls) == 4 + 4
+
+
+def _plain_psatz(query: PsatzQuery):
+    """The search without reuse: one membership per cell, ascending d, then
+    level, until a cell certifies."""
+    half_f = half_degree(query.f)
+    top = query.d_max if query.mode is PerturbationKind.TOP_EVEN_POWER else 0
+    inconclusive = []
+    for d in range(1, query.d_max + 1):
+        levels = range(max(half_f, d), max(half_f, d, top) + 1)
+        for level in query.system.distinct_levels(levels):
+            verdict = membership(_lift(query, d), query.system, level).verdict
+            if verdict is MembershipVerdict.IN_CONE:
+                return True, d, level, inconclusive
+            if verdict is MembershipVerdict.INCONCLUSIVE:
+                inconclusive.append((d, level))
+    return False, None, None, inconclusive
+
+
+@pytest.mark.parametrize("mode", list(PerturbationKind), ids=lambda m: m.value)
+@pytest.mark.parametrize(
+    "f, system, d_max",
+    [(MOTZKIN, PLANE, 4), (parse_polynomial("(x1 - 1/2)^2 - 1/100", 1), SEGMENT, 3)],
+    ids=["motzkin", "segment"],
+)
+def test_psatz_search_equals_one_membership_per_cell(f, system, d_max, mode):
+    for eps in (0.5, 0.05, 0.005):
+        query = PsatzQuery(f, system, eps, d_max, mode)
+        res = psatz_search(query)
+        found = (res.certified, res.d, res.level, res.inconclusive)
+        assert found == _plain_psatz(query), eps
 
 
 def test_psatz_query_validation():

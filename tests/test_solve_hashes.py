@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "solve_hashes.py"
@@ -23,14 +26,55 @@ def test_compare_counts_equal_hashes_and_lists_the_ones_that_differ(
 
     run = fresh_python(str(SCRIPT), "--compare", base, same, "--label", "tier-1")
     assert run.returncode == 0, run.stderr
-    assert run.stdout == "tier-1: 3 of 3 solve hashes equal to base (3 base solves)\n"
+    assert run.stdout == (
+        "tier-1: 3 of 3 solve hashes equal to base (3 base solves); "
+        "3 of 3 in the base's order\n"
+    )
 
     run = fresh_python(str(SCRIPT), "--compare", base, moved, "--label", "search")
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines() == [
-        "search: 2 of 3 solve hashes equal to base (3 base solves)",
+        "search: 2 of 3 solve hashes equal to base (3 base solves); "
+        "2 of 3 in the base's order",
         "- differs: a, solve 1",
     ]
+
+
+def test_compare_counts_kept_solves_in_order_after_a_dropped_one(
+    fresh_python, tmp_path
+):
+    # The change drops the base's first solve: every place after it moves,
+    # but both remaining solves appear in the base's order.
+    base = _write(tmp_path / "base.json", ["h0", "h1", "h2"])
+    dropped = _write(tmp_path / "dropped.json", ["h1", "h2"])
+    swapped = _write(tmp_path / "swapped.json", ["h2", "h1"])
+
+    run = fresh_python(str(SCRIPT), "--compare", base, dropped, "--label", "search")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "search: 0 of 2 solve hashes equal to base (3 base solves); "
+        "2 of 2 in the base's order",
+        "- differs: a, solve 0",
+        "- differs: a, solve 1",
+    ]
+    run = fresh_python(str(SCRIPT), "--compare", base, swapped, "--label", "search")
+    assert run.stdout.splitlines()[0].endswith("; 1 of 2 in the base's order")
+
+
+def test_compare_runs_without_sosproj(tmp_path):
+    # --compare reads only JSON: a sosproj that fails to import is never
+    # imported.
+    broken = tmp_path / "path" / "sosproj"
+    broken.mkdir(parents=True)
+    (broken / "__init__.py").write_text("raise ImportError('sosproj imported')\n")
+    base = _write(tmp_path / "base.json", ["h0", "h1", "h2"])
+    env = dict(os.environ, PYTHONPATH=str(broken.parent))
+    run = subprocess.run(
+        [sys.executable, str(SCRIPT), "--compare", base, base],
+        env=env, capture_output=True, text=True,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("solves: 3 of 3 solve hashes equal to base")
 
 
 def test_compare_reads_a_missing_base_as_no_solves(fresh_python, tmp_path):
@@ -39,5 +83,6 @@ def test_compare_reads_a_missing_base_as_no_solves(fresh_python, tmp_path):
     run = fresh_python(str(SCRIPT), "--compare", missing, change, "--label", "ladder")
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[0] == (
-        "ladder: 0 of 3 solve hashes equal to base (0 base solves)"
+        "ladder: 0 of 3 solve hashes equal to base (0 base solves); "
+        "0 of 3 in the base's order"
     )
