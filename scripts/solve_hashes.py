@@ -28,8 +28,10 @@ change's solves appear in the base's list in order (the longest common
 subsequence of the two sha256 lists): a change that drops solves and keeps
 every other one reads all of its solves here, though the places after the
 first dropped solve differ.  Up to five places whose hash differs are
-listed below the counts.  A file that cannot be read counts as no solves.
-It only reports, exits 0 and needs no sosproj on the path.
+listed below the counts, then every (status, exit) whose count differs
+between the two "exits" censuses, so a change that moves solves from one
+exit to another shows which.  A file that cannot be read counts as no
+solves.  It only reports, exits 0 and needs no sosproj on the path.
 """
 
 import argparse
@@ -128,13 +130,19 @@ def run_workload(name: str, seed: int) -> tuple[int, list[dict]]:
     return int(result["deviations"] > 0), solves
 
 
-def read_solves(path: str) -> list[dict]:
-    """The solves of a printed run; none if the file cannot be read."""
+def read_run(path: str) -> tuple[list[dict], Counter]:
+    """The solves and the (status, exit) counts of a printed run; none if
+    the file cannot be read."""
     try:
         with open(path) as fh:
-            return json.load(fh)["hashes"]
+            run = json.load(fh)
+        solves = run["hashes"]
+        exits = Counter(
+            {(e["status"], e["exit"]): e["count"] for e in run.get("exits", [])}
+        )
     except (OSError, ValueError, KeyError):
-        return []
+        return [], Counter()
+    return solves, exits
 
 
 def hashes_by_place(solves: list[dict]) -> dict[tuple[str, int], str]:
@@ -160,7 +168,8 @@ def in_order(base: list[str], change: list[str]) -> int:
 
 def compare(base_path: str, change_path: str, label: str) -> list[str]:
     """The summary lines of --compare."""
-    base_solves, change_solves = read_solves(base_path), read_solves(change_path)
+    base_solves, base_exits = read_run(base_path)
+    change_solves, change_exits = read_run(change_path)
     base, change = hashes_by_place(base_solves), hashes_by_place(change_solves)
     differ = [place for place, sha in change.items() if base.get(place) != sha]
     kept = in_order(
@@ -172,6 +181,12 @@ def compare(base_path: str, change_path: str, label: str) -> list[str]:
         f"in the base's order"
     ]
     lines += [f"- differs: {where}, solve {position}" for where, position in differ[:5]]
+    lines += [
+        f"- exit count moved: {status}, {reason}: "
+        f"{base_exits[status, reason]} -> {change_exits[status, reason]}"
+        for status, reason in {**base_exits, **change_exits}
+        if base_exits[status, reason] != change_exits[status, reason]
+    ]
     return lines
 
 

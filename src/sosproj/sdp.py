@@ -20,6 +20,7 @@ import importlib.util
 import math
 import os
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 
@@ -396,18 +397,6 @@ class _Workspace:
         self.obj_scale = self.c_scale * self.b_scale
         self.row_unscale = self.b_scale / self.r_scale
 
-    def primal_residual_user(self, ry: np.ndarray) -> float:
-        """User-space norm of a scaled-space primal residual vector."""
-        return float(np.linalg.norm(self.row_unscale * ry))
-
-    def dual_residual_user(self, rx: list[np.ndarray]) -> float:
-        """User-space norm of a scaled-space dual residual block list."""
-        total = 0.0
-        for r, t2 in zip(rx, self.t2):
-            block = r / t2
-            total += float(np.sum(block * block))
-        return self.c_scale * math.sqrt(total)
-
     def _equilibrate(self) -> None:
         # Each factor multiplies each stored value once and leaves zeros
         # zero, so a PSD block's nonzeros take the values its dense tensor
@@ -688,14 +677,6 @@ def _congruence(g: np.ndarray, n: np.ndarray) -> np.ndarray:
     return g.T @ n @ g
 
 
-def _max_step_block(factor: np.ndarray, delta: np.ndarray) -> float:
-    """Largest t with v + t*delta in v's cone, from v's factor in
-    _nt_scaling; NaN if delta is not finite."""
-    if factor.ndim == 1:
-        return _max_step_diag(factor, delta)
-    return _max_step_psd(factor, delta)
-
-
 def _max_step_psd(chol_lower: np.ndarray, delta: np.ndarray) -> float:
     """Largest t with X + t*delta PSD, given X = L L^T; NaN if delta is not
     finite."""
@@ -733,6 +714,280 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
     return _solve_once(_Workspace(problem), config or SolverConfig())
 
 
+def _flat(blocks) -> np.ndarray:
+    return np.concatenate([np.asarray(b).reshape(-1) for b in blocks])
+
+
+def _shift_to_cone(blocks: list[np.ndarray]) -> list[np.ndarray]:
+    """v + (1 + max(0, -lambda_min(v))) e per block, e the unit of its cone
+    (the identity, or all ones), guaranteeing PD."""
+    return [
+        v + (1.0 + max(0.0, -eig_range(v)[0]))
+        * (np.eye(len(v)) if v.ndim == 2 else np.ones(len(v)))
+        for v in blocks
+    ]
+
+
+# A point of the homogeneous self-dual embedding, or a direction in its space.
+_Iterate = namedtuple("_Iterate", "x y s tau kappa")
+# An iterate with its residuals rx, ry and rt, its b.y and complementarity
+# mu, and its convergence measures in the user's units.
+_Residuals = namedtuple(
+    "_Residuals", "it rx ry rt by mu pobj dobj relp reld relgap relmu"
+)
+
+
+def _residuals(ws: _Workspace, it: _Iterate) -> _Residuals:
+    x, y, s, tau, kappa = it
+    ATy = ws.apply_AT(y)
+    rx = [a + sb - c * tau for a, sb, c in zip(ATy, s, ws.C)]
+    ry = ws.b * tau - ws.apply_A(x)
+    cx = ws.inner(ws.C, x)
+    by = float(ws.b @ y)
+    xs = ws.inner(x, s)
+    rt = kappa + cx - by
+    mu = (xs + tau * kappa) / (ws.nu + 1.0)
+
+    # All convergence metrics live in the user's units.
+    pobj = cx / tau * ws.obj_scale
+    dobj = by / tau * ws.obj_scale
+    relp = float(np.linalg.norm(ws.row_unscale * ry)) / (tau * (1.0 + ws.norm_b_user))
+    total = sum(float(np.sum((r / t2) ** 2)) for r, t2 in zip(rx, ws.t2))
+    reld = ws.c_scale * math.sqrt(total) / (tau * (1.0 + ws.norm_C_user))
+    relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
+    relmu = xs * ws.obj_scale / (tau * tau * (1.0 + abs(pobj)))
+    return _Residuals(it, rx, ry, rt, by, mu, pobj, dobj, relp, reld, relgap, relmu)
+
+
+class _Failure(Exception):
+    """A Newton system that cannot be formed; the message says why."""
+
+
+class _Newton:
+    """One iteration's Newton system: NT scalings, the Schur complement M and
+    its factor, and the reduced system in dtau.  Raises _Failure if a block
+    or M cannot be factored."""
+
+    def __init__(self, ws: _Workspace, res: _Residuals, rows: np.ndarray,
+                 row_views: list[np.ndarray], repair_chol: np.ndarray):
+        self.ws, self.res, self.rows, self.repair_chol = ws, res, rows, repair_chol
+        # Nesterov-Todd scaling per block, plus the scalar pair (tau, kappa).
+        scalings = []
+        for xb, sb in zip(res.it.x, res.it.s):
+            nt = _nt_scaling(xb, sb)
+            if nt is None:
+                raise _Failure("block factorization failed")
+            scalings.append(nt)
+        self.G, self.sigv, self.Fx, self.Fs = zip(*scalings)
+        # Scaled constraints; Schur complement M = rows rows^T (+ reg).
+        _scale_rows(ws, self.G, row_views)
+        self.schur = rows @ rows.T  # exactly symmetric: numpy computes it by syrk
+        if not np.isfinite(self.schur).all():
+            raise _Failure("nonfinite Schur complement")
+        diag_scale = max(1.0, float(np.max(np.diag(self.schur))))
+        try:
+            self.chol = _cho_factor(self.schur, REG_INIT * diag_scale)
+        except np.linalg.LinAlgError:
+            raise _Failure("Schur complement factorization failed") from None
+
+        self.chat_flat = _flat(self._scale_down(ws.C))
+        rxhat_flat = _flat(self._scale_down(res.rx))
+        self.rows_rxhat = rows @ rxhat_flat
+        self.chat_rxhat = float(self.chat_flat @ rxhat_flat)
+        self.q = rows @ self.chat_flat                     # A(W c W)
+        h = float(self.chat_flat @ self.chat_flat)         # c' W c W
+        self.u1 = self._schur_solve(ws.b + self.q)
+        self.denom = float((self.q - ws.b) @ self.u1) - h - res.it.kappa / res.it.tau
+
+    def _scale_down(self, blocks):
+        """Block map N -> G^T N G (diag: w * n)."""
+        return [_congruence(g, n) for g, n in zip(self.G, blocks)]
+
+    def _schur_solve(self, rhs: np.ndarray) -> np.ndarray:
+        sol0 = _cho_solve(self.chol, rhs)
+        # One refinement pass against the unregularized matrix.
+        return sol0 + _cho_solve(self.chol, rhs - self.schur @ sol0)
+
+    def direction(self, eta: float, Rc_hat, rc_tk: float, repair: bool = True):
+        """The direction d (an _Iterate) for residual weight eta and scaled
+        complementarity right-hand side (Rc_hat, rc_tk), as (d, dxhat, dshat)."""
+        ws, res, it = self.ws, self.res, self.res.it
+        rc_flat = _flat(Rc_hat)
+        g2 = eta * res.ry - self.rows @ rc_flat - eta * self.rows_rxhat
+        u2 = self._schur_solve(g2)
+        num = (
+            -eta * res.rt
+            - rc_tk / it.tau
+            - float(self.chat_flat @ rc_flat)
+            - eta * self.chat_rxhat
+            - float((self.q - ws.b) @ u2)
+        )
+        dtau = num / self.denom
+        dy = u2 + dtau * self.u1
+        ATdy = ws.apply_AT(dy)
+        ds = [-eta * r - a + c * dtau for r, a, c in zip(res.rx, ATdy, ws.C)]
+        dshat = self._scale_down(ds)
+        dxhat = [rc - dsh for rc, dsh in zip(Rc_hat, dshat)]
+        # G dxhat G^T (diag: w * dxhat), symmetrized.
+        dx = [_sym(_congruence(g.T, n)) for g, n in zip(self.G, dxhat)]
+        if repair:
+            # Correct dx so that A dx = eta ry + b dtau holds to roundoff.
+            defect = eta * res.ry + ws.b * dtau - ws.apply_A(dx)
+            corr = ws.apply_AT(_cho_solve(self.repair_chol, defect))
+            dx = [_sym(d + c) for d, c in zip(dx, corr)]
+        dkappa = (rc_tk - it.kappa * dtau) / it.tau
+        return _Iterate(dx, dy, ds, dtau, dkappa), dxhat, dshat
+
+    def max_step(self, d: _Iterate) -> float:
+        """Largest step along d that stays in the cone; NaN if d is not
+        finite (min() would drop a NaN bound that is not first)."""
+        it = self.res.it
+        bounds = [np.inf]
+        for fx, fs, dxb, dsb in zip(self.Fx, self.Fs, d.x, d.s):
+            block_step = _max_step_diag if fx.ndim == 1 else _max_step_psd
+            bounds += [block_step(fx, dxb), block_step(fs, dsb)]
+        pairs = ((it.tau, d.tau), (it.kappa, d.kappa))
+        bounds += [-v / dv for v, dv in pairs if dv < 0]
+        if any(b != b for b in (*bounds, d.tau, d.kappa)):
+            return math.nan
+        return min(bounds)
+
+    def rc(self, target_mu: float, predictor, second_order: bool):
+        """Scaled complementarity right-hand side toward target_mu; with
+        second_order, less the predictor's second-order term (Mehrotra)."""
+        d_a, dxhat_a, dshat_a = predictor
+        out = []
+        for g, sig, dxh, dsh in zip(self.G, self.sigv, dxhat_a, dshat_a):
+            if g.ndim == 2:
+                target = target_mu * np.eye(len(sig)) - np.diag(sig**2)
+                if second_order:
+                    target = target - (dxh @ dsh + dsh @ dxh) / 2.0
+                out.append(target / ((sig[:, None] + sig[None, :]) / 2.0))
+            else:
+                target = target_mu - sig**2
+                if second_order:
+                    target = target - dxh * dsh
+                out.append(target / sig)
+        rc_tk = target_mu - self.res.it.tau * self.res.it.kappa
+        if second_order:
+            rc_tk = rc_tk - d_a.tau * d_a.kappa
+        return out, rc_tk
+
+
+class _Exits:
+    """The snapshot, stall and exit rules of one run.  Every exit packs a
+    stored point: the best iterate, or at the ray exit the current one."""
+
+    def __init__(self, ws: _Workspace, cfg: SolverConfig):
+        self.ws, self.cfg = ws, cfg
+        self.iterations = 0
+        self.stagnant = 0
+        self.best_merit = np.inf
+        self.best_gap_feasible = np.inf
+        self.snapshot = None
+        self.snapshot_merit = np.inf
+
+    def check(self, k: int, res: _Residuals) -> SdpSolution | None:
+        """The converged, ray or stall exit that iteration k calls for, if any."""
+        cfg, it = self.cfg, res.it
+        self.iterations = k + 1
+        feasible_now = res.relp <= cfg.feas_tol and res.reld <= cfg.feas_tol
+        gap_now = min(res.relgap, res.relmu)
+        merit = max(
+            res.relp / cfg.feas_tol, res.reld / cfg.feas_tol, gap_now / cfg.gap_tol
+        )
+        # Best iterate so far, by what still blocks termination; failure
+        # exits hand this point back rather than a later, worse one.
+        if (feasible_now and gap_now < self.best_gap_feasible) or (
+            self.snapshot is None or merit < 0.5 * self.snapshot_merit
+        ):
+            if feasible_now:
+                self.best_gap_feasible = min(self.best_gap_feasible, gap_now)
+            self.snapshot_merit = merit
+            self.snapshot = res
+
+        if merit < 0.9 * self.best_merit:
+            self.best_merit = merit
+            self.stagnant = 0
+        else:
+            self.stagnant += 1
+
+        if feasible_now and gap_now <= cfg.gap_tol:
+            # Inside tolerance; keep polishing while the gap still drops.
+            if self.stagnant >= 1 or gap_now <= 1e-10:
+                return self._pack(self.snapshot, SdpStatus.OPTIMAL, "converged")
+
+        # The ray check is meaningful once tau shrinks against kappa.
+        if k >= 3 and it.tau < 1e-2 * min(1.0, it.kappa):
+            ray = self._dual_ray(res)
+            if ray is not None:
+                message = "vanishing tau; improving ray certifies primal infeasibility"
+                return self._pack(res, SdpStatus.INFEASIBLE, message, ray)
+
+        # Long non-improving phases do occur on curved central paths; only
+        # give up after substantial patience.
+        if self.stagnant >= STALL_PATIENCE:
+            stalled = "progress stalled before reaching the requested tolerance"
+            return self.finish(stalled, SdpStatus.MAX_ITER)
+        return None
+
+    def finish(self, message: str, status=SdpStatus.NUMERICAL_FAILURE) -> SdpSolution:
+        """Exit without full convergence through the best iterate."""
+        cfg = self.cfg
+        if self.best_gap_feasible <= cfg.gap_tol:
+            return self._pack(
+                self.snapshot, SdpStatus.OPTIMAL, f"converged (best iterate; {message})"
+            )
+        sol = self._pack(self.snapshot, status, message)
+        if sol.relative_gap <= cfg.gap_tol and max(
+            sol.primal_residual, sol.dual_residual
+        ) <= INACCURATE_FACTOR * cfg.feas_tol:
+            sol.status = SdpStatus.INACCURATE
+            sol.message = (
+                f"{message}; best iterate within {INACCURATE_FACTOR:g}x feas_tol "
+                f"({sol.residuals_text()})"
+            )
+        return sol
+
+    def _pack(self, res: _Residuals, status: SdpStatus, message: str, ray=None):
+        """The solution at (X, y, S) / tau of res's iterate."""
+        ws, it = self.ws, res.it
+        t = max(it.tau, 1e-300)
+        yu, Su = ws.unscale_dual(it.y / t, [sb / t for sb in it.s])
+        return SdpSolution(
+            status=status,
+            x_blocks=ws.unscale_primal([xb / t for xb in it.x]),
+            y=yu,
+            s_blocks=Su,
+            primal_objective=res.pobj,
+            dual_objective=res.dobj,
+            gap=abs(res.pobj - res.dobj),
+            relative_gap=res.relgap,
+            primal_residual=res.relp if np.isfinite(res.relp) else np.inf,
+            dual_residual=res.reld if np.isfinite(res.reld) else np.inf,
+            iterations=self.iterations,
+            ray=ray,
+            message=message,
+        )
+
+    def _dual_ray(self, res: _Residuals) -> tuple[np.ndarray, list[np.ndarray]] | None:
+        """Improving ray (y, S) / b.y certifying primal infeasibility."""
+        ws, by = self.ws, res.by
+        if not np.isfinite(by) or by <= 0.0:
+            return None
+        ry_ = res.it.y / by
+        rS = [sb / by for sb in res.it.s]
+        resid = ws.apply_AT(ry_)
+        err = math.sqrt(sum(float(np.sum((a + sb) ** 2)) for a, sb in zip(resid, rS)))
+        if err > RAY_TOL * (1.0 + float(np.linalg.norm(ry_))):
+            return None
+        if not all(psd_accepted(*eig_range(s_blk)) for s_blk in rS):
+            return None
+        # Renormalize so the user-space ray has b . y = 1 exactly.
+        yu, Su = ws.unscale_dual(ry_, rS)
+        return yu / ws.obj_scale, [sb / ws.obj_scale for sb in Su]
+
+
 def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
     """One interior-point run on the homogeneous self-dual embedding.
 
@@ -740,9 +995,11 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
     embedding and residuals shrink proportionally to the complementarity
     measure.  A vanishing tau with positive kappa yields a dual improving
     ray, an infeasibility certificate, instead of an optimum.
-    """
-    nu1 = ws.nu + 1.0
 
+    Each iteration hands the _residuals of its _Iterate to _Exits.check,
+    then steps along the predictor-corrector (or centering) direction of
+    one _Newton system.  Every exit without convergence is _Exits.finish.
+    """
     # Gram of the constraint operator, factored once: initial-point solves
     # and the per-iteration repair that keeps A dx = eta ry + b dtau exact.
     rows, row_views = _row_buffer(ws)
@@ -759,16 +1016,6 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
         raise SdpModelError("constraint rows are numerically dependent") from None
     del gram
 
-    units = [np.eye(len(c)) if c.ndim == 2 else np.ones(len(c)) for c in ws.C]
-
-    def _shift_to_cone(blocks: list[np.ndarray]) -> list[np.ndarray]:
-        """v + (1 + max(0, -lambda_min(v))) e per block, e the unit of its
-        cone (the identity, or all ones), guaranteeing PD."""
-        return [
-            v + (1.0 + max(0.0, -eig_range(v)[0])) * unit
-            for v, unit in zip(blocks, units)
-        ]
-
     # Least-squares initial point in the spirit of conelp: the min-norm
     # solution of A x = b shifted into the cone, and the least-squares
     # dual pair (y, c - A^T y) shifted likewise.
@@ -776,306 +1023,75 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
     x = _shift_to_cone(ws.apply_AT(u0))
     y = _cho_solve(repair_chol, ws.apply_A(ws.C))
     s = _shift_to_cone([c - a for c, a in zip(ws.C, ws.apply_AT(y))])
-    tau = 1.0
-    kappa = 1.0
+    it = _Iterate(x, y, s, 1.0, 1.0)
 
-    iterations = 0
-    stagnant = 0
-    best_merit = np.inf
-    best_gap_feasible = np.inf
-    snapshot = None
-    snapshot_merit = np.inf
+    exits = _Exits(ws, cfg)
+    for k in range(MAX_ITER):
+        res = _residuals(ws, it)
+        sol = exits.check(k, res)
+        if sol is not None:
+            return sol
 
-    def _point():
-        """(X, y, S) / tau of the current iterate, then its relp, reld,
-        pobj and dobj: a point that _pack turns into a solution."""
-        t = max(tau, 1e-300)
-        return (
-            [xb / t for xb in x], y / t, [sb / t for sb in s], relp, reld, pobj, dobj
-        )
-
-    def _pack(point, status: SdpStatus, message: str, ray=None) -> SdpSolution:
-        X, y_, S, relp_, reld_, pobj_, dobj_ = point
-        yu, Su = ws.unscale_dual(y_, S)
-        gap = abs(pobj_ - dobj_)
-        return SdpSolution(
-            status=status,
-            x_blocks=ws.unscale_primal(X),
-            y=yu,
-            s_blocks=Su,
-            primal_objective=pobj_,
-            dual_objective=dobj_,
-            gap=gap,
-            relative_gap=gap / (1.0 + abs(pobj_) + abs(dobj_)),
-            primal_residual=relp_ if np.isfinite(relp_) else np.inf,
-            dual_residual=reld_ if np.isfinite(reld_) else np.inf,
-            iterations=iterations,
-            ray=ray,
-            message=message,
-        )
-
-    def _try_dual_ray() -> tuple[np.ndarray, list[np.ndarray]] | None:
-        """Improving ray (y, S) / b.y certifying primal infeasibility."""
-        if not np.isfinite(by) or by <= 0.0:
-            return None
-        ry_ = y / by
-        rS = [sb / by for sb in s]
-        resid = ws.apply_AT(ry_)
-        res = math.sqrt(
-            sum(float(np.sum((a + sb) ** 2)) for a, sb in zip(resid, rS))
-        )
-        if res > RAY_TOL * (1.0 + float(np.linalg.norm(ry_))):
-            return None
-        if not all(psd_accepted(*eig_range(s_blk)) for s_blk in rS):
-            return None
-        # Renormalize so the user-space ray has b . y = 1 exactly.
-        yu, Su = ws.unscale_dual(ry_, rS)
-        return yu / ws.obj_scale, [sb / ws.obj_scale for sb in Su]
-
-    def _finish(failure_status: SdpStatus, message: str) -> SdpSolution:
-        """Exit without full convergence through the best iterate."""
-        if best_gap_feasible <= cfg.gap_tol:
-            return _pack(
-                snapshot, SdpStatus.OPTIMAL, f"converged (best iterate; {message})"
-            )
-        sol = _pack(snapshot, failure_status, message)
-        if sol.relative_gap <= cfg.gap_tol and max(
-            sol.primal_residual, sol.dual_residual
-        ) <= INACCURATE_FACTOR * cfg.feas_tol:
-            sol.status = SdpStatus.INACCURATE
-            sol.message = (
-                f"{message}; best iterate within {INACCURATE_FACTOR:g}x feas_tol "
-                f"({sol.residuals_text()})"
-            )
-        return sol
-
-    for it in range(MAX_ITER):
-        iterations = it + 1
-        ATy = ws.apply_AT(y)
-        rx = [a + sb - c * tau for a, sb, c in zip(ATy, s, ws.C)]
-        ry = ws.b * tau - ws.apply_A(x)
-        cx = ws.inner(ws.C, x)
-        by = float(ws.b @ y)
-        xs = ws.inner(x, s)
-        rt = kappa + cx - by
-        mu = (xs + tau * kappa) / nu1
-
-        # All convergence metrics live in the user's units.
-        pobj = cx / tau * ws.obj_scale
-        dobj = by / tau * ws.obj_scale
-        relp = ws.primal_residual_user(ry) / (tau * (1.0 + ws.norm_b_user))
-        reld = ws.dual_residual_user(rx) / (tau * (1.0 + ws.norm_C_user))
-        relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-        relmu = xs * ws.obj_scale / (tau * tau * (1.0 + abs(pobj)))
-
-        feasible_now = relp <= cfg.feas_tol and reld <= cfg.feas_tol
-        gap_now = min(relgap, relmu)
-        merit = max(relp / cfg.feas_tol, reld / cfg.feas_tol, gap_now / cfg.gap_tol)
-        # Best iterate so far, by what still blocks termination; failure
-        # exits hand this point back rather than a later, worse one.
-        if (feasible_now and gap_now < best_gap_feasible) or (
-            snapshot is None or merit < 0.5 * snapshot_merit
-        ):
-            if feasible_now:
-                best_gap_feasible = min(best_gap_feasible, gap_now)
-            snapshot_merit = merit
-            snapshot = _point()
-
-        if merit < 0.9 * best_merit:
-            best_merit = merit
-            stagnant = 0
-        else:
-            stagnant += 1
-
-        if feasible_now and gap_now <= cfg.gap_tol:
-            # Inside tolerance; keep polishing while the gap still drops.
-            if stagnant >= 1 or gap_now <= 1e-10:
-                return _pack(snapshot, SdpStatus.OPTIMAL, "converged")
-
-        # The ray check is meaningful once tau shrinks against kappa.
-        if it >= 3 and tau < 1e-2 * min(1.0, kappa):
-            ray = _try_dual_ray()
-            if ray is not None:
-                return _pack(
-                    _point(),
-                    SdpStatus.INFEASIBLE,
-                    "vanishing tau; improving ray certifies primal infeasibility",
-                    ray,
-                )
-
-        # Long non-improving phases do occur on curved central paths; only
-        # give up after substantial patience.
-        if stagnant >= STALL_PATIENCE:
-            return _finish(
-                SdpStatus.MAX_ITER,
-                "progress stalled before reaching the requested tolerance",
-            )
-
-        # Nesterov-Todd scaling per block, plus the scalar pair (tau, kappa).
-        scalings = []
-        for xb, sb in zip(x, s):
-            nt = _nt_scaling(xb, sb)
-            if nt is None:
-                return _finish(SdpStatus.NUMERICAL_FAILURE, "block factorization failed")
-            scalings.append(nt)
-        G, sigv, Fx, Fs = zip(*scalings)
-
-        def _scale_down(blocks_in):
-            """Block map N -> G^T N G (diag: w * n)."""
-            return [_congruence(g, n) for g, n in zip(G, blocks_in)]
-
-        def _flat(blocks_in) -> np.ndarray:
-            return np.concatenate([np.asarray(b).reshape(-1) for b in blocks_in])
-
-        # Scaled constraints; Schur complement M = rows rows^T (+ reg).  The
-        # previous M and its factor are released first, so that beside the
-        # row buffer at most three m x m matrices are live: the constraint
-        # Gram factor, M and M's factor.
-        schur = chol = None
-        _scale_rows(ws, G, row_views)
-        schur = rows @ rows.T  # exactly symmetric: numpy computes it by syrk
-        if not np.isfinite(schur).all():
-            return _finish(SdpStatus.NUMERICAL_FAILURE, "nonfinite Schur complement")
-
-        diag_scale = max(1.0, float(np.max(np.diag(schur))))
+        # The previous system goes first, so that beside the row buffer at
+        # most three m x m matrices are live: the constraint Gram factor, M
+        # and M's factor.
+        newton = None
         try:
-            chol = _cho_factor(schur, REG_INIT * diag_scale)
-        except np.linalg.LinAlgError:
-            return _finish(
-                SdpStatus.NUMERICAL_FAILURE,
-                "Schur complement factorization failed",
-            )
-
-        def _schur_solve(rhs: np.ndarray) -> np.ndarray:
-            sol0 = _cho_solve(chol, rhs)
-            # One refinement pass against the unregularized matrix.
-            return sol0 + _cho_solve(chol, rhs - schur @ sol0)
-
-        def _repair(dx_blocks, target: np.ndarray):
-            """Correct dx so A dx = target holds to roundoff."""
-            defect = target - ws.apply_A(dx_blocks)
-            corr = ws.apply_AT(_cho_solve(repair_chol, defect))
-            return [_sym(d + c) for d, c in zip(dx_blocks, corr)]
-
-        chat = _scale_down(ws.C)
-        chat_flat = _flat(chat)
-        rxhat = _scale_down(rx)
-        rxhat_flat = _flat(rxhat)
-        rows_rxhat = rows @ rxhat_flat
-        chat_rxhat = float(chat_flat @ rxhat_flat)
-        q = rows @ chat_flat                     # A(W c W)
-        h = float(chat_flat @ chat_flat)         # c' W c W
-        u1 = _schur_solve(ws.b + q)
-        denom_D = float((q - ws.b) @ u1) - h - kappa / tau
-        if abs(denom_D) < 1e-300:
-            return _finish(SdpStatus.NUMERICAL_FAILURE, "singular reduced system")
-
-        def _direction(eta: float, Rc_hat, rc_tk: float, repair: bool = True):
-            rc_flat = _flat(Rc_hat)
-            g2 = eta * ry - rows @ rc_flat - eta * rows_rxhat
-            u2 = _schur_solve(g2)
-            num = (
-                -eta * rt
-                - rc_tk / tau
-                - float(chat_flat @ rc_flat)
-                - eta * chat_rxhat
-                - float((q - ws.b) @ u2)
-            )
-            dtau = num / denom_D
-            dy = u2 + dtau * u1
-            ATdy = ws.apply_AT(dy)
-            ds = [
-                -eta * r - a + c * dtau for r, a, c in zip(rx, ATdy, ws.C)
-            ]
-            dshat = _scale_down(ds)
-            dxhat = [rc - dsh for rc, dsh in zip(Rc_hat, dshat)]
-            # G dxhat G^T (diag: w * dxhat), symmetrized.
-            dx = [_sym(_congruence(g.T, n)) for g, n in zip(G, dxhat)]
-            if repair:
-                dx = _repair(dx, eta * ry + ws.b * dtau)
-            dkappa = (rc_tk - kappa * dtau) / tau
-            return dx, dy, ds, dtau, dkappa, dxhat, dshat
+            newton = _Newton(ws, res, rows, row_views, repair_chol)
+        except _Failure as failure:
+            return exits.finish(str(failure))
+        if abs(newton.denom) < 1e-300:
+            return exits.finish("singular reduced system")
 
         # Predictor: eta = 1, complementarity target zero.
-        Rc_aff = [-np.diag(sig) if g.ndim == 2 else -sig for g, sig in zip(G, sigv)]
-        dx_a, dy_a, ds_a, dtau_a, dkappa_a, dxhat_a, dshat_a = _direction(
-            1.0, Rc_aff, -tau * kappa
-        )
-
-        def _max_step(dx_blocks, ds_blocks, dtau, dkappa) -> float:
-            """Largest step that stays in the cone; NaN if a direction is
-            not finite (min() would drop a NaN bound that is not first)."""
-            bounds = [np.inf]
-            for fx, fs, dxb, dsb in zip(Fx, Fs, dx_blocks, ds_blocks):
-                bounds += [_max_step_block(fx, dxb), _max_step_block(fs, dsb)]
-            bounds += [-v / dv for v, dv in ((tau, dtau), (kappa, dkappa)) if dv < 0]
-            if any(b != b for b in (*bounds, dtau, dkappa)):
-                return math.nan
-            return min(bounds)
-
-        alpha_aff = _step_length(_max_step(dx_a, ds_a, dtau_a, dkappa_a))
+        Rc_aff = [
+            -np.diag(sig) if g.ndim == 2 else -sig
+            for g, sig in zip(newton.G, newton.sigv)
+        ]
+        predictor = newton.direction(1.0, Rc_aff, -it.tau * it.kappa)
+        d_a = predictor[0]
+        alpha_aff = _step_length(newton.max_step(d_a))
         if math.isnan(alpha_aff):
-            return _finish(SdpStatus.NUMERICAL_FAILURE, "nonfinite step length")
-        xa = [b + alpha_aff * d for b, d in zip(x, dx_a)]
-        sa = [b + alpha_aff * d for b, d in zip(s, ds_a)]
+            return exits.finish("nonfinite step length")
+        xa = [b + alpha_aff * d for b, d in zip(it.x, d_a.x)]
+        sa = [b + alpha_aff * d for b, d in zip(it.s, d_a.s)]
         mu_aff = (
             ws.inner(xa, sa)
-            + (tau + alpha_aff * dtau_a) * (kappa + alpha_aff * dkappa_a)
-        ) / nu1
+            + (it.tau + alpha_aff * d_a.tau) * (it.kappa + alpha_aff * d_a.kappa)
+        ) / (ws.nu + 1.0)
         mu_aff = max(mu_aff, 0.0)
-        sigma = (mu_aff / mu) ** 3 if mu > 0 else SIGMA_MAX
+        sigma = (mu_aff / res.mu) ** 3 if res.mu > 0 else SIGMA_MAX
         sigma = min(max(sigma, SIGMA_MIN), SIGMA_MAX)
 
-        def _rc(target_mu: float, second_order: bool):
-            """Scaled complementarity right-hand side toward target_mu; with
-            second_order, less the predictor's second-order term (Mehrotra)."""
-            out = []
-            for g, sig, dxh, dsh in zip(G, sigv, dxhat_a, dshat_a):
-                if g.ndim == 2:
-                    target = target_mu * np.eye(len(sig)) - np.diag(sig**2)
-                    if second_order:
-                        target = target - (dxh @ dsh + dsh @ dxh) / 2.0
-                    out.append(target / ((sig[:, None] + sig[None, :]) / 2.0))
-                else:
-                    target = target_mu - sig**2
-                    if second_order:
-                        target = target - dxh * dsh
-                    out.append(target / sig)
-            rc_tk = target_mu - tau * kappa
-            if second_order:
-                rc_tk = rc_tk - dtau_a * dkappa_a
-            return out, rc_tk
+        Rc, rc_tk = newton.rc(sigma * res.mu, predictor, True)
+        d = newton.direction(1.0 - sigma, Rc, rc_tk)[0]
 
-        Rc, rc_tk = _rc(sigma * mu, True)
-        dx, dy, ds, dtau, dkappa, _dxh, _dsh = _direction(1.0 - sigma, Rc, rc_tk)
-
-        alpha = _step_length(_max_step(dx, ds, dtau, dkappa), STEP_FRACTION)
+        alpha = _step_length(newton.max_step(d), STEP_FRACTION)
         if alpha < 1e-4:
             # Rescue: a pure centering direction at the current mu restores
             # room to move when the combined step jams on the cone boundary.
-            Rc_center, rc_center_tk = _rc(mu, False)
+            Rc_center, rc_center_tk = newton.rc(res.mu, predictor, False)
             # The feasibility repair ignores the cone and can itself keep
             # the step jammed; then the centering step goes without it.
             for repair in (True, False):
-                dxc, dyc, dsc, dtc, dkc, _h1, _h2 = _direction(
-                    0.0, Rc_center, rc_center_tk, repair
-                )
-                alpha_c = _step_length(_max_step(dxc, dsc, dtc, dkc), STEP_FRACTION)
+                d_c = newton.direction(0.0, Rc_center, rc_center_tk, repair)[0]
+                alpha_c = _step_length(newton.max_step(d_c), STEP_FRACTION)
                 if alpha_c > alpha:
-                    dx, dy, ds, dtau, dkappa = dxc, dyc, dsc, dtc, dkc
-                    alpha = alpha_c
+                    d, alpha = d_c, alpha_c
                 if alpha >= 1e-4:
                     break
         if not np.isfinite(alpha):
-            return _finish(SdpStatus.NUMERICAL_FAILURE, "nonfinite step length")
+            return exits.finish("nonfinite step length")
 
-        x = [b + alpha * d for b, d in zip(x, dx)]
-        y = y + alpha * dy
-        s = [b + alpha * d for b, d in zip(s, ds)]
-        tau = tau + alpha * dtau
-        kappa = kappa + alpha * dkappa
+        it = _Iterate(
+            [b + alpha * v for b, v in zip(it.x, d.x)],
+            it.y + alpha * d.y,
+            [b + alpha * v for b, v in zip(it.s, d.s)],
+            it.tau + alpha * d.tau,
+            it.kappa + alpha * d.kappa,
+        )
 
-    return _finish(SdpStatus.MAX_ITER, f"no convergence in {MAX_ITER} iterations")
+    return exits.finish(f"no convergence in {MAX_ITER} iterations", SdpStatus.MAX_ITER)
 
 
 def check_certificate(problem: SdpProblem, sol: SdpSolution) -> CertificateReport:

@@ -450,6 +450,50 @@ def test_iteration_cap_after_convergence_returns_the_best_iterate(monkeypatch):
     assert sol.relative_gap <= NEAR.gap_tol
 
 
+@pytest.mark.parametrize(
+    "at, status, capped_status",
+    [
+        (2, SdpStatus.NUMERICAL_FAILURE, SdpStatus.MAX_ITER),
+        (5, SdpStatus.INACCURATE, SdpStatus.INACCURATE),
+        (6, SdpStatus.OPTIMAL, SdpStatus.OPTIMAL),
+    ],
+)
+def test_singular_reduced_system_ends_through_the_failure_exit(
+    monkeypatch, at, status, capped_status
+):
+    # A reduced-system denominator below 1e-300 in iteration `at` ends the
+    # run there through the common failure exit: the best iterate and the
+    # status rule of the iteration cap at `at`, with this exit's reason.
+    built = [0]
+
+    class Singular(sdp_module._Newton):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built[0] += 1
+            if built[0] == at:
+                self.denom = 1e-301
+
+    monkeypatch.setattr(sdp_module, "_Newton", Singular)
+    sol = sdp_module._solve_once(_boundary_workspace(), NEAR)
+    monkeypatch.undo()
+    monkeypatch.setattr(sdp_module, "MAX_ITER", at)
+    capped = sdp_module._solve_once(_boundary_workspace(), NEAR)
+
+    assert built[0] == at
+    assert sol.status is status
+    assert capped.status is capped_status
+    assert sol.message == capped.message.replace(
+        f"no convergence in {at} iterations", "singular reduced system"
+    )
+    assert sol.iterations == capped.iterations == at
+    point = [*sol.x_blocks, sol.y, *sol.s_blocks]
+    capped_point = [*capped.x_blocks, capped.y, *capped.s_blocks]
+    assert all(np.array_equal(a, b) for a, b in zip(point, capped_point, strict=True))
+    assert (sol.primal_residual, sol.dual_residual, sol.relative_gap) == (
+        capped.primal_residual, capped.dual_residual, capped.relative_gap
+    )
+
+
 @pytest.mark.parametrize("n", [15, 66, 455])
 def test_lapack_helpers_match_the_scipy_wrappers(n):
     # The solver calls LAPACK directly with the arguments of the scipy

@@ -7,11 +7,12 @@ from pathlib import Path
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "solve_hashes.py"
 
 
-def _write(path, shas):
+def _write(path, shas, exits=()):
     # Two solves in test a, one in test b: positions count within a "where".
     wheres = ["a", "a", "b"]
     path.write_text(json.dumps({
         "solves": len(shas),
+        "exits": [{"status": s, "exit": e, "count": n} for s, e, n in exits],
         "hashes": [{"where": w, "sha256": h} for w, h in zip(wheres, shas)],
     }))
     return str(path)
@@ -86,3 +87,25 @@ def test_compare_reads_a_missing_base_as_no_solves(fresh_python, tmp_path):
         "ladder: 0 of 3 solve hashes equal to base (0 base solves); "
         "0 of 3 in the base's order"
     )
+
+
+def test_compare_lists_the_exit_counts_that_moved(fresh_python, tmp_path):
+    # One solve moves from the stall exit to a new exit; the converged count
+    # holds, so only the two moved counts are listed, base order first.
+    base = _write(tmp_path / "base.json", ["h0", "h1", "h2"], [
+        ("optimal", "converged", 2),
+        ("max_iter", "progress stalled", 1),
+    ])
+    moved = _write(tmp_path / "moved.json", ["h0", "h1", "hX"], [
+        ("optimal", "converged", 2),
+        ("numerical_failure", "singular reduced system", 1),
+    ])
+    run = fresh_python(str(SCRIPT), "--compare", base, moved, "--label", "tier-1")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "tier-1: 2 of 3 solve hashes equal to base (3 base solves); "
+        "2 of 3 in the base's order",
+        "- differs: b, solve 0",
+        "- exit count moved: max_iter, progress stalled: 1 -> 0",
+        "- exit count moved: numerical_failure, singular reduced system: 0 -> 1",
+    ]
