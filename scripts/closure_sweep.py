@@ -7,8 +7,8 @@ Example:
 
 import argparse
 
-from sosproj.cones import SemialgebraicSystem, parse_system_text
-from sosproj.polynomials import WeightSequence, parse_polynomial, text_dimension
+from sosproj.cli import read_system_and_f
+from sosproj.polynomials import WeightSequence
 from sosproj.projection import closure_probe
 
 
@@ -21,12 +21,7 @@ def main() -> int:
     parser.add_argument("--norm", choices=["l1", "lw"], default="lw")
     args = parser.parse_args()
 
-    if args.system:
-        with open(args.system) as fh:
-            system = parse_system_text(fh.read())
-    else:
-        system = SemialgebraicSystem(text_dimension(args.f), ())
-    f = parse_polynomial(args.f, system.dimension)
+    system, f = read_system_and_f(args.f, args.system)
     rows = closure_probe(
         f, system, args.d, args.t, WeightSequence.from_name(args.norm)
     )

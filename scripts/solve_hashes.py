@@ -7,8 +7,9 @@ print the same object, so a change that must not move an iterate is checked
 by running this on both commits and comparing the output.
 
 Each solve also lists its status and exit (its message up to the first
-";"), and "exits" counts the solves per (status, exit): which solver exits
-a run reaches, and how often.
+";" outside parentheses, so that "converged (best iterate; ...)" keeps the
+failure exit that led there), and "exits" counts the solves per (status,
+exit): which solver exits a run reaches, and how often.
 
 Example:
     PYTHONPATH=src python scripts/solve_hashes.py --workload search --seed 1
@@ -77,6 +78,19 @@ def solution_hash(sol) -> str:
     return h.hexdigest()
 
 
+def exit_key(message: str) -> str:
+    """The message up to its first ";" outside parentheses."""
+    depth = 0
+    for at, char in enumerate(message):
+        if char == "(":
+            depth += 1
+        elif char == ")":
+            depth -= 1
+        elif char == ";" and depth == 0:
+            return message[:at]
+    return message
+
+
 def record_solves(where) -> list[dict]:
     """Wrap sdp._solve_once so each solve appends its hash, status and exit."""
     from sosproj import sdp
@@ -90,7 +104,7 @@ def record_solves(where) -> list[dict]:
             "where": where(len(solves)),
             "sha256": solution_hash(sol),
             "status": sol.status.value,
-            "exit": sol.message.split(";", 1)[0],
+            "exit": exit_key(sol.message),
         })
         return sol
 

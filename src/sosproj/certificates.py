@@ -125,8 +125,7 @@ def membership(
     separating functional (`validate_separator`).  A numerical failure is
     reported as inconclusive, never as NotInCone.
     """
-    if f.dimension != system.dimension:
-        raise ValueError("polynomial and system dimensions differ")
+    system.check_polynomial(f)
     if f.degree > 2 * k:
         raise ValueError(f"deg f = {f.degree} exceeds cone degree {2 * k}")
     trunc = build_truncation(system, k)
@@ -229,8 +228,7 @@ class PsatzQuery:
             raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if self.d_max < 1:
             raise ValueError(f"d_max must be >= 1, got {self.d_max}")
-        if self.f.dimension != self.system.dimension:
-            raise ValueError("polynomial and system dimensions differ")
+        self.system.check_polynomial(self.f)
 
 
 @dataclass

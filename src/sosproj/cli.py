@@ -165,15 +165,26 @@ def _solver_config(args) -> SolverConfig:
     return SolverConfig(feas_tol=args.feas_tol, gap_tol=args.gap_tol)
 
 
-def _system_and_f(args) -> tuple[SemialgebraicSystem, Polynomial]:
-    if args.system:
-        with open(args.system) as fh:
+def read_system_and_f(
+    f_text: str | None, system_path: str | None, cone: str | None = None
+) -> tuple[SemialgebraicSystem, Polynomial | None]:
+    """The system file's system, or R^n in f's variables, with cone kind
+    `cone` if given; and f in the system's variables (None without f)."""
+    if system_path:
+        with open(system_path) as fh:
             system = parse_system_text(fh.read())
-        if args.cone is not None:
-            system = replace(system, cone_kind=ConeKind(args.cone))
     else:
-        system = SemialgebraicSystem(text_dimension(args.f), (), ConeKind(args.cone))
-    return system, parse_polynomial(args.f, system.dimension)
+        system = SemialgebraicSystem(text_dimension(f_text))
+    if cone is not None:
+        system = replace(system, cone_kind=ConeKind(cone))
+    f = None if f_text is None else parse_polynomial(f_text, system.dimension)
+    return system, f
+
+
+def _projection_problem(args) -> ProjectionProblem:
+    system, f = read_system_and_f(args.f, args.system, args.cone)
+    norm = WeightSequence.from_name(args.norm)
+    return ProjectionProblem(f, system, norm, args.d, args.t)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -185,9 +196,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_project(args) -> int:
-    system, f = _system_and_f(args)
-    norm = WeightSequence.from_name(args.norm)
-    problem = ProjectionProblem(f, system, norm, args.d, args.t)
+    problem = _projection_problem(args)
     try:
         cert = project_lambda_form(problem, _solver_config(args))
     except ProjectionFailure as exc:
@@ -210,7 +219,7 @@ def cmd_project(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    system, f = _system_and_f(args)
+    system, f = read_system_and_f(args.f, args.system, args.cone)
     result = membership(f, system, args.d, _solver_config(args))
     print(f"verdict {result.verdict.value} level {result.level}")
     if result.verdict is MembershipVerdict.INCONCLUSIVE:
@@ -232,7 +241,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_psatz(args) -> int:
-    system, f = _system_and_f(args)
+    system, f = read_system_and_f(args.f, args.system, args.cone)
     # The top-even-power perturbation is the one whose certification level
     # tracks the projection lambdas; the exponential tower is available
     # through the library API.
@@ -253,8 +262,7 @@ def cmd_psatz(args) -> int:
 
 
 def cmd_moments_check(args) -> int:
-    with open(args.system) as fh:
-        system = parse_system_text(fh.read())
+    system, _f = read_system_and_f(None, args.system)
     with open(args.moments) as fh:
         y = parse_moment_text(fh.read())
     report = kmoment_condition_check(y, system, args.d)
@@ -269,13 +277,11 @@ def cmd_moments_check(args) -> int:
 
 
 def cmd_export_sdpa(args) -> int:
-    system, f = _system_and_f(args)
-    norm = WeightSequence.from_name(args.norm)
-    problem = ProjectionProblem(f, system, norm, args.d, args.t)
+    problem = _projection_problem(args)
     built = build_lambda_form_sdp(problem)
     comment = (
         f"projection SDP: norm={args.norm} d={args.d} t={problem.t} "
-        f"generators={system.num_generators}"
+        f"generators={problem.system.num_generators}"
     )
     _emit(export_sdpa(built.sdp, comments=(comment,)), args.out)
     return EXIT_OK

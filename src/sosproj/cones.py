@@ -64,6 +64,11 @@ class SemialgebraicSystem:
                 f"cap {PREORDER_CAP} (2^m products)"
             )
 
+    def check_polynomial(self, f: Polynomial) -> None:
+        """Raise ConeModelError unless f is in the system's variables."""
+        if f.dimension != self.dimension:
+            raise ConeModelError("polynomial and system dimensions differ")
+
     @property
     def num_generators(self) -> int:
         return len(self.generators)

@@ -27,7 +27,7 @@ from .polynomials import (
     monomial_basis,
     total_degree,
 )
-from .sdp import eig_range, psd_accepted
+from .sdp import dense_symmetric, eig_range, psd_accepted
 
 
 class MomentDataError(ValueError):
@@ -214,11 +214,7 @@ class BasisMatrixSet:
         return sorted(self._entries, key=grevlex_key)
 
     def matrix(self, alpha: Exponent) -> np.ndarray:
-        mat = np.zeros((self.side, self.side))
-        for i, j, v in self._entries.get(tuple(alpha), ()):
-            mat[i, j] = v
-            mat[j, i] = v
-        return mat
+        return dense_symmetric(self.side, self._entries.get(tuple(alpha), ()))
 
     def entries(self, alpha: Exponent) -> list[tuple[int, int, float]]:
         """Upper-triangle (i, j, value) entries of B_alpha, i <= j."""

@@ -64,8 +64,8 @@ class ProjectionProblem:
     """Projection of f onto the level-t cone intersected with degree-2d.
 
     t defaults to d, the plain degree-bounded projection.  Requires
-    2t >= max(2d, deg f); the target degree must also cover f, since the
-    projection differs from f by low-degree perturbations only.
+    deg f <= 2d, since the projection differs from f by low-degree
+    perturbations only, and then t >= d.
     """
 
     f: Polynomial
@@ -77,20 +77,16 @@ class ProjectionProblem:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError(f"truncation half-degree d must be >= 1, got {self.d}")
-        t = self.d if self.t is None else self.t
-        object.__setattr__(self, "t", t)
-        if self.f.dimension != self.system.dimension:
-            raise ValueError("polynomial and system dimensions differ")
-        if 2 * t < max(2 * self.d, self.f.degree):
-            raise ValueError(
-                f"cone level t={t} too small: need 2t >= max(2d, deg f) "
-                f"= {max(2 * self.d, self.f.degree)}"
-            )
+        self.system.check_polynomial(self.f)
         if self.f.degree > 2 * self.d:
             raise ValueError(
                 f"deg f = {self.f.degree} exceeds truncation degree {2 * self.d}; "
                 "the perturbation cannot cancel the top coefficients"
             )
+        t = self.d if self.t is None else self.t
+        object.__setattr__(self, "t", t)
+        if t < self.d:
+            raise ValueError(f"cone level t={t} too small: need t >= d = {self.d}")
 
 
 def perturbation_basis(
@@ -132,6 +128,22 @@ class ProjectionCertificate:
     solver_status: SdpStatus = SdpStatus.OPTIMAL
     solver_iterations: int = 0
     solver_gap: float = 0.0
+
+    @classmethod
+    def from_solve(
+        cls, problem: ProjectionProblem, sol: SdpSolution, **form_fields
+    ) -> ProjectionCertificate:
+        """The fields every form reads from `problem` and its optimal `sol`."""
+        return cls(
+            norm_kind=problem.norm.kind,
+            d=problem.d,
+            t=problem.t,
+            p_value=float(sol.primal_objective),
+            solver_status=sol.status,
+            solver_iterations=sol.iterations,
+            solver_gap=sol.gap,
+            **form_fields,
+        )
 
     def lambda_sum(self) -> float | None:
         if self.lambda0 is None:
@@ -196,11 +208,9 @@ def lambda_certificate(
     # The perturbation exponents are distinct, so each lambda sets its own
     # coefficient of the shift; Polynomial drops the zero ones.
     shift = {alpha: lam[p] * scale for p, (_k, alpha, scale) in enumerate(built.pert)}
-    return ProjectionCertificate(
-        norm_kind=problem.norm.kind,
-        d=problem.d,
-        t=problem.t,
-        p_value=float(sol.primal_objective),
+    return ProjectionCertificate.from_solve(
+        problem,
+        sol,
         projection=problem.f + Polynomial(problem.system.dimension, shift),
         grams=built.grams(sol),
         lambda0=lambda0,
@@ -209,9 +219,6 @@ def lambda_certificate(
         lambda_effectively_zero=all(
             v <= LAMBDA_ZERO_FLAG for v in [lambda0, *lambda_ik.values()]
         ),
-        solver_status=sol.status,
-        solver_iterations=sol.iterations,
-        solver_gap=sol.gap,
     )
 
 
@@ -267,17 +274,8 @@ def project_general_form(
     grams = gs.grams(sol)
     projection = gram_reconstruct(trunc, list(grams.values()))
     residuals = {alpha: float(r) for alpha, r in zip(low, sol.x_blocks[lam_blk])}
-    return ProjectionCertificate(
-        norm_kind=w.kind,
-        d=d,
-        t=t,
-        p_value=float(sol.primal_objective),
-        projection=projection,
-        grams=grams,
-        residuals=residuals,
-        solver_status=sol.status,
-        solver_iterations=sol.iterations,
-        solver_gap=sol.gap,
+    return ProjectionCertificate.from_solve(
+        problem, sol, projection=projection, grams=grams, residuals=residuals
     )
 
 

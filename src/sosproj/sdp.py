@@ -102,6 +102,15 @@ class SdpModelError(ValueError):
     pass
 
 
+def dense_symmetric(side: int, entries) -> np.ndarray:
+    """The side x side symmetric matrix of upper-triangle (i, j, value) entries."""
+    mat = np.zeros((side, side))
+    for i, j, v in entries:
+        mat[i, j] = v
+        mat[j, i] = v
+    return mat
+
+
 class SdpProblem:
     """Equality-constrained block SDP: objective, constraints, block layout."""
 
@@ -172,11 +181,7 @@ class SdpProblem:
     def dense_coefficient(self, entries: BlockEntries, blk: int) -> np.ndarray:
         spec = self.blocks[blk]
         if spec.kind is BlockKind.PSD:
-            mat = np.zeros((spec.side, spec.side))
-            for i, j, v in entries.get(blk, []):
-                mat[i, j] = v
-                mat[j, i] = v
-            return mat
+            return dense_symmetric(spec.side, entries.get(blk, []))
         vec = np.zeros(spec.side)
         for i, _j, v in entries.get(blk, []):
             vec[i] = v
@@ -344,9 +349,10 @@ class _Workspace:
         # weights would otherwise wreck the Schur conditioning.
         self.norm_b_user = float(np.linalg.norm(self.b))
         self.norm_C_user = math.sqrt(sum(float(np.sum(c * c)) for c in self.C))
-        self.t_scale: list[np.ndarray] = []
-        for spec in self.blocks:
-            self.t_scale.append(np.ones(spec.side))
+        self.t_scale: list[float | np.ndarray] = [
+            1.0 if spec.kind is BlockKind.PSD else np.ones(spec.side)
+            for spec in self.blocks
+        ]
         self.r_scale = np.ones(self.m)
         self.c_scale = 1.0
         self.b_scale = 1.0
@@ -367,11 +373,7 @@ class _Workspace:
         self._equilibrate()
         for blk in self.psd:
             self.A[blk].record_rows()
-        # Each block's squared column scaling: t t^T (PSD) or t * t (diagonal).
-        self.t2 = [
-            np.outer(t, t) if spec.kind is BlockKind.PSD else t * t
-            for spec, t in zip(self.blocks, self.t_scale)
-        ]
+        self.t2 = [t * t for t in self.t_scale]
         # Near-equal slabs of constraints, each of at least SLAB_MIN_FLOPS
         # in _scale_rows.  A block of one slab is densified once and kept;
         # the others stream through one buffer of the largest slab.  Every

@@ -31,14 +31,13 @@ def export_sdpa(problem: SdpProblem, comments: tuple[str, ...] = ()) -> str:
     lines.append(" ".join(sizes))
     lines.append(" ".join(format_float(rhs) for _e, rhs in problem.constraints))
 
+    # SdpProblem stores only nonzero entries; a +-1 scale keeps them nonzero.
     def emit(matno: int, entries, scale: float) -> None:
         for blk in sorted(entries):
             for i, j, v in entries[blk]:
-                value = scale * v
-                if value != 0.0:
-                    lines.append(
-                        f"{matno} {blk + 1} {i + 1} {j + 1} {format_float(value)}"
-                    )
+                lines.append(
+                    f"{matno} {blk + 1} {i + 1} {j + 1} {format_float(scale * v)}"
+                )
 
     emit(0, problem.objective, -1.0)
     for ci, (entries, _rhs) in enumerate(problem.constraints):

@@ -96,11 +96,14 @@ def test_membership_degree_guard():
     [
         lambda: membership(MOTZKIN, SemialgebraicSystem(3), 3),
         lambda: PsatzQuery(MOTZKIN, SemialgebraicSystem(3), 0.1, 3),
+        lambda: ProjectionProblem(
+            MOTZKIN, SemialgebraicSystem(3), WeightSequence.l1(), 3
+        ),
     ],
-    ids=["membership", "psatz query"],
+    ids=["membership", "psatz query", "projection problem"],
 )
 def test_f_and_K_of_different_dimensions_are_rejected(call):
-    with pytest.raises(ValueError, match="dimensions differ"):
+    with pytest.raises(ValueError, match="^polynomial and system dimensions differ$"):
         call()
 
 

@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,16 +8,19 @@ from sosproj import certificates as certificates_module
 from sosproj import cli as cli_module
 from sosproj import projection as projection_module
 from sosproj.certificates import MembershipResult, MembershipVerdict
-from sosproj.cli import main
+from sosproj.cli import main, read_system_and_f
 from sosproj.moments import MomentSequence, format_moment_text
+from sosproj.polynomials import WeightSequence
 from sosproj.projection import (
     ProjectionFailure,
+    closure_probe,
     format_certificate_document,
     parse_certificate,
 )
 from sosproj.sdp import SdpSolution, SdpStatus
 
 MOTZKIN = "x1^2*x2^2*(x1^2+x2^2-1)+1/27"
+SWEEP = Path(__file__).resolve().parents[1] / "scripts" / "closure_sweep.py"
 
 
 def run(capsys, *argv):
@@ -285,6 +289,31 @@ def test_fresh_interpreter_cli_matches_main(fresh_python, tmp_path, capsys):
     fresh_file, main_file = tmp_path / "fresh.dat-s", tmp_path / "main.dat-s"
     assert fresh(*export, str(fresh_file)) == run(capsys, *export, str(main_file))[:2]
     assert fresh_file.read_bytes() == main_file.read_bytes()
+
+
+@pytest.mark.parametrize("system_text", [None, "n 2\ng: 1 - x1^4 - x2^4\n"],
+                         ids=["R^n", "system file"])
+def test_closure_sweep_reads_its_inputs_as_the_cli_does(
+    fresh_python, tmp_path, system_text
+):
+    # In the disk's quadratic module, but 2 away from the SOS cone of R^2.
+    f_text = "1 - x1^4 - x2^4"
+    argv = [str(SWEEP), "--f", f_text, "--d", "2", "--t", "2", "--norm", "l1"]
+    path = None
+    if system_text is not None:
+        path = tmp_path / "disk.txt"
+        path.write_text(system_text)
+        argv += ["--system", str(path)]
+    proc = fresh_python(*argv)
+    assert proc.returncode == 0, proc.stderr
+
+    system, f = read_system_and_f(f_text, path and str(path))
+    [row] = closure_probe(f, system, 2, [2], WeightSequence.l1())
+    header, line = proc.stdout.splitlines()
+    assert header == "t    p_t            lambda0"
+    t, p, _lambda0 = line.split()
+    assert t == "2" and float(p) == pytest.approx(row.p_value, abs=1e-8)
+    assert row.p_value == pytest.approx(2.0 if system_text is None else 0.0, abs=1e-6)
 
 
 def test_repro_motzkin(capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sosproj import projection as projection_module
+from sosproj.certificates import MembershipVerdict, membership
 from sosproj.cones import SemialgebraicSystem, build_truncation, gram_reconstruct
 from sosproj.moments import riesz
 from sosproj.sdp import SdpSolution, SdpStatus
@@ -41,7 +42,10 @@ def test_problem_validation():
         ProjectionProblem(parse_polynomial("x1", 1), PLANE, L1, 1)
 
 
-@pytest.mark.parametrize("d, t", [(0, None), (2, 3)], ids=["d = 0", "deg f above 2d"])
+@pytest.mark.parametrize(
+    "d, t", [(0, None), (2, 3), (2, None)],
+    ids=["d = 0", "deg f above 2d", "deg f above 2d at t = d"],
+)
 def test_problem_rejects_a_truncation_degree_it_cannot_use(d, t):
     with pytest.raises(ValueError, match="must be >= 1|exceeds truncation degree"):
         ProjectionProblem(MOTZKIN, PLANE, L1, d, t)
@@ -234,6 +238,56 @@ def test_monotonicity_in_degree():
         for d in (3, 4, 5)
     ]
     assert values[0] >= values[1] >= values[2]
+
+
+# The paper's non-compact case: x1 >= 0 on K = {x1^3 >= 0} = [0, inf), yet
+# x1 lies in no level of the quadratic module of x1^3.
+HALF_LINE = SemialgebraicSystem(1, (parse_polynomial("x1^3", 1),))
+X1 = parse_polynomial("x1", 1)
+
+
+def test_x_on_the_half_line_is_in_no_level_of_its_module():
+    for level in range(1, 5):
+        result = membership(X1, HALF_LINE, level)
+        assert result.verdict is MembershipVerdict.NOT_IN_CONE, result.message
+        assert result.separation < 0
+
+
+@pytest.mark.parametrize(
+    "norm, p_expected",
+    [(LW, [1.41421, 1.29099, 0.66740]), (L1, [1.0, 0.620403, 0.222928, 0.105310])],
+    ids=["lw", "l1"],
+)
+def test_x_on_the_half_line_is_never_answered_wrong(norm, p_expected):
+    # Every form at d <= 5 ends optimal or raises ProjectionFailure.  At the
+    # d of p_expected all three converge, agree at the tolerances of
+    # acceptance criteria 2 (general form) and 3 (moment-side dual), and p
+    # does not increase with d.
+    p_values = []
+    for d in range(1, 6):
+        problem = ProjectionProblem(X1, HALF_LINE, norm, d)
+        p = {}
+        for form in (project_lambda_form, project_general_form):
+            try:
+                cert = form(problem)
+            except ProjectionFailure:
+                continue
+            assert cert.solver_status is SdpStatus.OPTIMAL
+            p[form] = cert.p_value
+        try:
+            dual = dual_moment_problem(problem)
+        except ProjectionFailure:
+            dual = None
+        else:
+            assert dual.solution.status is SdpStatus.OPTIMAL
+        if d > len(p_expected):
+            continue
+        p_lam = p[project_lambda_form]
+        assert abs(p_lam - p[project_general_form]) <= max(1e-6, 1e-5 * p_lam)
+        assert abs(p_lam + dual.riesz_of_f) <= max(1e-6, 1e-6 * p_lam)
+        p_values.append(p_lam)
+    assert p_values == pytest.approx(p_expected, abs=1e-5)
+    assert p_values == sorted(p_values, reverse=True)
 
 
 def test_closure_probe_in_cone_rows():

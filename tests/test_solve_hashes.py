@@ -109,3 +109,24 @@ def test_compare_lists_the_exit_counts_that_moved(fresh_python, tmp_path):
         "- exit count moved: max_iter, progress stalled: 1 -> 0",
         "- exit count moved: numerical_failure, singular reduced system: 0 -> 1",
     ]
+
+
+def test_exit_key_cuts_at_the_first_semicolon_outside_parentheses(fresh_python):
+    # A best-iterate exit keeps the failure exit that led to it; the
+    # vanishing-tau and inaccurate exits keep their reason alone.
+    messages = {
+        "converged": "converged",
+        "converged (best iterate; no convergence in 2 iterations)":
+            "converged (best iterate; no convergence in 2 iterations)",
+        "vanishing tau; improving ray certifies primal infeasibility":
+            "vanishing tau",
+        "no convergence in 5 iterations; best iterate within 10x feas_tol "
+        "(relp 1.00e-08, reld 2.00e-08, relgap 3.00e-07)":
+            "no convergence in 5 iterations",
+    }
+    run = fresh_python("-c", (
+        "import json, sys; sys.path.insert(0, sys.argv[1]); import solve_hashes; "
+        "print(json.dumps([solve_hashes.exit_key(m) for m in json.loads(sys.argv[2])]))"
+    ), str(SCRIPT.parent), json.dumps(list(messages)))
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == list(messages.values())
