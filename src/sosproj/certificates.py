@@ -26,7 +26,7 @@ from .cones import (
     gram_sdp,
 )
 from .moments import MomentSequence, localizing_matrix, riesz
-from .polynomials import Polynomial, WeightKind, half_degree
+from .polynomials import Polynomial, WeightSequence, half_degree
 from .projection import perturbation_basis
 from .sdp import SdpStatus, SolverConfig, eig_range, psd_accepted, solve
 
@@ -207,11 +207,11 @@ def perturbation_polynomial(
 ) -> Polynomial:
     """The matching norm's perturbation basis, summed (lw: tower, l1: top power)."""
     if kind is PerturbationKind.EXP_PARTIAL_SUM:
-        weight = WeightKind.LW
+        norm = WeightSequence.lw()
     else:
-        weight = WeightKind.L1
+        norm = WeightSequence.l1()
     return Polynomial(
-        n, {alpha: scale for _key, alpha, scale in perturbation_basis(n, d, weight)}
+        n, {alpha: scale for _key, alpha, scale in perturbation_basis(n, d, norm)}
     )
 
 
@@ -305,7 +305,6 @@ def seq_closure_probe(
     d: int,
     eps_list: list[float],
     t_max: int,
-    config: SolverConfig | None = None,
 ) -> list[tuple[float, int | None]]:
     """Minimal certificate level for f + eps(1 + sum x_i^{2d}) as eps drops.
 
@@ -327,7 +326,7 @@ def seq_closure_probe(
         raise ValueError(f"t_max = {t_max} is below ceil(max(deg f, 2d) / 2)")
     n = system.dimension
     pert = perturbation_polynomial(n, d, PerturbationKind.TOP_EVEN_POWER)
-    cell = _ReusingMembership(system, config)
+    cell = _ReusingMembership(system)
     rows: list[tuple[float, int | None]] = []
     for eps in eps_list:
         candidate = f + pert.scale(eps)

@@ -25,7 +25,6 @@ from .polynomials import (
     grevlex_key,
     half_degree,
     monomial_basis,
-    total_degree,
 )
 from .sdp import dense_symmetric, eig_range, psd_accepted
 
@@ -133,22 +132,25 @@ class MomentSequence:
                 f"max_degree is {self.max_degree}"
             ) from None
 
+    def check_reach(self, what: str, dimension: int, degree: int) -> None:
+        """Raise unless `what`, in `dimension` variables and reading moments
+        up to `degree`, can be served by this sequence."""
+        if dimension != self.dimension:
+            raise MomentDataError(
+                f"{what} in {dimension} variables, moments in {self.dimension}"
+            )
+        if degree > self.max_degree:
+            raise DegreeRangeError(
+                f"{what} needs degree {degree}, max_degree is {self.max_degree}"
+            )
+
     def __repr__(self):
         return f"MomentSequence(n={self.dimension}, max_degree={self.max_degree})"
 
 
 def riesz(y: MomentSequence, f: Polynomial) -> float:
     """Apply the Riesz functional: sum of f_alpha * y_alpha."""
-    if f.dimension != y.dimension:
-        raise MomentDataError(
-            f"polynomial in {f.dimension} variables, moments in {y.dimension}"
-        )
-    if f.degree > y.max_degree:
-        worst = max(f.terms, key=total_degree)
-        raise DegreeRangeError(
-            f"riesz needs y_{worst} of degree {total_degree(worst)}, "
-            f"max_degree is {y.max_degree}"
-        )
+    y.check_reach("polynomial", f.dimension, f.degree)
     return sum(c * y.value(alpha) for alpha, c in f.terms.items())
 
 
@@ -228,15 +230,11 @@ def moment_matrix(y: MomentSequence, d: int) -> np.ndarray:
 
 def localizing_matrix(y: MomentSequence, g: Polynomial, d: int) -> np.ndarray:
     """Moment matrix of the shifted sequence z_alpha = L_y(g * x^alpha)."""
-    if g.dimension != y.dimension:
-        raise MomentDataError(
-            f"generator in {g.dimension} variables, moments in {y.dimension}"
-        )
-    if 2 * d + g.degree > y.max_degree:
-        raise DegreeRangeError(
-            f"localizing matrix of order {d} for deg-{g.degree} generator needs "
-            f"degree {2 * d + g.degree}, max_degree is {y.max_degree}"
-        )
+    y.check_reach(
+        f"order-{d} localizing matrix of a deg-{g.degree} generator",
+        g.dimension,
+        2 * d + g.degree,
+    )
     basis = monomial_basis(y.dimension, d)
     vals, mat = y.values, np.empty((len(basis), len(basis)))
     for i, j, terms in _expansion(basis, g.terms.items()):
@@ -267,11 +265,11 @@ def support_nonnegativity_test(
     """Check M_k(f y) PSD for k = 0..d; first violation wins."""
     if d < 0:
         raise ValueError(f"order must be >= 0, got {d}")
-    if 2 * d + f.degree > y.max_degree:
-        raise DegreeRangeError(
-            f"test at order {d} needs degree {2 * d + f.degree}, "
-            f"max_degree is {y.max_degree}"
-        )
+    y.check_reach(
+        f"order-{d} support test of a deg-{f.degree} polynomial",
+        f.dimension,
+        2 * d + f.degree,
+    )
     for k in range(d + 1):
         lmin, _lmax, ok = _localizer_check(y, f, k)
         if not ok:
@@ -325,10 +323,8 @@ def kmoment_condition_check(
     """
     if d < 0:
         raise ValueError(f"order must be >= 0, got {d}")
-    if system.dimension != y.dimension:
-        raise MomentDataError(
-            f"system in {system.dimension} variables, moments in {y.dimension}"
-        )
+    # The unit generator's order-d moment matrix reads the most: degree 2d.
+    y.check_reach("system", system.dimension, 2 * d)
     unit = Polynomial.constant(y.dimension, 1.0)
     checks: list[GeneratorCheck] = []
     for j, g in enumerate((unit, *system.generators)):
@@ -374,11 +370,12 @@ def carleman_diagnostic(
     n = y.dimension
     if f is None:
         f = Polynomial.constant(n, 1.0)
-    if 2 * num_terms + f.degree > y.max_degree:
-        raise DegreeRangeError(
-            f"{num_terms} terms with deg-{f.degree} shift need degree "
-            f"{2 * num_terms + f.degree}, max_degree is {y.max_degree}"
-        )
+    y.check_reach(
+        f"{num_terms} Carleman terms with a deg-{f.degree} shift",
+        f.dimension,
+        2 * num_terms + f.degree,
+    )
+    w = WeightSequence.lw()
     reports = []
     bound = 0.0
     for i in range(n):
@@ -389,7 +386,7 @@ def carleman_diagnostic(
         for k in range(1, num_terms + 1):
             alpha = tuple(2 * k if t == i else 0 for t in range(n))
             z = riesz(y, f * Polynomial(n, {alpha: 1.0}))
-            bound = max(bound, y.value(alpha) / math.factorial(2 * k))
+            bound = max(bound, y.value(alpha) / w.weight(alpha))
             if z > 0.0:
                 term = z ** (-1.0 / (2 * k))
                 terms.append(term)

@@ -90,25 +90,21 @@ class ProjectionProblem:
 
 
 def perturbation_basis(
-    n: int, d: int, kind: WeightKind
+    n: int, d: int, norm: WeightSequence
 ) -> list[tuple[tuple[int, int], Exponent, float]]:
     """((i, k), exponent, scale) triples; (0, 0) is the constant term.
 
-    Factorial weights use x_i^{2k}/(2k)! for k = 1..d; plain l1 collapses
-    to the single top power x_i^{2d} per variable.
+    Each scale is 1/w_alpha, so the lambdas sum to the norm's distance
+    between f and its lift.  Factorial weights keep x_i^{2k}/(2k)! for
+    k = 1..d; plain l1 keeps the single top power x_i^{2d} per variable.
     """
-    out: list[tuple[tuple[int, int], Exponent, float]] = [
-        ((0, 0), (0,) * n, 1.0)
-    ]
-    if kind is WeightKind.L1:
-        for i in range(1, n + 1):
-            alpha = tuple(2 * d if j == i - 1 else 0 for j in range(n))
-            out.append(((i, d), alpha, 1.0))
-    else:
-        for i in range(1, n + 1):
-            for k in range(1, d + 1):
-                alpha = tuple(2 * k if j == i - 1 else 0 for j in range(n))
-                out.append(((i, k), alpha, 1.0 / math.factorial(2 * k)))
+    ks = [d] if norm.kind is WeightKind.L1 else range(1, d + 1)
+    keys = [(0, 0)] + [(i, k) for i in range(1, n + 1) for k in ks]
+    out: list[tuple[tuple[int, int], Exponent, float]] = []
+    for i, k in keys:
+        # i = 0 matches no variable: the constant term.
+        alpha = tuple(2 * k if j == i - 1 else 0 for j in range(n))
+        out.append(((i, k), alpha, 1.0 / norm.weight(alpha)))
     return out
 
 
@@ -182,8 +178,8 @@ class LambdaFormSdp(GramSdp):
 def build_lambda_form_sdp(problem: ProjectionProblem) -> LambdaFormSdp:
     f, system, w = problem.f, problem.system, problem.norm
     n, d, t = system.dimension, problem.d, problem.t
+    pert = perturbation_basis(n, d, w)
     trunc = build_truncation(system, t)
-    pert = perturbation_basis(n, d, w.kind)
     pert_index = {key: p for p, (key, _a, _s) in enumerate(pert)}
     base = gram_sdp(trunc, (len(pert),))
     built = LambdaFormSdp(**vars(base), lam_block=0, pert=pert, pert_index=pert_index)
@@ -232,9 +228,7 @@ def project_lambda_form(
     return lambda_certificate(problem, built, sol)
 
 
-def project_general_form(
-    problem: ProjectionProblem, config: SolverConfig | None = None
-) -> ProjectionCertificate:
+def project_general_form(problem: ProjectionProblem) -> ProjectionCertificate:
     """Per-monomial slack formulation: minimize sum of w_alpha |f - h|_alpha."""
     f, system, w = problem.f, problem.system, problem.norm
     n, d, t = system.dimension, problem.d, problem.t
@@ -266,7 +260,7 @@ def project_general_form(
         else:
             sdp.add_constraint(h_entries, falpha)
 
-    sol = solve(sdp, config)
+    sol = solve(sdp)
     _require_optimal(sol, "general-form projection")
 
     from .cones import gram_reconstruct
@@ -287,9 +281,7 @@ class DualMomentResult:
     solution: SdpSolution
 
 
-def dual_moment_problem(
-    problem: ProjectionProblem, config: SolverConfig | None = None
-) -> DualMomentResult:
+def dual_moment_problem(problem: ProjectionProblem) -> DualMomentResult:
     """Moment-side dual: sup -L_y(f) over PSD localizing, |y_a| <= w_a.
 
     Implemented for the t = d case, where the weight box bounds every
@@ -334,7 +326,7 @@ def dual_moment_problem(
         box = [(i, i, 1.0)]
         sdp.add_constraint({u_blk: box, v_blk: box, box_blk: box}, w.weight(alpha))
 
-    sol = solve(sdp, config)
+    sol = solve(sdp)
     _require_optimal(sol, "dual moment problem")
     y = sol.x_blocks[u_blk] - sol.x_blocks[v_blk]
     moments = MomentSequence(n, 2 * d, dict(zip(alphas, y)))
@@ -360,7 +352,6 @@ def closure_probe(
     d: int,
     t_list: list[int],
     norm: WeightSequence | None = None,
-    config: SolverConfig | None = None,
 ) -> list[ClosureRow]:
     """Projection distance against growing cone level at fixed degree cap.
 
@@ -383,7 +374,7 @@ def closure_probe(
         level = system.distinct_levels(range(d, problem.t + 1))[-1]
         if level not in certs:
             certs[level] = project_lambda_form(
-                ProjectionProblem(f, system, w, d, level), config
+                ProjectionProblem(f, system, w, d, level)
             )
         cert = certs[level]
         rows.append(

@@ -335,11 +335,10 @@ class _Workspace:
                 self.A.append(_PsdRows(problem, blk, spec.side))
             else:
                 self.diag.append(blk)
-                vecs = np.zeros((self.m, spec.side))
-                for ci, (entries, _rhs) in enumerate(problem.constraints):
-                    for i, _j, v in entries.get(blk, []):
-                        vecs[ci, i] = v
-                self.A.append(vecs)
+                self.A.append(np.array([
+                    problem.dense_coefficient(entries, blk)
+                    for entries, _rhs in problem.constraints
+                ]))
             self.C.append(problem.dense_coefficient(problem.objective, blk))
         self.b = np.array([rhs for _e, rhs in problem.constraints])
         self.nu = sum(s.side for s in self.blocks)

@@ -16,6 +16,7 @@ from sosproj.certificates import (
 from sosproj.moments import MomentSequence, localizing_matrix, eig_range
 from sosproj.polynomials import (
     Polynomial,
+    WeightOverflowError,
     WeightSequence,
     half_degree,
     parse_polynomial,
@@ -424,6 +425,17 @@ def test_psatz_search_equals_one_membership_per_cell(f, system, d_max, mode):
         res = psatz_search(query)
         found = (res.certified, res.d, res.level, res.inconclusive)
         assert found == _plain_psatz(query), eps
+
+
+def test_psatz_exp_tower_past_weight_range_is_a_weight_error(monkeypatch):
+    # The tower's x^172/172! term exceeds double range; no cell is solved.
+    def no_solve(*args, **kwargs):
+        raise AssertionError("membership ran past the weight range")
+
+    monkeypatch.setattr(certificates_module, "membership", no_solve)
+    query = PsatzQuery(Polynomial.constant(1, 1.0), LINE, 0.5, 86)
+    with pytest.raises(WeightOverflowError, match="degree > 170"):
+        psatz_search(query)
 
 
 def test_psatz_query_validation():

@@ -385,6 +385,25 @@ def test_config_value_outside_choices_rejected(
     assert "input error" in err
 
 
+@pytest.mark.parametrize("command", ["project", "export-sdpa"])
+def test_lw_weight_past_double_range_is_an_input_error(
+    capsys, monkeypatch, command
+):
+    # 2d = 172 > 170: the perturbation scale 1/172! is out of double range.
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve ran past the weight range")
+
+    monkeypatch.setattr(projection_module, "solve", no_solve)
+    code, out, err = run(
+        capsys, command, "--f", "x1^2", "--d", "86", "--norm", "lw"
+    )
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "input error: (2*ceil(172/2))! exceeds double range (degree > 170)\n"
+    )
+
+
 def test_project_with_system_file(tmp_path, capsys):
     system = tmp_path / "ball.sys"
     system.write_text("n 2\ncone quadratic\ng: 1 - x1^2 - x2^2\n")

@@ -21,6 +21,7 @@ from sosproj.moments import (
 )
 from sosproj.polynomials import (
     Polynomial,
+    WeightOverflowError,
     WeightSequence,
     monomial_basis,
     parse_polynomial,
@@ -119,8 +120,9 @@ def test_riesz_degree_error():
         lambda y: y.value((3,)),
         lambda y: localizing_matrix(y, parse_polynomial("1 - x1^2", 1), 1),
         lambda y: support_nonnegativity_test(y, parse_polynomial("1 - x1^2", 1), 1),
+        lambda y: kmoment_condition_check(y, SemialgebraicSystem(1), 2),
     ],
-    ids=["moment value", "localizing matrix", "support test"],
+    ids=["moment value", "localizing matrix", "support test", "K-moment check"],
 )
 def test_moment_machinery_rejects_degrees_above_max_degree(build):
     with pytest.raises(DegreeRangeError, match="max_degree is 2"):
@@ -386,6 +388,19 @@ def test_carleman_degree_guard():
     y = gaussian_moments_1d(6)
     with pytest.raises(DegreeRangeError):
         carleman_diagnostic(y, num_terms=4)
+
+
+def test_carleman_bound_past_weight_range_is_a_weight_error():
+    # The 86th term's bound divides by 172!, which exceeds double range.
+    y = MomentSequence.dirac((0.5,), 172)
+    with pytest.raises(WeightOverflowError, match="degree > 170"):
+        carleman_diagnostic(y, num_terms=86)
+
+
+def test_carleman_rejects_shift_in_other_variables():
+    y = MomentSequence.dirac([0.5], 8)
+    with pytest.raises(MomentDataError, match="2 variables, moments in 1"):
+        carleman_diagnostic(y, parse_polynomial("x1*x2", 2), num_terms=2)
 
 
 def test_moment_text_round_trip():

@@ -78,10 +78,10 @@ def test_reported_infeasibility_is_a_numerical_failure(monkeypatch):
 
 
 def test_perturbation_basis_shapes():
-    l1_basis = perturbation_basis(2, 3, L1.kind)
+    l1_basis = perturbation_basis(2, 3, L1)
     assert [key for key, _a, _s in l1_basis] == [(0, 0), (1, 3), (2, 3)]
     assert [a for _k, a, _s in l1_basis] == [(0, 0), (6, 0), (0, 6)]
-    lw_basis = perturbation_basis(2, 2, LW.kind)
+    lw_basis = perturbation_basis(2, 2, LW)
     assert len(lw_basis) == 1 + 2 * 2
     scales = {key: s for key, _a, s in lw_basis}
     assert scales[(1, 1)] == pytest.approx(1.0 / 2.0)
@@ -99,16 +99,18 @@ def test_motzkin_reference_distances():
         assert cert.p_value == pytest.approx(cert.lambda_sum(), abs=1e-7)
 
 
-def test_lambda_form_certificate_consistency():
-    cert = project_lambda_form(ProjectionProblem(MOTZKIN, PLANE, L1, 3))
+@pytest.mark.parametrize("norm", [L1, LW], ids=["l1", "lw"])
+def test_lambda_form_certificate_consistency(norm):
+    cert = project_lambda_form(ProjectionProblem(MOTZKIN, PLANE, norm, 3))
     # The Gram blocks really reconstruct the projection, coefficient by
     # coefficient, so it genuinely lies in the truncated cone.
     trunc = build_truncation(PLANE, 3)
     recon = gram_reconstruct(trunc, [cert.grams[b.label] for b in trunc.blocks])
     diff = recon - cert.projection
     assert max((abs(c) for c in diff.terms.values()), default=0.0) <= 1e-6
-    # And the distance matches the norm of the perturbation.
-    assert weighted_norm(cert.projection - MOTZKIN, L1) == pytest.approx(
+    # And the distance matches the norm of the perturbation: each scale is
+    # 1/w_alpha, so the lambdas' sum is the weighted norm of the shift.
+    assert weighted_norm(cert.projection - MOTZKIN, norm) == pytest.approx(
         cert.p_value, abs=1e-7
     )
 
