@@ -112,18 +112,11 @@ class ConeBlock:
 
 @dataclass(frozen=True)
 class ConeTruncation:
-    """Level-k truncation: Gram blocks plus the degree-excluded labels."""
+    """Level-k truncation: the Gram blocks of the labels with k >= v_J."""
 
     system: SemialgebraicSystem
     level: int
     blocks: tuple[ConeBlock, ...]
-    excluded: tuple[tuple[tuple[int, ...], int], ...]  # (label, v_J) pairs
-
-    def block_by_label(self, label: tuple[int, ...]) -> ConeBlock:
-        for b in self.blocks:
-            if b.label == tuple(label):
-                return b
-        raise KeyError(f"no block with label {label}")
 
 
 def build_truncation(system: SemialgebraicSystem, k: int) -> ConeTruncation:
@@ -131,18 +124,14 @@ def build_truncation(system: SemialgebraicSystem, k: int) -> ConeTruncation:
     if k < 0:
         raise ConeModelError(f"level must be >= 0, got {k}")
     blocks = []
-    excluded = []
     for label in system.labels():
         product = system.product(label)
-        v = half_degree(product)
-        order = k - v
-        if order < 0:
-            excluded.append((label, v))
-            continue
-        blocks.append(
-            ConeBlock(label, product, order, BasisMatrixSet(product, order))
-        )
-    return ConeTruncation(system, k, tuple(blocks), tuple(excluded))
+        order = k - half_degree(product)
+        if order >= 0:
+            blocks.append(
+                ConeBlock(label, product, order, BasisMatrixSet(product, order))
+            )
+    return ConeTruncation(system, k, tuple(blocks))
 
 
 @dataclass

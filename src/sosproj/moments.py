@@ -277,11 +277,13 @@ def support_nonnegativity_test(
     return SupportTestVerdict(True, d, lmin)
 
 
-def dual_norm(y: MomentSequence, w: WeightSequence) -> float:
-    """Finite truncation of sup |y_alpha| / w_alpha over stored alpha."""
+def dual_norm(y: MomentSequence, w: WeightSequence, degree: int) -> float:
+    """Finite truncation of sup |y_alpha| / w_alpha over the stored alpha
+    with |alpha| <= degree."""
     best = 0.0
     for alpha, v in y.values.items():
-        best = max(best, abs(v) / w.weight(alpha))
+        if sum(alpha) <= degree:
+            best = max(best, abs(v) / w.weight(alpha))
     return best
 
 
@@ -298,7 +300,7 @@ class GeneratorCheck:
 @dataclass(frozen=True)
 class KMomentReport:
     checks: tuple[GeneratorCheck, ...]
-    dual_norm_bound: float     # finite dual-norm estimate against lw weights
+    dual_norm_bound: float     # dual_norm against lw weights, |alpha| <= 2d
     necessary_conditions_hold: bool
     violated_label: int | None = None
     violated_eigenvalue: float | None = None
@@ -318,7 +320,8 @@ def kmoment_condition_check(
     """Necessary conditions for y to come from a measure on the set of system.
 
     Checks PSD-ness of the moment matrix at order d and of each localizing
-    matrix at order d - v_j, plus the finite dual-norm bound.  Only the
+    matrix at order d - v_j, plus the dual-norm bound over the moments of
+    degree at most 2d, the ones those matrices read.  Only the
     truncated, necessary direction is decided here.
     """
     if d < 0:
@@ -333,7 +336,7 @@ def kmoment_condition_check(
             checks.append(GeneratorCheck(j, order, 0.0, 0.0, True, skipped=True))
             continue
         checks.append(GeneratorCheck(j, order, *_localizer_check(y, g, order)))
-    bound = dual_norm(y, WeightSequence.lw())
+    bound = dual_norm(y, WeightSequence.lw(), 2 * d)
     violated = next((c for c in checks if not c.psd_ok), None)
     if violated is None:
         return KMomentReport(tuple(checks), bound, True)

@@ -47,10 +47,6 @@ class WeightOverflowError(PolynomialError):
     """Raised when a factorial weight exceeds double-precision range."""
 
 
-def total_degree(alpha: Exponent) -> int:
-    return sum(alpha)
-
-
 def grevlex_key(alpha: Exponent) -> tuple[int, Exponent]:
     """Graded-lex sort key: total degree first, then plain tuple order."""
     return (sum(alpha), alpha)
@@ -117,10 +113,6 @@ class Polynomial:
         self.dimension = dimension
         self._terms = dict(sorted(clean.items(), key=lambda kv: grevlex_key(kv[0])))
         self.degree = max((sum(a) for a in self._terms), default=0)
-
-    @classmethod
-    def zero(cls, dimension: int) -> "Polynomial":
-        return cls(dimension, {})
 
     @classmethod
     def constant(cls, dimension: int, value: float) -> "Polynomial":

@@ -184,6 +184,22 @@ def test_moments_check(tmp_path, capsys):
     assert "Violated" in out
 
 
+def test_moments_check_reads_moments_up_to_degree_2d(tmp_path, capsys):
+    # Degree-172 moments past --d 1: their lw weights would overflow, but
+    # the check reads only degree 2.
+    system = tmp_path / "line.sys"
+    system.write_text("n 1\n")
+    moments = tmp_path / "deep.mom"
+    moments.write_text(format_moment_text(MomentSequence.dirac([0.5], 172)))
+    code, out, err = run(
+        capsys, "moments-check", "--moments", str(moments), "--system",
+        str(system), "--d", "1",
+    )
+    assert code == 0
+    assert out.startswith("NecessaryConditionsHold(M=1)\n")
+    assert err == ""
+
+
 # A 1-D moment file against a system in x1, x2: a generator's exponents
 # must not be truncated to the moments' one variable, and a system without
 # generators still names its variables.
@@ -319,9 +335,22 @@ def test_closure_sweep_reads_its_inputs_as_the_cli_does(
 def test_repro_motzkin(capsys):
     code, out, _err = run(capsys, "repro-motzkin")
     assert code == 0
-    lines = [ln for ln in out.splitlines() if ln and ln[0] in "345"]
+    header, *lines = out.splitlines()
+    assert header.split() == [
+        "d", "p_computed", "p_reference", "lambda_computed",
+        "lambda_reference", "verdict",
+    ]
     assert len(lines) == 3
-    assert all("PASS" in ln for ln in lines)
+    references = [
+        ("3", "1.6e-02", "(5.445e-03, 5.367e-03, 5.367e-03)"),
+        ("4", "2.0e-03", "(2.400e-04, 9.360e-04, 9.360e-04)"),
+        ("5", "8.0e-05", "(4.000e-07, 4.340e-05, 4.340e-05)"),
+    ]
+    for line, (d, p_ref, lambdas_ref) in zip(lines, references):
+        fields = line.split()
+        assert fields[0] == d
+        assert fields[2] == p_ref
+        assert line.endswith(f"  {lambdas_ref}  PASS")
 
 
 def test_repro_motzkin_solver_failure_exits_numerical(monkeypatch, capsys):

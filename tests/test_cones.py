@@ -13,7 +13,9 @@ from sosproj.cones import (
     parse_system_text,
 )
 from sosproj.moments import localizing_matrix
-from sosproj.polynomials import Polynomial, monomial_basis, parse_polynomial
+from sosproj.polynomials import (
+    Polynomial, half_degree, monomial_basis, parse_polynomial,
+)
 
 RNG = np.random.default_rng(99)
 
@@ -39,10 +41,10 @@ def test_preordering_subset_blocks():
     trunc = build_truncation(system, 2)
     labels = [b.label for b in trunc.blocks]
     assert labels == [(), (1,), (2,), (1, 2)]
+    blocks = {b.label: b for b in trunc.blocks}
     # product polynomial for {1,2} is x1*x2
-    assert trunc.block_by_label((1, 2)).product == parse_polynomial("x1*x2", 2)
-    with pytest.raises(KeyError, match="no block with label"):
-        trunc.block_by_label((3,))
+    assert blocks[(1, 2)].product == parse_polynomial("x1*x2", 2)
+    assert (3,) not in blocks
 
 
 def test_quadratic_module_block_count_and_orders():
@@ -56,8 +58,9 @@ def test_low_level_excludes_high_degree_generator():
     gens = (parse_polynomial("x1^3", 1),)
     system = SemialgebraicSystem(1, gens)
     trunc = build_truncation(system, 1)
+    # Label (1,) has no block: its product x1^3 has v = 2 > 1.
     assert [b.label for b in trunc.blocks] == [()]
-    assert trunc.excluded == (((1,), 2),)
+    assert half_degree(system.product((1,))) == 2
 
 
 def test_preorder_cap():
@@ -227,7 +230,7 @@ def test_gram_sdp_functional_localizes_the_row_multipliers(cone, level):
     # Gram block must be -sum_i y_i B^J_alpha_i.
     trunc = build_truncation(DISC_SYSTEMS[cone], level)
     gs = gram_sdp(trunc)
-    alphas = [alpha for alpha, _entries, _rhs in gs.rows(Polynomial.zero(2))]
+    alphas = [alpha for alpha, _entries, _rhs in gs.rows(Polynomial(2, {}))]
     y = np.random.default_rng(10 + level).normal(size=len(alphas))
     functional = gs.functional(y)
     for block in trunc.blocks:

@@ -287,15 +287,16 @@ def test_atomic_measures_stay_consistent():
 
 def test_dual_norm():
     zero = MomentSequence.from_function(2, 2, lambda a: 0.0)
-    assert dual_norm(zero, WeightSequence.lw()) == 0.0
+    assert dual_norm(zero, WeightSequence.lw(), 2) == 0.0
     values = {a: 0.0 for a in monomial_basis(2, 2)}
     values[(1, 1)] = 6.0
     y = MomentSequence(2, 2, values)
-    assert dual_norm(y, WeightSequence.lw()) == pytest.approx(3.0)
+    assert dual_norm(y, WeightSequence.lw(), 2) == pytest.approx(3.0)
+    assert dual_norm(y, WeightSequence.lw(), 1) == 0.0
     # Dirac at p: finite truncation of the dual norm stays below exp(max |p_i|)
     p = [0.8, -1.4]
     yd = MomentSequence.dirac(p, 10)
-    assert dual_norm(yd, WeightSequence.lw()) <= math.exp(1.4)
+    assert dual_norm(yd, WeightSequence.lw(), 10) <= math.exp(1.4)
 
 
 def test_dual_norm_monotone_in_degree():
@@ -303,7 +304,7 @@ def test_dual_norm_monotone_in_degree():
     prev = 0.0
     for deg in range(2, 12, 2):
         y = MomentSequence.dirac(p, deg)
-        val = dual_norm(y, WeightSequence.lw())
+        val = dual_norm(y, WeightSequence.lw(), deg)
         assert val >= prev - 1e-15
         prev = val
 
@@ -346,6 +347,16 @@ def test_kmoment_zero_sequence_holds():
     report = kmoment_condition_check(zero, system, 1)
     assert report.necessary_conditions_hold
     assert report.dual_norm_bound == 0.0
+
+
+def test_kmoment_bound_reads_only_the_checked_degrees():
+    # Stored moments above degree 2d are never read: their lw weights would
+    # overflow past degree 170, and the bound over |alpha| <= 2 is y_0 = 1.
+    y = MomentSequence.dirac((0.5,), 172)
+    report = kmoment_condition_check(y, SemialgebraicSystem(1), 1)
+    assert report.necessary_conditions_hold
+    assert report.dual_norm_bound == 1.0
+    assert str(report) == "NecessaryConditionsHold(M=1)"
 
 
 def gaussian_moments_1d(max_degree):

@@ -48,7 +48,7 @@ def test_monomial_basis_capacity():
 
 
 def test_weighted_norm_values():
-    zero = Polynomial.zero(2)
+    zero = Polynomial(2, {})
     assert weighted_norm(zero, WeightSequence.l1()) == 0.0
     assert weighted_norm(zero, WeightSequence.lw()) == 0.0
     f = parse_polynomial("1 - 2*x1", 2)
