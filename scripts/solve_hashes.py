@@ -6,10 +6,11 @@ message and objectives.  Two commits whose solver iterates are bit-identical
 print the same object, so a change that must not move an iterate is checked
 by running this on both commits and comparing the output.
 
-Each solve also lists its status and exit (its message up to the first
-";" outside parentheses, so that "converged (best iterate; ...)" keeps the
-failure exit that led there), and "exits" counts the solves per (status,
-exit): which solver exits a run reaches, and how often.
+Each solve also lists its status, its interior-point iterations and its
+exit (its message up to the first ";" outside parentheses, so that
+"converged (best iterate; ...)" keeps the failure exit that led there), and
+"exits" counts the solves per (status, exit): which solver exits a run
+reaches, and how often.
 
 Example:
     PYTHONPATH=src python scripts/solve_hashes.py --workload search --seed 1
@@ -28,8 +29,11 @@ matched by its order within its test).  It also prints how many of the
 change's solves appear in the base's list in order (the longest common
 subsequence of the two sha256 lists): a change that drops solves and keeps
 every other one reads all of its solves here, though the places after the
-first dropped solve differ.  Up to five places whose hash differs are
-listed below the counts, then every (status, exit) whose count differs
+first dropped solve differ.  Below the counts come the total iterations
+of the base's solves and of the change's ("unknown" for a run whose solves
+do not all record them, such as one printed before they were recorded;
+the line is left out when neither run records them), up to five places
+whose hash differs, then every (status, exit) whose count differs
 between the two "exits" censuses, so a change that moves solves from one
 exit to another shows which.  A file that cannot be read counts as no
 solves.  It only reports, exits 0 and needs no sosproj on the path.
@@ -104,6 +108,7 @@ def record_solves(where) -> list[dict]:
             "where": where(len(solves)),
             "sha256": solution_hash(sol),
             "status": sol.status.value,
+            "iterations": sol.iterations,
             "exit": exit_key(sol.message),
         })
         return sol
@@ -169,6 +174,12 @@ def hashes_by_place(solves: list[dict]) -> dict[tuple[str, int], str]:
     return out
 
 
+def total_iterations(solves: list[dict]) -> int | None:
+    """The solves' summed iterations; None unless every solve records them."""
+    counts = [h.get("iterations") for h in solves]
+    return None if None in counts else sum(counts)
+
+
 def in_order(base: list[str], change: list[str]) -> int:
     """Length of the longest common subsequence of two hash lists."""
     prev = [0] * (len(base) + 1)
@@ -194,6 +205,10 @@ def compare(base_path: str, change_path: str, label: str) -> list[str]:
         f"equal to base ({len(base)} base solves); {kept} of {len(change)} "
         f"in the base's order"
     ]
+    totals = [total_iterations(base_solves), total_iterations(change_solves)]
+    if totals != [None, None]:
+        base_total, change_total = ("unknown" if t is None else t for t in totals)
+        lines.append(f"- iterations: {base_total} -> {change_total}")
     lines += [f"- differs: {where}, solve {position}" for where, position in differ[:5]]
     lines += [
         f"- exit count moved: {status}, {reason}: "

@@ -116,14 +116,23 @@ def membership(
     system: SemialgebraicSystem,
     k: int,
     config: SolverConfig | None = None,
+    *,
+    min_trace: bool = False,
 ) -> MembershipResult:
     """Level-k Gram feasibility for f; validated either way.
 
-    A minimum-trace objective keeps the feasibility SDP bounded.  InCone
-    answers are revalidated by reconstructing f from the returned Grams
-    (`validate_grams`); NotInCone answers are revalidated through the
-    separating functional (`validate_separator`).  A numerical failure is
-    reported as inconclusive, never as NotInCone.
+    The SDP has no objective (C = 0), so the solver's central path ends in
+    the relative interior of the feasible Grams, at their analytic centre,
+    and no low-rank face is left for the interior-point method to stall
+    on.  With min_trace the objective is the Grams' total trace instead,
+    and the Grams returned are the low-rank decomposition on that face
+    (for a sum of squares, often its own squares); such a face has no
+    strictly complementary solution, so the solve takes more iterations
+    and can end without converging.  InCone answers are revalidated by
+    reconstructing f from the returned Grams (`validate_grams`); NotInCone
+    answers are revalidated through the separating functional
+    (`validate_separator`).  A numerical failure is reported as
+    inconclusive, never as NotInCone.
     """
     system.check_polynomial(f)
     if f.degree > 2 * k:
@@ -131,12 +140,13 @@ def membership(
     trunc = build_truncation(system, k)
 
     gs = gram_sdp(trunc)
-    gs.sdp.set_objective(
-        {
-            gs.block_ids[b.label]: [(i, i, 1.0) for i in range(b.side)]
-            for b in trunc.blocks
-        }
-    )
+    if min_trace:
+        gs.sdp.set_objective(
+            {
+                gs.block_ids[b.label]: [(i, i, 1.0) for i in range(b.side)]
+                for b in trunc.blocks
+            }
+        )
     for _alpha, entries, rhs in gs.rows(f):
         gs.sdp.add_constraint(entries, rhs)
 

@@ -213,7 +213,8 @@ def cmd_project(args) -> int:
 
 def cmd_certify(args) -> int:
     system, f = read_system_and_f(args.f, args.system, args.cone)
-    result = membership(f, system, args.d, _solver_config(args))
+    # The published Gram is the low-rank one on the minimum-trace face.
+    result = membership(f, system, args.d, _solver_config(args), min_trace=True)
     print(f"verdict {result.verdict.value} level {result.level}")
     if result.verdict is MembershipVerdict.INCONCLUSIVE:
         print(f"inconclusive: {result.message}")

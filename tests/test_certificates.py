@@ -62,6 +62,32 @@ def test_membership_of_canonical_projection():
     assert res.verdict is MembershipVerdict.IN_CONE
 
 
+def test_membership_min_trace_gram_is_the_low_rank_decomposition():
+    # The certify example is a sum of two squares; the minimum-trace Gram
+    # is exactly those two, so every other eigenvalue vanishes.
+    f = parse_polynomial("(x1^2+x2^2-1)^2+(x1*x2-1/2)^2", 2)
+    res = membership(f, PLANE, 2, min_trace=True)
+    assert res.verdict is MembershipVerdict.IN_CONE
+    eigs = np.linalg.eigvalsh(res.grams[()])
+    assert np.all(eigs[:-2] < 1e-9)
+    assert eigs[-2] > 1.0
+
+
+def test_membership_default_gram_is_interior():
+    # The Positivstellensatz lift Motzkin + (1 + x1^6 + x2^6) / 80 has slack:
+    # with no objective the Gram returned lies inside the PSD cone, not on
+    # the low-rank face the minimum trace picks (lambda_min ~ 1e-12 there).
+    f = MOTZKIN + perturbation_polynomial(
+        2, 3, PerturbationKind.TOP_EVEN_POWER
+    ).scale(1 / 80)
+    res = membership(f, PLANE, 3)
+    assert res.verdict is MembershipVerdict.IN_CONE
+    assert res.gram_min_eigs[()] >= 1e-4
+    face = membership(f, PLANE, 3, min_trace=True)
+    assert face.verdict is MembershipVerdict.IN_CONE
+    assert face.gram_min_eigs[()] < 1e-9
+
+
 def test_membership_random_cone_elements_revalidate():
     rng = np.random.default_rng(5)
     systems = [
@@ -289,6 +315,36 @@ def test_psatz_top_power_dmax_below_half_degree_still_solves():
     res = psatz_search(query)
     assert res.certified and res.level == 3
     assert res.solves == res.d
+
+
+@pytest.mark.parametrize("mode", list(PerturbationKind), ids=lambda m: m.value)
+def test_psatz_motzkin_half_eps_certifies_at_the_first_cell(mode):
+    # Motzkin + 0.5 theta_1 is a sum of squares at level 3 in either mode;
+    # its cell concludes rather than stalling on a low-rank face.
+    res = psatz_search(PsatzQuery(MOTZKIN, PLANE, 0.5, 2, mode))
+    assert res.certified
+    assert (res.d, res.level) == (1, 3)
+    assert res.inconclusive == []
+
+
+def test_membership_exp_tower_lift_at_d4_in_cone():
+    theta = perturbation_polynomial(2, 4, PerturbationKind.EXP_PARTIAL_SUM)
+    res = membership(MOTZKIN + theta.scale(0.05), PLANE, 4)
+    assert res.verdict is MembershipVerdict.IN_CONE
+    assert res.solver_status is SdpStatus.OPTIMAL
+    assert res.solver_iterations <= 40
+
+
+def test_membership_exp_tower_lift_at_d6_refuted():
+    # eps = 0.0125 is below the tower's threshold at d = 6: a validated
+    # separator, L(f) < 0 with a PSD moment matrix.
+    theta = perturbation_polynomial(2, 6, PerturbationKind.EXP_PARTIAL_SUM)
+    f = MOTZKIN + theta.scale(0.0125)
+    res = membership(f, PLANE, 6)
+    assert res.verdict is MembershipVerdict.NOT_IN_CONE
+    assert res.separation < 0
+    check = validate_separator(f, build_truncation(PLANE, 6), res.separating)
+    assert check.verdict is MembershipVerdict.NOT_IN_CONE
 
 
 def test_psatz_exp_tower_motzkin_small_eps_not_found():

@@ -506,7 +506,7 @@ def test_psatz_some_inconclusive_exits_not_certified(monkeypatch, capsys):
 
 
 def test_certify_inconclusive_exits_numerical(monkeypatch, capsys):
-    def fake_membership(f, system, k, config=None):
+    def fake_membership(f, system, k, config=None, min_trace=False):
         return MembershipResult(MembershipVerdict.INCONCLUSIVE, k, message="forced")
 
     monkeypatch.setattr(cli_module, "membership", fake_membership)

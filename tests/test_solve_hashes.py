@@ -7,13 +7,16 @@ from pathlib import Path
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "solve_hashes.py"
 
 
-def _write(path, shas, exits=()):
+def _write(path, shas, exits=(), iterations=None):
     # Two solves in test a, one in test b: positions count within a "where".
     wheres = ["a", "a", "b"]
+    hashes = [{"where": w, "sha256": h} for w, h in zip(wheres, shas)]
+    for solve, count in zip(hashes, iterations or ()):
+        solve["iterations"] = count
     path.write_text(json.dumps({
         "solves": len(shas),
         "exits": [{"status": s, "exit": e, "count": n} for s, e, n in exits],
-        "hashes": [{"where": w, "sha256": h} for w, h in zip(wheres, shas)],
+        "hashes": hashes,
     }))
     return str(path)
 
@@ -109,6 +112,42 @@ def test_compare_lists_the_exit_counts_that_moved(fresh_python, tmp_path):
         "- exit count moved: max_iter, progress stalled: 1 -> 0",
         "- exit count moved: numerical_failure, singular reduced system: 0 -> 1",
     ]
+
+
+def test_compare_prints_the_total_iterations_of_base_and_change(
+    fresh_python, tmp_path
+):
+    base = _write(tmp_path / "base.json", ["h0", "h1", "h2"], iterations=[12, 87, 9])
+    change = _write(tmp_path / "change.json", ["h0", "hX", "h2"], iterations=[12, 15, 9])
+    run = fresh_python(str(SCRIPT), "--compare", base, change, "--label", "search")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "search: 2 of 3 solve hashes equal to base (3 base solves); "
+        "2 of 3 in the base's order",
+        "- iterations: 108 -> 36",
+        "- differs: a, solve 1",
+    ]
+
+    # A base printed before solves recorded their iterations has no total.
+    unrecorded = _write(tmp_path / "unrecorded.json", ["h0", "h1", "h2"])
+    run = fresh_python(str(SCRIPT), "--compare", unrecorded, change, "--label", "search")
+    assert run.stdout.splitlines()[1] == "- iterations: unknown -> 36"
+
+
+def test_recorded_solves_carry_their_iterations(fresh_python):
+    run = fresh_python("-c", (
+        "import json, sys; sys.path.insert(0, sys.argv[1]); import solve_hashes; "
+        "from sosproj.sdp import SdpProblem, solve; "
+        "solves = solve_hashes.record_solves(lambda n: 'toy'); "
+        "p = SdpProblem(); blk = p.add_psd_block(2); "
+        "p.add_constraint({blk: [(0, 0, 1.0), (1, 1, 1.0)]}, 1.0); "
+        "sol = solve(p); "
+        "print(json.dumps([sol.iterations, solves]))"
+    ), str(SCRIPT.parent))
+    assert run.returncode == 0, run.stderr
+    iterations, solves = json.loads(run.stdout)
+    assert [s["iterations"] for s in solves] == [iterations]
+    assert iterations > 0
 
 
 def test_exit_key_cuts_at_the_first_semicolon_outside_parentheses(fresh_python):
