@@ -32,8 +32,9 @@ every other one reads all of its solves here, though the places after the
 first dropped solve differ.  Below the counts come the total iterations
 of the base's solves and of the change's ("unknown" for a run whose solves
 do not all record them, such as one printed before they were recorded;
-the line is left out when neither run records them), up to five places
-whose hash differs, then every (status, exit) whose count differs
+the line is left out when neither run records them), the same totals per
+status (optimal, infeasible, and every other status as "other"), up to
+five places whose hash differs, then every (status, exit) whose count differs
 between the two "exits" censuses, so a change that moves solves from one
 exit to another shows which.  A file that cannot be read counts as no
 solves.  It only reports, exits 0 and needs no sosproj on the path.
@@ -55,6 +56,8 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
+# The statuses whose iterations --compare totals apart; the rest are "other".
+STATUS_GROUPS = ("optimal", "infeasible", "other")
 
 
 def solution_hash(sol) -> str:
@@ -180,6 +183,18 @@ def total_iterations(solves: list[dict]) -> int | None:
     return None if None in counts else sum(counts)
 
 
+def iterations_by_status(solves: list[dict]) -> dict[str, int] | None:
+    """The solves' summed iterations per status, every status other than
+    optimal and infeasible as "other"; None unless every solve records its
+    status and iterations."""
+    totals = dict.fromkeys(STATUS_GROUPS, 0)
+    for h in solves:
+        if h.get("status") is None or h.get("iterations") is None:
+            return None
+        totals[h["status"] if h["status"] in totals else "other"] += h["iterations"]
+    return totals
+
+
 def in_order(base: list[str], change: list[str]) -> int:
     """Length of the longest common subsequence of two hash lists."""
     prev = [0] * (len(base) + 1)
@@ -209,6 +224,14 @@ def compare(base_path: str, change_path: str, label: str) -> list[str]:
     if totals != [None, None]:
         base_total, change_total = ("unknown" if t is None else t for t in totals)
         lines.append(f"- iterations: {base_total} -> {change_total}")
+    by_status = [iterations_by_status(base_solves), iterations_by_status(change_solves)]
+    if by_status != [None, None]:
+        base_by, change_by = ({} if t is None else t for t in by_status)
+        lines.append("- iterations by status: " + ", ".join(
+            f"{status} {base_by.get(status, 'unknown')} -> "
+            f"{change_by.get(status, 'unknown')}"
+            for status in STATUS_GROUPS
+        ))
     lines += [f"- differs: {where}, solve {position}" for where, position in differ[:5]]
     lines += [
         f"- exit count moved: {status}, {reason}: "

@@ -8,9 +8,12 @@ block.  Free variables are not supported; formulate with slacks.
 
 Primal infeasibility is reported with a dual improving ray (y, S): S PSD,
 A^T y + S = 0 and b^T y = 1, which certifies that no feasible X exists.
-Every SDP sosproj builds minimizes an objective that is bounded below, so
-there is no maximization sense and no unboundedness exit: a problem that is
-unbounded below ends without convergence.
+Every SDP sosproj builds either minimizes an objective that is bounded
+below or has no objective at all (C = 0, a feasibility problem), so there
+is no maximization sense and no unboundedness exit: a problem that is
+unbounded below ends without convergence.  A feasibility problem stops at
+its first iterate within both tolerances, and its ray is checked as soon as
+the ray's own residual is small.
 """
 
 from __future__ import annotations
@@ -190,8 +193,9 @@ class SdpProblem:
 
 @dataclass
 class SolverConfig:
-    # The feasibility repair keeps the equality residual near roundoff, and
-    # the gap polishes well past gap_tol whenever the instance allows it.
+    # The feasibility repair keeps the equality residual near roundoff.  With
+    # an objective the gap polishes well past gap_tol whenever the instance
+    # allows it; a problem with no objective stops once within both.
     feas_tol: float = 1e-8
     gap_tol: float = 1e-6
 
@@ -881,6 +885,9 @@ class _Exits:
 
     def __init__(self, ws: _Workspace, cfg: SolverConfig):
         self.ws, self.cfg = ws, cfg
+        # A problem with no objective (every block of C zero) asks only
+        # whether a feasible X exists; check gives it exits of its own.
+        self.feasibility = ws.norm_C_user == 0.0
         self.iterations = 0
         self.stagnant = 0
         self.best_merit = np.inf
@@ -914,15 +921,20 @@ class _Exits:
             self.stagnant += 1
 
         if feasible_now and gap_now <= cfg.gap_tol:
-            # Inside tolerance; keep polishing while the gap still drops.
-            if self.stagnant >= 1 or gap_now <= 1e-10:
+            # Inside tolerance; with an objective, keep polishing while the
+            # gap still drops.
+            if self.feasibility or self.stagnant >= 1 or gap_now <= 1e-10:
                 return self._pack(self.snapshot, SdpStatus.OPTIMAL, "converged")
 
-        # The ray check is meaningful once tau shrinks against kappa.
-        if k >= 3 and it.tau < 1e-2 * min(1.0, it.kappa):
+        # With an objective the ray check is meaningful once tau shrinks
+        # against kappa.  With none, rx = A^T y + s is b.y times the ray's
+        # own residual, read from k = 3 on whether tau vanished or not.
+        tau_vanished = it.tau < 1e-2 * min(1.0, it.kappa)
+        if k >= 3 and (self._ray_near(res) if self.feasibility else tau_vanished):
             ray = self._dual_ray(res)
             if ray is not None:
-                message = "vanishing tau; improving ray certifies primal infeasibility"
+                reason = "vanishing tau" if tau_vanished else "dual ray residual small"
+                message = f"{reason}; improving ray certifies primal infeasibility"
                 return self._pack(res, SdpStatus.INFEASIBLE, message, ray)
 
         # Long non-improving phases do occur on curved central paths; only
@@ -971,6 +983,16 @@ class _Exits:
             message=message,
         )
 
+    def _ray_near(self, res: _Residuals) -> bool:
+        """Whether the candidate ray y / b.y of a problem with no objective
+        may pass _dual_ray: b.y > 0 and ||rx|| <= 2 RAY_TOL (b.y + ||y||),
+        twice _dual_ray's bound on the same residual, a margin for the
+        rounding between the two computations of A^T y."""
+        if not res.by > 0.0:
+            return False
+        norm_rx = math.sqrt(sum(float(np.sum(r * r)) for r in res.rx))
+        return norm_rx <= 2.0 * RAY_TOL * (res.by + float(np.linalg.norm(res.it.y)))
+
     def _dual_ray(self, res: _Residuals) -> tuple[np.ndarray, list[np.ndarray]] | None:
         """Improving ray (y, S) / b.y certifying primal infeasibility."""
         ws, by = self.ws, res.by
@@ -995,7 +1017,11 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
     The iterate (x, y, s, tau, kappa) starts strictly feasible for the
     embedding and residuals shrink proportionally to the complementarity
     measure.  A vanishing tau with positive kappa yields a dual improving
-    ray, an infeasibility certificate, instead of an optimum.
+    ray, an infeasibility certificate, instead of an optimum.  With no
+    objective (C = 0) the dual iterate (y, s) / b.y is a ray candidate at
+    every iteration: it is validated once its residual A^T y + s is small,
+    tau vanished or not, and a feasible run stops at its first iterate
+    within feas_tol and gap_tol instead of polishing the gap.
 
     Each iteration hands the _residuals of its _Iterate to _Exits.check,
     then steps along the predictor-corrector (or centering) direction of

@@ -23,7 +23,8 @@ from sosproj.polynomials import (
 )
 from sosproj.projection import ProjectionProblem, project_lambda_form
 from sosproj import certificates as certificates_module
-from sosproj.sdp import SdpSolution, SdpStatus
+from sosproj import sdp as sdp_module
+from sosproj.sdp import SdpSolution, SdpStatus, SolverConfig
 
 MOTZKIN = parse_polynomial("x1^2*x2^2*(x1^2+x2^2-1)+1/27", 2)
 PLANE = SemialgebraicSystem(2, ())
@@ -345,6 +346,43 @@ def test_membership_exp_tower_lift_at_d6_refuted():
     assert res.separation < 0
     check = validate_separator(f, build_truncation(PLANE, 6), res.separating)
     assert check.verdict is MembershipVerdict.NOT_IN_CONE
+
+
+def test_membership_exp_tower_top_cell_refutes_at_an_early_ray():
+    # The seed-1 search's exponential-tower top cell.  Its Gram SDP has no
+    # objective, so the ray is read once its own residual is small, not
+    # only once tau vanishes, which takes until iteration 17.
+    theta = perturbation_polynomial(2, 5, PerturbationKind.EXP_PARTIAL_SUM)
+    f = MOTZKIN + theta.scale(0.01256)
+    res = membership(f, PLANE, 5)
+    assert res.verdict is MembershipVerdict.NOT_IN_CONE
+    assert res.solver_status is SdpStatus.INFEASIBLE
+    assert res.solver_iterations <= 14
+    check = validate_separator(f, build_truncation(PLANE, 5), res.separating)
+    assert check.verdict is MembershipVerdict.NOT_IN_CONE
+
+
+def test_feasible_membership_exits_at_its_first_converged_iterate(monkeypatch):
+    # The certify example at its default Grams: a solve with no objective
+    # stops at the first iterate within feas_tol and gap_tol, with no
+    # polishing step after it.
+    records = []
+    residuals = sdp_module._residuals
+
+    def spy(ws, it):
+        records.append(residuals(ws, it))
+        return records[-1]
+
+    monkeypatch.setattr(sdp_module, "_residuals", spy)
+    f = parse_polynomial("(x1^2+x2^2-1)^2+(x1*x2-1/2)^2", 2)
+    res = membership(f, PLANE, 2)
+    cfg = SolverConfig()
+    converged = [
+        max(r.relp, r.reld) <= cfg.feas_tol and min(r.relgap, r.relmu) <= cfg.gap_tol
+        for r in records
+    ]
+    assert res.verdict is MembershipVerdict.IN_CONE
+    assert res.solver_iterations == len(records) == converged.index(True) + 1
 
 
 def test_psatz_exp_tower_motzkin_small_eps_not_found():

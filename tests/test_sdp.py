@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from sosproj.cones import parse_system_text
+from sosproj.cones import SemialgebraicSystem, parse_system_text
 from sosproj.moments import BasisMatrixSet
 from sosproj.polynomials import (
     Polynomial,
@@ -201,6 +201,38 @@ def test_ray_check_reads_the_shared_psd_rule(monkeypatch):
     sol = solve(infeasible_lp(), DEFAULT)
     assert sol.status is not SdpStatus.INFEASIBLE
     assert sol.ray is None
+
+
+def test_an_all_zero_objective_is_a_feasibility_problem():
+    p = SdpProblem()
+    blk = p.add_psd_block(2)
+    p.add_constraint({blk: [(0, 0, 1.0)]}, 1.0)
+    p.set_objective({blk: [(0, 0, 0.0), (0, 1, 0.0)]})
+    assert sdp_module._Exits(sdp_module._Workspace(p), DEFAULT).feasibility
+    p.set_objective({blk: [(1, 1, 1.0)]})
+    assert not sdp_module._Exits(sdp_module._Workspace(p), DEFAULT).feasibility
+
+
+def test_solve_with_an_objective_reads_the_ray_only_once_tau_vanishes(monkeypatch):
+    # Motzkin's l1 lambda form at d = 3 minimizes sum(lambda), so it keeps
+    # the rules of a solve with an objective: its ray is read only once
+    # tau < 1e-2 min(1, kappa), and it polishes the gap, 10 iterations to
+    # "converged".
+    seen = []
+    dual_ray = sdp_module._Exits._dual_ray
+
+    def spy(self, res):
+        seen.append((res.it.tau, res.it.kappa))
+        return dual_ray(self, res)
+
+    monkeypatch.setattr(sdp_module._Exits, "_dual_ray", spy)
+    f = parse_polynomial("x1^2*x2^2*(x1^2+x2^2-1)+1/27", 2)
+    problem = ProjectionProblem(f, SemialgebraicSystem(2), WeightSequence.l1(), 3)
+    sol = solve(build_lambda_form_sdp(problem).sdp, default_solver_config())
+    assert all(tau < 1e-2 * min(1.0, kappa) for tau, kappa in seen)
+    assert (sol.status, sol.iterations, sol.message) == (
+        SdpStatus.OPTIMAL, 10, "converged"
+    )
 
 
 def test_eig_range_of_a_matrix_and_of_a_diagonal_block():

@@ -169,3 +169,52 @@ def test_exit_key_cuts_at_the_first_semicolon_outside_parentheses(fresh_python):
     ), str(SCRIPT.parent), json.dumps(list(messages)))
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout) == list(messages.values())
+
+
+def test_feasibility_ray_found_before_tau_vanishes_has_its_own_exit(fresh_python):
+    # The Gram SDP of Motzkin + 0.005 (1 + x1^6 + x2^6) at level 3 has no
+    # objective; its ray is read as soon as its own residual is small,
+    # while tau has not vanished.
+    run = fresh_python("-c", (
+        "import json, sys; sys.path.insert(0, sys.argv[1]); import solve_hashes; "
+        "from sosproj.cones import SemialgebraicSystem; "
+        "from sosproj.certificates import membership; "
+        "from sosproj.polynomials import parse_polynomial; "
+        "solves = solve_hashes.record_solves(lambda n: 'motzkin'); "
+        "f = parse_polynomial('x1^2*x2^2*(x1^2+x2^2-1)+1/27"
+        "+0.005*(1+x1^6+x2^6)', 2); "
+        "membership(f, SemialgebraicSystem(2, ()), 3); "
+        "print(json.dumps(solves))"
+    ), str(SCRIPT.parent))
+    assert run.returncode == 0, run.stderr
+    [solve] = json.loads(run.stdout)
+    assert (solve["status"], solve["exit"]) == ("infeasible", "dual ray residual small")
+
+
+def test_compare_prints_the_iterations_per_status(fresh_python, tmp_path):
+    # Statuses other than optimal and infeasible are summed as "other".
+    def write(path, iterations):
+        statuses = ["optimal", "infeasible", "max_iter", "inaccurate"]
+        path.write_text(json.dumps({"solves": 4, "exits": [], "hashes": [
+            {"where": "a", "sha256": f"h{i}", "status": s, "iterations": n}
+            for i, (s, n) in enumerate(zip(statuses, iterations))
+        ]}))
+        return str(path)
+
+    base = write(tmp_path / "base.json", [15, 17, 200, 30])
+    change = write(tmp_path / "change.json", [14, 12, 200, 30])
+    run = fresh_python(str(SCRIPT), "--compare", base, change, "--label", "search")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[1:3] == [
+        "- iterations: 262 -> 256",
+        "- iterations by status: optimal 15 -> 14, infeasible 17 -> 12, "
+        "other 230 -> 230",
+    ]
+
+    # A base printed before solves recorded their status has no such totals.
+    unrecorded = _write(tmp_path / "unrecorded.json", ["h0", "h1", "h2"], iterations=[1, 2, 3])
+    run = fresh_python(str(SCRIPT), "--compare", unrecorded, change, "--label", "search")
+    assert run.stdout.splitlines()[2] == (
+        "- iterations by status: optimal unknown -> 14, infeasible unknown -> 12, "
+        "other unknown -> 230"
+    )
