@@ -36,7 +36,11 @@ the line is left out when neither run records them), the same totals per
 status (optimal, infeasible, and every other status as "other"), up to
 five places whose hash differs, then every (status, exit) whose count differs
 between the two "exits" censuses, so a change that moves solves from one
-exit to another shows which.  A file that cannot be read counts as no
+exit to another shows which.  Each place that differs also reads its
+status, iterations and exit at the base -> at the change (when either
+solve records its status; "unknown" for a field a solve does not record,
+"no solve" for a place the base lacks), so a change that moves only
+messages reads as such.  A file that cannot be read counts as no
 solves.  It only reports, exits 0 and needs no sosproj on the path.
 """
 
@@ -167,14 +171,24 @@ def read_run(path: str) -> tuple[list[dict], Counter]:
     return solves, exits
 
 
-def hashes_by_place(solves: list[dict]) -> dict[tuple[str, int], str]:
-    """sha256 of each solve, keyed by (where, position)."""
+def solves_by_place(solves: list[dict]) -> dict[tuple[str, int], dict]:
+    """Each solve, keyed by (where, position)."""
     seen: Counter = Counter()
     out = {}
     for h in solves:
-        out[h["where"], seen[h["where"]]] = h["sha256"]
+        out[h["where"], seen[h["where"]]] = h
         seen[h["where"]] += 1
     return out
+
+
+def outcome(solve: dict | None) -> str:
+    """A solve's status, iterations and exit, for a place that differs."""
+    if solve is None:
+        return "no solve"
+    status, iterations, reason = (
+        solve.get(key, "unknown") for key in ("status", "iterations", "exit")
+    )
+    return f"{status}, {iterations} iterations, {reason}"
 
 
 def total_iterations(solves: list[dict]) -> int | None:
@@ -210,8 +224,11 @@ def compare(base_path: str, change_path: str, label: str) -> list[str]:
     """The summary lines of --compare."""
     base_solves, base_exits = read_run(base_path)
     change_solves, change_exits = read_run(change_path)
-    base, change = hashes_by_place(base_solves), hashes_by_place(change_solves)
-    differ = [place for place, sha in change.items() if base.get(place) != sha]
+    base, change = solves_by_place(base_solves), solves_by_place(change_solves)
+    differ = [
+        place for place, h in change.items()
+        if base.get(place, {}).get("sha256") != h["sha256"]
+    ]
     kept = in_order(
         [h["sha256"] for h in base_solves], [h["sha256"] for h in change_solves]
     )
@@ -232,7 +249,12 @@ def compare(base_path: str, change_path: str, label: str) -> list[str]:
             f"{change_by.get(status, 'unknown')}"
             for status in STATUS_GROUPS
         ))
-    lines += [f"- differs: {where}, solve {position}" for where, position in differ[:5]]
+    for place in differ[:5]:
+        was, now = base.get(place), change[place]
+        line = f"- differs: {place[0]}, solve {place[1]}"
+        if "status" in (was or {}) or "status" in now:
+            line += f": {outcome(was)} -> {outcome(now)}"
+        lines.append(line)
     lines += [
         f"- exit count moved: {status}, {reason}: "
         f"{base_exits[status, reason]} -> {change_exits[status, reason]}"

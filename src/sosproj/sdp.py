@@ -8,12 +8,13 @@ block.  Free variables are not supported; formulate with slacks.
 
 Primal infeasibility is reported with a dual improving ray (y, S): S PSD,
 A^T y + S = 0 and b^T y = 1, which certifies that no feasible X exists.
-Every SDP sosproj builds either minimizes an objective that is bounded
-below or has no objective at all (C = 0, a feasibility problem), so there
-is no maximization sense and no unboundedness exit: a problem that is
-unbounded below ends without convergence.  A feasibility problem stops at
-its first iterate within both tolerances, and its ray is checked as soon as
-the ray's own residual is small.
+Every iteration checks its dual iterate for such a ray by one rule, with
+or without an objective.  Every SDP sosproj builds either minimizes an
+objective that is bounded below or has no objective at all (C = 0, a
+feasibility problem), so there is no maximization sense and no
+unboundedness exit: a problem that is unbounded below ends without
+convergence.  A feasibility problem stops at its first iterate within both
+tolerances.
 """
 
 from __future__ import annotations
@@ -195,7 +196,8 @@ class SdpProblem:
 class SolverConfig:
     # The feasibility repair keeps the equality residual near roundoff.  With
     # an objective the gap polishes well past gap_tol whenever the instance
-    # allows it; a problem with no objective stops once within both.
+    # allows it; a problem with no objective stops once within both.  The
+    # ray check takes neither: a ray holds at RAY_TOL (_Exits._dual_ray).
     feas_tol: float = 1e-8
     gap_tol: float = 1e-6
 
@@ -886,7 +888,7 @@ class _Exits:
     def __init__(self, ws: _Workspace, cfg: SolverConfig):
         self.ws, self.cfg = ws, cfg
         # A problem with no objective (every block of C zero) asks only
-        # whether a feasible X exists; check gives it exits of its own.
+        # whether a feasible X exists, so check does not polish its gap.
         self.feasibility = ws.norm_C_user == 0.0
         self.iterations = 0
         self.stagnant = 0
@@ -897,7 +899,7 @@ class _Exits:
 
     def check(self, k: int, res: _Residuals) -> SdpSolution | None:
         """The converged, ray or stall exit that iteration k calls for, if any."""
-        cfg, it = self.cfg, res.it
+        cfg = self.cfg
         self.iterations = k + 1
         feasible_now = res.relp <= cfg.feas_tol and res.reld <= cfg.feas_tol
         gap_now = min(res.relgap, res.relmu)
@@ -926,16 +928,10 @@ class _Exits:
             if self.feasibility or self.stagnant >= 1 or gap_now <= 1e-10:
                 return self._pack(self.snapshot, SdpStatus.OPTIMAL, "converged")
 
-        # With an objective the ray check is meaningful once tau shrinks
-        # against kappa.  With none, rx = A^T y + s is b.y times the ray's
-        # own residual, read from k = 3 on whether tau vanished or not.
-        tau_vanished = it.tau < 1e-2 * min(1.0, it.kappa)
-        if k >= 3 and (self._ray_near(res) if self.feasibility else tau_vanished):
-            ray = self._dual_ray(res)
-            if ray is not None:
-                reason = "vanishing tau" if tau_vanished else "dual ray residual small"
-                message = f"{reason}; improving ray certifies primal infeasibility"
-                return self._pack(res, SdpStatus.INFEASIBLE, message, ray)
+        ray = self._dual_ray(res)
+        if ray is not None:
+            message = "improving ray certifies primal infeasibility"
+            return self._pack(res, SdpStatus.INFEASIBLE, message, ray)
 
         # Long non-improving phases do occur on curved central paths; only
         # give up after substantial patience.
@@ -983,31 +979,22 @@ class _Exits:
             message=message,
         )
 
-    def _ray_near(self, res: _Residuals) -> bool:
-        """Whether the candidate ray y / b.y of a problem with no objective
-        may pass _dual_ray: b.y > 0 and ||rx|| <= 2 RAY_TOL (b.y + ||y||),
-        twice _dual_ray's bound on the same residual, a margin for the
-        rounding between the two computations of A^T y."""
-        if not res.by > 0.0:
-            return False
-        norm_rx = math.sqrt(sum(float(np.sum(r * r)) for r in res.rx))
-        return norm_rx <= 2.0 * RAY_TOL * (res.by + float(np.linalg.norm(res.it.y)))
-
     def _dual_ray(self, res: _Residuals) -> tuple[np.ndarray, list[np.ndarray]] | None:
-        """Improving ray (y, S) / b.y certifying primal infeasibility."""
-        ws, by = self.ws, res.by
-        if not np.isfinite(by) or by <= 0.0:
+        """The improving ray (y, S) / b.y of res's iterate, if it certifies
+        primal infeasibility: b.y > 0, ||A^T y + s|| <= RAY_TOL (b.y + ||y||)
+        and every block of s / b.y PSD by psd_accepted."""
+        ws, it, by = self.ws, res.it, res.by
+        if not 0.0 < by < math.inf:
             return None
-        ry_ = res.it.y / by
-        rS = [sb / by for sb in res.it.s]
-        resid = ws.apply_AT(ry_)
-        err = math.sqrt(sum(float(np.sum((a + sb) ** 2)) for a, sb in zip(resid, rS)))
-        if err > RAY_TOL * (1.0 + float(np.linalg.norm(ry_))):
+        # A^T y + s = rx + c tau, which is rx itself when C = 0.
+        total = sum(float(np.sum((r + c * it.tau) ** 2)) for r, c in zip(res.rx, ws.C))
+        if math.sqrt(total) > RAY_TOL * (by + float(np.linalg.norm(it.y))):
             return None
+        rS = [sb / by for sb in it.s]
         if not all(psd_accepted(*eig_range(s_blk)) for s_blk in rS):
             return None
         # Renormalize so the user-space ray has b . y = 1 exactly.
-        yu, Su = ws.unscale_dual(ry_, rS)
+        yu, Su = ws.unscale_dual(it.y / by, rS)
         return yu / ws.obj_scale, [sb / ws.obj_scale for sb in Su]
 
 
@@ -1016,12 +1003,12 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
 
     The iterate (x, y, s, tau, kappa) starts strictly feasible for the
     embedding and residuals shrink proportionally to the complementarity
-    measure.  A vanishing tau with positive kappa yields a dual improving
-    ray, an infeasibility certificate, instead of an optimum.  With no
-    objective (C = 0) the dual iterate (y, s) / b.y is a ray candidate at
-    every iteration: it is validated once its residual A^T y + s is small,
-    tau vanished or not, and a feasible run stops at its first iterate
-    within feas_tol and gap_tol instead of polishing the gap.
+    measure.  At every iteration the dual iterate (y, s) / b.y is a
+    candidate improving ray, an infeasibility certificate: it ends the run
+    once b.y > 0, its residual A^T y + s is within RAY_TOL and s / b.y is
+    PSD, with an objective or without.  With no objective (C = 0) a
+    feasible run stops at its first iterate within feas_tol and gap_tol
+    instead of polishing the gap.
 
     Each iteration hands the _residuals of its _Iterate to _Exits.check,
     then steps along the predictor-corrector (or centering) direction of

@@ -349,9 +349,9 @@ def test_membership_exp_tower_lift_at_d6_refuted():
 
 
 def test_membership_exp_tower_top_cell_refutes_at_an_early_ray():
-    # The seed-1 search's exponential-tower top cell.  Its Gram SDP has no
-    # objective, so the ray is read once its own residual is small, not
-    # only once tau vanishes, which takes until iteration 17.
+    # The seed-1 search's exponential-tower top cell.  Every iterate is
+    # checked for a ray, which holds once its own residual is small, well
+    # before tau vanishes at iteration 17.
     theta = perturbation_polynomial(2, 5, PerturbationKind.EXP_PARTIAL_SUM)
     f = MOTZKIN + theta.scale(0.01256)
     res = membership(f, PLANE, 5)

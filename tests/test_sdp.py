@@ -213,26 +213,39 @@ def test_an_all_zero_objective_is_a_feasibility_problem():
     assert not sdp_module._Exits(sdp_module._Workspace(p), DEFAULT).feasibility
 
 
-def test_solve_with_an_objective_reads_the_ray_only_once_tau_vanishes(monkeypatch):
-    # Motzkin's l1 lambda form at d = 3 minimizes sum(lambda), so it keeps
-    # the rules of a solve with an objective: its ray is read only once
-    # tau < 1e-2 min(1, kappa), and it polishes the gap, 10 iterations to
+def test_solve_with_an_objective_checks_every_iterate_for_a_ray(monkeypatch):
+    # Motzkin's l1 lambda form at d = 3 minimizes sum(lambda) and is
+    # feasible: each iterate before the converged one is checked for a ray
+    # and holds none, and the run polishes the gap, 10 iterations to
     # "converged".
     seen = []
     dual_ray = sdp_module._Exits._dual_ray
 
     def spy(self, res):
-        seen.append((res.it.tau, res.it.kappa))
-        return dual_ray(self, res)
+        seen.append(dual_ray(self, res))
+        return seen[-1]
 
     monkeypatch.setattr(sdp_module._Exits, "_dual_ray", spy)
     f = parse_polynomial("x1^2*x2^2*(x1^2+x2^2-1)+1/27", 2)
     problem = ProjectionProblem(f, SemialgebraicSystem(2), WeightSequence.l1(), 3)
     sol = solve(build_lambda_form_sdp(problem).sdp, default_solver_config())
-    assert all(tau < 1e-2 * min(1.0, kappa) for tau, kappa in seen)
+    assert seen == [None] * (sol.iterations - 1)
     assert (sol.status, sol.iterations, sol.message) == (
         SdpStatus.OPTIMAL, 10, "converged"
     )
+
+
+def test_every_ray_exit_reads_one_message():
+    # One ray rule with an objective and without: the infeasible LP
+    # minimizes x0, and Motzkin's Gram SDP at level 3 with no objective
+    # asks only whether a Gram matrix exists.
+    motzkin = parse_polynomial("x1^2*x2^2*(x1^2+x2^2-1)+1/27", 2)
+    feasibility = sos_membership_problem(motzkin, 2, 3)
+    feasibility.set_objective({})
+    for problem in (infeasible_lp(), feasibility):
+        sol = solve(problem, DEFAULT)
+        assert sol.status is SdpStatus.INFEASIBLE
+        assert sol.message == "improving ray certifies primal infeasibility"
 
 
 def test_eig_range_of_a_matrix_and_of_a_diagonal_block():

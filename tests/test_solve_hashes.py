@@ -151,14 +151,14 @@ def test_recorded_solves_carry_their_iterations(fresh_python):
 
 
 def test_exit_key_cuts_at_the_first_semicolon_outside_parentheses(fresh_python):
-    # A best-iterate exit keeps the failure exit that led to it; the
-    # vanishing-tau and inaccurate exits keep their reason alone.
+    # A best-iterate exit keeps the failure exit that led to it; an
+    # inaccurate exit keeps its reason alone.
     messages = {
         "converged": "converged",
         "converged (best iterate; no convergence in 2 iterations)":
             "converged (best iterate; no convergence in 2 iterations)",
-        "vanishing tau; improving ray certifies primal infeasibility":
-            "vanishing tau",
+        "improving ray certifies primal infeasibility":
+            "improving ray certifies primal infeasibility",
         "no convergence in 5 iterations; best iterate within 10x feas_tol "
         "(relp 1.00e-08, reld 2.00e-08, relgap 3.00e-07)":
             "no convergence in 5 iterations",
@@ -171,10 +171,9 @@ def test_exit_key_cuts_at_the_first_semicolon_outside_parentheses(fresh_python):
     assert json.loads(run.stdout) == list(messages.values())
 
 
-def test_feasibility_ray_found_before_tau_vanishes_has_its_own_exit(fresh_python):
+def test_feasibility_ray_takes_the_one_ray_exit(fresh_python):
     # The Gram SDP of Motzkin + 0.005 (1 + x1^6 + x2^6) at level 3 has no
-    # objective; its ray is read as soon as its own residual is small,
-    # while tau has not vanished.
+    # objective; its ray ends the run through the exit every ray takes.
     run = fresh_python("-c", (
         "import json, sys; sys.path.insert(0, sys.argv[1]); import solve_hashes; "
         "from sosproj.cones import SemialgebraicSystem; "
@@ -188,7 +187,9 @@ def test_feasibility_ray_found_before_tau_vanishes_has_its_own_exit(fresh_python
     ), str(SCRIPT.parent))
     assert run.returncode == 0, run.stderr
     [solve] = json.loads(run.stdout)
-    assert (solve["status"], solve["exit"]) == ("infeasible", "dual ray residual small")
+    assert (solve["status"], solve["exit"]) == (
+        "infeasible", "improving ray certifies primal infeasibility"
+    )
 
 
 def test_compare_prints_the_iterations_per_status(fresh_python, tmp_path):
@@ -218,3 +219,32 @@ def test_compare_prints_the_iterations_per_status(fresh_python, tmp_path):
         "- iterations by status: optimal unknown -> 14, infeasible unknown -> 12, "
         "other unknown -> 230"
     )
+
+
+def test_compare_reads_each_differing_place_from_base_to_change(fresh_python, tmp_path):
+    # A place whose solve moved only its exit message keeps its status and
+    # iterations; a field a solve does not record reads "unknown", and a
+    # place the base lacks reads "no solve".
+    def write(path, solves):
+        path.write_text(json.dumps({"solves": len(solves), "exits": [], "hashes": [
+            {"where": "a", "sha256": sha, **fields} for sha, fields in solves
+        ]}))
+        return str(path)
+
+    converged = {"status": "optimal", "iterations": 9, "exit": "converged"}
+    ray = {"status": "infeasible", "iterations": 12}
+    base = write(tmp_path / "base.json", [
+        ("h0", converged), ("h1", {**ray, "exit": "vanishing tau"}),
+    ])
+    change = write(tmp_path / "change.json", [
+        ("h0", converged),
+        ("hX", {**ray, "exit": "improving ray certifies primal infeasibility"}),
+        ("h2", {"status": "optimal", "exit": "converged"}),
+    ])
+    run = fresh_python(str(SCRIPT), "--compare", base, change, "--label", "search")
+    assert run.returncode == 0, run.stderr
+    assert [line for line in run.stdout.splitlines() if "differs" in line] == [
+        "- differs: a, solve 1: infeasible, 12 iterations, vanishing tau -> "
+        "infeasible, 12 iterations, improving ray certifies primal infeasibility",
+        "- differs: a, solve 2: no solve -> optimal, unknown iterations, converged",
+    ]
