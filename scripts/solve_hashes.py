@@ -33,10 +33,14 @@ first dropped solve differ.  Below the counts come the total iterations
 of the base's solves and of the change's ("unknown" for a run whose solves
 do not all record them, such as one printed before they were recorded;
 the line is left out when neither run records them), the same totals per
-status (optimal, infeasible, and every other status as "other"), up to
-five places whose hash differs, then every (status, exit) whose count differs
-between the two "exits" censuses, so a change that moves solves from one
-exit to another shows which.  Each place that differs also reads its
+status (optimal, infeasible, and every other status as "other"), one line
+over every place whose hash differs (how many keep their status and exit,
+of those how many took fewer, equal and more iterations, how many
+changed status or exit, and how many have no base solve; left out when
+no such solve records its status), up to five places whose hash differs,
+then every (status, exit) whose count differs between the two "exits"
+censuses, so a change that moves solves from one exit to another shows
+which.  Each place that differs also reads its
 status, iterations and exit at the base -> at the change (when either
 solve records its status; "unknown" for a field a solve does not record,
 "no solve" for a place the base lacks), so a change that moves only
@@ -209,6 +213,40 @@ def iterations_by_status(solves: list[dict]) -> dict[str, int] | None:
     return totals
 
 
+def differing_summary(
+    base: dict[tuple[str, int], dict], change: dict[tuple[str, int], dict],
+    differ: list[tuple[str, int]],
+) -> str:
+    """One line over every place that differs: how many keep their status
+    and exit, split by whether the change took fewer, equal or more
+    iterations, how many changed status or exit, and how many the base
+    lacks.  A place whose solves do not both record status, exit and
+    iterations counts as changed."""
+    steps = Counter()
+    for place in differ:
+        was, now = base.get(place), change[place]
+        fields = ("status", "exit", "iterations")
+        if was is None:
+            steps["new"] += 1
+        elif any(key not in was or key not in now for key in fields) or (
+            (was["status"], was["exit"]) != (now["status"], now["exit"])
+        ):
+            steps["changed"] += 1
+        elif now["iterations"] < was["iterations"]:
+            steps["fewer"] += 1
+        elif now["iterations"] > was["iterations"]:
+            steps["more"] += 1
+        else:
+            steps["equal"] += 1
+    kept = steps["fewer"] + steps["equal"] + steps["more"]
+    return (
+        f"- {len(differ)} places differ: {kept} keep status and exit "
+        f"({steps['fewer']} fewer iterations, {steps['equal']} equal, "
+        f"{steps['more']} more), {steps['changed']} changed status or exit, "
+        f"{steps['new']} with no base solve"
+    )
+
+
 def in_order(base: list[str], change: list[str]) -> int:
     """Length of the longest common subsequence of two hash lists."""
     prev = [0] * (len(base) + 1)
@@ -249,6 +287,9 @@ def compare(base_path: str, change_path: str, label: str) -> list[str]:
             f"{change_by.get(status, 'unknown')}"
             for status in STATUS_GROUPS
         ))
+    if any("status" in (base.get(place) or {}) or "status" in change[place]
+           for place in differ):
+        lines.append(differing_summary(base, change, differ))
     for place in differ[:5]:
         was, now = base.get(place), change[place]
         line = f"- differs: {place[0]}, solve {place[1]}"

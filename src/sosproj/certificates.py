@@ -134,11 +134,27 @@ def membership(
     (`validate_separator`).  A numerical failure is reported as
     inconclusive, never as NotInCone.
     """
+    trunc = _membership_truncation(f, system, k)
+    return _solve_membership(f, trunc, config, min_trace)
+
+
+def _membership_truncation(
+    f: Polynomial, system: SemialgebraicSystem, k: int
+) -> ConeTruncation:
+    """The level-k truncation that membership of f solves over."""
     system.check_polynomial(f)
     if f.degree > 2 * k:
         raise ValueError(f"deg f = {f.degree} exceeds cone degree {2 * k}")
-    trunc = build_truncation(system, k)
+    return build_truncation(system, k)
 
+
+def _solve_membership(
+    f: Polynomial,
+    trunc: ConeTruncation,
+    config: SolverConfig | None,
+    min_trace: bool = False,
+) -> MembershipResult:
+    """`membership` of f over a truncation already built."""
     gs = gram_sdp(trunc)
     if min_trace:
         gs.sdp.set_objective(
@@ -162,7 +178,7 @@ def membership(
     else:
         result = MembershipResult(
             MembershipVerdict.INCONCLUSIVE,
-            k,
+            trunc.level,
             message=f"solver status {sol.status.value}: {sol.message}",
         )
     result.solver_status, result.solver_iterations = sol.status, sol.iterations
@@ -176,8 +192,8 @@ class _ReusingMembership:
 
     A stored functional decides a cell only if its level is at least the
     cell's and `validate_separator` accepts it on the cell's candidate and
-    truncation; otherwise the cell is solved.  Only a validated NotInCone
-    that carries its functional is stored.
+    truncation; otherwise the cell is solved over that same truncation.
+    Only a validated NotInCone that carries its functional is stored.
     """
 
     system: SemialgebraicSystem
@@ -187,15 +203,14 @@ class _ReusingMembership:
     reused: int = 0
 
     def __call__(self, f: Polynomial, level: int) -> MembershipResult:
+        trunc = _membership_truncation(f, self.system, level)
         stored = [y for y in self.separators if y.max_degree >= 2 * level]
-        if stored:
-            trunc = build_truncation(self.system, level)
-            for functional in reversed(stored):
-                member = validate_separator(f, trunc, functional)
-                if member.verdict is MembershipVerdict.NOT_IN_CONE:
-                    self.reused += 1
-                    return member
-        member = membership(f, self.system, level, self.config)
+        for functional in reversed(stored):
+            member = validate_separator(f, trunc, functional)
+            if member.verdict is MembershipVerdict.NOT_IN_CONE:
+                self.reused += 1
+                return member
+        member = _solve_membership(f, trunc, self.config)
         self.solves += 1
         if (
             member.verdict is MembershipVerdict.NOT_IN_CONE

@@ -8,13 +8,13 @@ block.  Free variables are not supported; formulate with slacks.
 
 Primal infeasibility is reported with a dual improving ray (y, S): S PSD,
 A^T y + S = 0 and b^T y = 1, which certifies that no feasible X exists.
-Every iteration checks its dual iterate for such a ray by one rule, with
-or without an objective.  Every SDP sosproj builds either minimizes an
-objective that is bounded below or has no objective at all (C = 0, a
-feasibility problem), so there is no maximization sense and no
-unboundedness exit: a problem that is unbounded below ends without
-convergence.  A feasibility problem stops at its first iterate within both
-tolerances.
+Every iteration checks whether its dual iterate y is such a Farkas
+certificate (b.y > 0 and -A^T y PSD), with or without an objective.
+Every SDP sosproj builds either minimizes an objective that is bounded
+below or has no objective at all (C = 0, a feasibility problem), so there
+is no maximization sense and no unboundedness exit: a problem that is
+unbounded below ends without convergence.  A feasibility problem stops
+at its first iterate within both tolerances.
 """
 
 from __future__ import annotations
@@ -41,8 +41,6 @@ SIGMA_MIN = 1e-8
 SIGMA_MAX = 0.99999
 # Schur-diagonal regularization, relative to the largest diagonal entry.
 REG_INIT = 1e-12
-# Relative residual below which a ray certifies infeasibility.
-RAY_TOL = 1e-7
 # A symmetric matrix is accepted as PSD iff lmin >= -PSD_TOL * max(1, |lmax|).
 PSD_TOL = 1e-8
 # Iterations without a 10% merit improvement before a run counts as stalled.
@@ -197,7 +195,7 @@ class SolverConfig:
     # The feasibility repair keeps the equality residual near roundoff.  With
     # an objective the gap polishes well past gap_tol whenever the instance
     # allows it; a problem with no objective stops once within both.  The
-    # ray check takes neither: a ray holds at RAY_TOL (_Exits._dual_ray).
+    # ray check takes neither: a ray holds by psd_accepted (_Exits._dual_ray).
     feas_tol: float = 1e-8
     gap_tol: float = 1e-6
 
@@ -737,10 +735,10 @@ def _shift_to_cone(blocks: list[np.ndarray]) -> list[np.ndarray]:
 
 # A point of the homogeneous self-dual embedding, or a direction in its space.
 _Iterate = namedtuple("_Iterate", "x y s tau kappa")
-# An iterate with its residuals rx, ry and rt, its b.y and complementarity
-# mu, and its convergence measures in the user's units.
+# An iterate with A^T y, its residuals rx, ry and rt, its b.y and
+# complementarity mu, and its convergence measures in the user's units.
 _Residuals = namedtuple(
-    "_Residuals", "it rx ry rt by mu pobj dobj relp reld relgap relmu"
+    "_Residuals", "it ATy rx ry rt by mu pobj dobj relp reld relgap relmu"
 )
 
 
@@ -763,7 +761,9 @@ def _residuals(ws: _Workspace, it: _Iterate) -> _Residuals:
     reld = ws.c_scale * math.sqrt(total) / (tau * (1.0 + ws.norm_C_user))
     relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
     relmu = xs * ws.obj_scale / (tau * tau * (1.0 + abs(pobj)))
-    return _Residuals(it, rx, ry, rt, by, mu, pobj, dobj, relp, reld, relgap, relmu)
+    return _Residuals(
+        it, ATy, rx, ry, rt, by, mu, pobj, dobj, relp, reld, relgap, relmu
+    )
 
 
 class _Failure(Exception):
@@ -980,21 +980,17 @@ class _Exits:
         )
 
     def _dual_ray(self, res: _Residuals) -> tuple[np.ndarray, list[np.ndarray]] | None:
-        """The improving ray (y, S) / b.y of res's iterate, if it certifies
-        primal infeasibility: b.y > 0, ||A^T y + s|| <= RAY_TOL (b.y + ||y||)
-        and every block of s / b.y PSD by psd_accepted."""
-        ws, it, by = self.ws, res.it, res.by
+        """The improving ray (y, -A^T y) / b.y of res's iterate, if it is a
+        Farkas certificate of primal infeasibility: b.y > 0 and every block
+        of -A^T y / b.y PSD by psd_accepted."""
+        ws, by = self.ws, res.by
         if not 0.0 < by < math.inf:
             return None
-        # A^T y + s = rx + c tau, which is rx itself when C = 0.
-        total = sum(float(np.sum((r + c * it.tau) ** 2)) for r, c in zip(res.rx, ws.C))
-        if math.sqrt(total) > RAY_TOL * (by + float(np.linalg.norm(it.y))):
-            return None
-        rS = [sb / by for sb in it.s]
+        rS = [-a / by for a in res.ATy]
         if not all(psd_accepted(*eig_range(s_blk)) for s_blk in rS):
             return None
         # Renormalize so the user-space ray has b . y = 1 exactly.
-        yu, Su = ws.unscale_dual(it.y / by, rS)
+        yu, Su = ws.unscale_dual(res.it.y / by, rS)
         return yu / ws.obj_scale, [sb / ws.obj_scale for sb in Su]
 
 
@@ -1003,12 +999,11 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
 
     The iterate (x, y, s, tau, kappa) starts strictly feasible for the
     embedding and residuals shrink proportionally to the complementarity
-    measure.  At every iteration the dual iterate (y, s) / b.y is a
-    candidate improving ray, an infeasibility certificate: it ends the run
-    once b.y > 0, its residual A^T y + s is within RAY_TOL and s / b.y is
-    PSD, with an objective or without.  With no objective (C = 0) a
-    feasible run stops at its first iterate within feas_tol and gap_tol
-    instead of polishing the gap.
+    measure.  At every iteration the dual iterate y / b.y is a candidate
+    improving ray, an infeasibility certificate: it ends the run once
+    b.y > 0 and -A^T y / b.y is PSD, with an objective or without.  With no
+    objective (C = 0) a feasible run stops at its first iterate within
+    feas_tol and gap_tol instead of polishing the gap.
 
     Each iteration hands the _residuals of its _Iterate to _Exits.check,
     then steps along the predictor-corrector (or centering) direction of

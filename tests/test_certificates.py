@@ -46,6 +46,7 @@ def test_membership_square_in_cone():
 def test_membership_motzkin_not_in_cone_with_separator():
     res = membership(MOTZKIN, PLANE, 3)
     assert res.verdict is MembershipVerdict.NOT_IN_CONE
+    assert res.solver_iterations <= 5
     assert res.separation <= -1e-6
     y = res.separating
     trunc = build_truncation(PLANE, 3)
@@ -225,17 +226,17 @@ def test_psatz_positive_constant():
 def _spy_membership(monkeypatch) -> tuple[list[tuple[int, int]], list]:
     """Record (d, level) and the result of every membership solve of a search."""
     calls, results = [], []
-    inner = certificates_module.membership
+    inner = certificates_module._solve_membership
 
-    def spy(f, system, k, config=None):
+    def spy(f, trunc, *args):
         # The lift eps * x1^{2d} (top power) or its tower up to x1^{2d} holds
         # f's only pure powers of x1.
         d = max((a[0] // 2 for a in f.terms if a[0] and not any(a[1:])), default=0)
-        calls.append((d, k))
-        results.append(inner(f, system, k, config))
+        calls.append((d, trunc.level))
+        results.append(inner(f, trunc, *args))
         return results[-1]
 
-    monkeypatch.setattr(certificates_module, "membership", spy)
+    monkeypatch.setattr(certificates_module, "_solve_membership", spy)
     return calls, results
 
 
@@ -275,6 +276,25 @@ def test_psatz_motzkin_certifies_top_power(monkeypatch):
     # stays in the cone one level up.
     higher = membership(res.perturbed, PLANE, res.level + 1)
     assert higher.verdict is MembershipVerdict.IN_CONE
+
+
+def test_psatz_search_builds_each_cell_truncation_once(monkeypatch):
+    # The search of test_psatz_motzkin_certifies_top_power meets the stored
+    # separator of d = 1 at d = 2, where it decides the cell, and at d = 3,
+    # where it fails and the cell is solved: that cell revalidates and
+    # solves over one truncation.
+    levels = []
+    inner = certificates_module.build_truncation
+
+    def spy(system, k):
+        levels.append(k)
+        return inner(system, k)
+
+    monkeypatch.setattr(certificates_module, "build_truncation", spy)
+    query = PsatzQuery(MOTZKIN, PLANE, 1e-2, 4, PerturbationKind.TOP_EVEN_POWER)
+    res = psatz_search(query)
+    assert (res.d, res.solves, res.reused) == (3, 2, 1)
+    assert levels == [3, 3, 3]
 
 
 def test_psatz_certified_polynomial_nonnegative_on_samples():
@@ -350,14 +370,15 @@ def test_membership_exp_tower_lift_at_d6_refuted():
 
 def test_membership_exp_tower_top_cell_refutes_at_an_early_ray():
     # The seed-1 search's exponential-tower top cell.  Every iterate is
-    # checked for a ray, which holds once its own residual is small, well
-    # before tau vanishes at iteration 17.
+    # checked for a ray, which holds at the first dual iterate that is
+    # itself a Farkas certificate (b.y > 0 and -A^T y PSD), well before tau
+    # vanishes at iteration 17.
     theta = perturbation_polynomial(2, 5, PerturbationKind.EXP_PARTIAL_SUM)
     f = MOTZKIN + theta.scale(0.01256)
     res = membership(f, PLANE, 5)
     assert res.verdict is MembershipVerdict.NOT_IN_CONE
     assert res.solver_status is SdpStatus.INFEASIBLE
-    assert res.solver_iterations <= 14
+    assert res.solver_iterations <= 10
     check = validate_separator(f, build_truncation(PLANE, 5), res.separating)
     assert check.verdict is MembershipVerdict.NOT_IN_CONE
 
@@ -422,11 +443,11 @@ def _stored_cell(monkeypatch, functional, f, system, level):
     result and the levels that fell through to a solve."""
     solved = []
 
-    def fake_membership(f, system, k, config=None):
-        solved.append(k)
-        return MembershipResult(MembershipVerdict.INCONCLUSIVE, k)
+    def fake_membership(f, trunc, config=None):
+        solved.append(trunc.level)
+        return MembershipResult(MembershipVerdict.INCONCLUSIVE, trunc.level)
 
-    monkeypatch.setattr(certificates_module, "membership", fake_membership)
+    monkeypatch.setattr(certificates_module, "_solve_membership", fake_membership)
     cell = certificates_module._ReusingMembership(system, separators=[functional])
     return cell, cell(f, level), solved
 
@@ -474,11 +495,13 @@ def test_not_in_cone_without_functional_is_never_reused(monkeypatch):
     # cell: every cell is solved, the exponential tower's top cell first.
     calls = []
 
-    def fake_membership(f, system, k, config=None):
-        calls.append((max(a[0] for a in f.terms) // 2, k))
-        return MembershipResult(MembershipVerdict.NOT_IN_CONE, k, message="forced")
+    def fake_membership(f, trunc, config=None):
+        calls.append((max(a[0] for a in f.terms) // 2, trunc.level))
+        return MembershipResult(
+            MembershipVerdict.NOT_IN_CONE, trunc.level, message="forced"
+        )
 
-    monkeypatch.setattr(certificates_module, "membership", fake_membership)
+    monkeypatch.setattr(certificates_module, "_solve_membership", fake_membership)
     res = psatz_search(PsatzQuery(Polynomial.constant(1, -1.0), LINE, 0.1, 4))
     assert not res.certified
     assert calls == [(4, 4), (1, 1), (2, 2), (3, 3)]
@@ -526,7 +549,7 @@ def test_psatz_exp_tower_past_weight_range_is_a_weight_error(monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("membership ran past the weight range")
 
-    monkeypatch.setattr(certificates_module, "membership", no_solve)
+    monkeypatch.setattr(certificates_module, "_solve_membership", no_solve)
     query = PsatzQuery(Polynomial.constant(1, 1.0), LINE, 0.5, 86)
     with pytest.raises(WeightOverflowError, match="degree > 170"):
         psatz_search(query)
@@ -568,12 +591,12 @@ def test_seq_closure_stops_at_inconclusive_level(monkeypatch):
     }
     calls = []
 
-    def fake_membership(f, system, t, config=None):
+    def fake_membership(f, trunc, config=None):
         eps = f.coefficient((6,))  # the lift is eps * (1 + x1^6)
-        calls.append((eps, t))
-        return MembershipResult(verdicts[eps][t - 3], t)
+        calls.append((eps, trunc.level))
+        return MembershipResult(verdicts[eps][trunc.level - 3], trunc.level)
 
-    monkeypatch.setattr(certificates_module, "membership", fake_membership)
+    monkeypatch.setattr(certificates_module, "_solve_membership", fake_membership)
     f = parse_polynomial("x1 - x1^2", 1)
     rows = seq_closure_probe(f, SEGMENT, 3, [1e-1, 1e-2], 4)
     assert rows == [(1e-1, 4), (1e-2, None)]

@@ -99,6 +99,21 @@ def test_motzkin_not_sos_with_ray():
     assert np.linalg.eigvalsh(ray_s[0])[0] >= -1e-8
 
 
+def test_motzkin_ray_ends_the_run_as_an_exact_farkas_pair():
+    # The run ends at the first dual iterate y with b.y > 0 and -A^T y PSD,
+    # and returns S = -A^T y itself: A^T y + S vanishes up to rounding,
+    # recomputed from the dense constraint matrices.
+    f = parse_polynomial("x1^2*x2^2*(x1^2+x2^2-1)+1/27", 2)
+    prob = sos_membership_problem(f, 2, 3)
+    sol = solve(prob, DEFAULT)
+    assert sol.status is SdpStatus.INFEASIBLE
+    assert sol.iterations <= 8
+    ray_y, ray_s = sol.ray
+    dense = [prob.dense_coefficient(e, 0) for e, _r in prob.constraints]
+    at_y = sum(yi * Ai for yi, Ai in zip(ray_y, dense))
+    assert np.max(np.abs(at_y + ray_s[0])) <= 1e-12 * np.max(np.abs(at_y))
+
+
 def test_weak_duality_on_returned_pairs():
     for prob in (
         trace_toy(),

@@ -248,3 +248,39 @@ def test_compare_reads_each_differing_place_from_base_to_change(fresh_python, tm
         "infeasible, 12 iterations, improving ray certifies primal infeasibility",
         "- differs: a, solve 2: no solve -> optimal, unknown iterations, converged",
     ]
+
+
+def test_compare_sums_up_every_differing_place(fresh_python, tmp_path):
+    # Seven places differ, more than the five listed one by one: three
+    # refute sooner, one takes as many iterations, one takes more, one
+    # changes its exit and one is new.
+    ray = "improving ray certifies primal infeasibility"
+
+    def write(path, solves):
+        path.write_text(json.dumps({"solves": len(solves), "exits": [], "hashes": [
+            {"where": "a", "sha256": sha, "status": status, "iterations": n,
+             "exit": reason}
+            for sha, status, n, reason in solves
+        ]}))
+        return str(path)
+
+    base = write(tmp_path / "base.json", [
+        ("h0", "infeasible", 7, ray), ("h1", "infeasible", 12, ray),
+        ("h2", "infeasible", 8, ray), ("h3", "infeasible", 9, ray),
+        ("h4", "optimal", 10, "converged"), ("h5", "max_iter", 30, "stalled"),
+        ("h6", "optimal", 5, "converged"),
+    ])
+    change = write(tmp_path / "change.json", [
+        ("x0", "infeasible", 4, ray), ("x1", "infeasible", 10, ray),
+        ("x2", "infeasible", 5, ray), ("x3", "infeasible", 9, ray),
+        ("x4", "optimal", 11, "converged"), ("x5", "infeasible", 20, ray),
+        ("h6", "optimal", 5, "converged"), ("x7", "optimal", 3, "converged"),
+    ])
+    run = fresh_python(str(SCRIPT), "--compare", base, change, "--label", "tier-1")
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[3] == (
+        "- 7 places differ: 5 keep status and exit (3 fewer iterations, "
+        "1 equal, 1 more), 1 changed status or exit, 1 with no base solve"
+    )
+    assert len([line for line in lines if line.startswith("- differs:")]) == 5
