@@ -21,6 +21,13 @@ processes, so it is not offered); --tests runs the tier-1 suite instead.
 Both pin BLAS to one thread, as the benchmark does.  The exit status is
 that of the run: pytest's, or 1 if a benchmark call deviated.
 
+--passes N (with --workload) runs N such passes in this one process and
+prints the first pass's solves.  Later passes meet what the first left
+behind, such as the membership SDPs and truncations sosproj keeps, so each
+later pass must solve to the same hashes in the same order: stderr reads
+how many of each later pass's solve hashes equal the first pass's, and the
+exit status is 1 unless all of them do.
+
 --compare BASE.json CHANGE.json reads two such outputs and prints how many
 of the change's solves have the sha256 of the base's solve at the same
 place: the same "where" and the same position among the solves of that
@@ -142,7 +149,10 @@ def run_tests() -> tuple[int, list[dict]]:
     return code, solves
 
 
-def run_workload(name: str, seed: int) -> tuple[int, list[dict]]:
+def run_workload(name: str, seed: int, passes: int = 1) -> tuple[int, list[dict]]:
+    """Run the workload's pass `passes` times in this process.  Returns 1 if
+    a call deviated or a later pass's hashes differ from the first's (else
+    0), and the first pass's solves."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import worker
 
@@ -150,14 +160,25 @@ def run_workload(name: str, seed: int) -> tuple[int, list[dict]]:
     argv = sys.argv
     sys.argv = ["worker.py", "--workload", name, "--seed", str(seed),
                 "--mode", "measure", "--seconds", "0"]
-    out = io.StringIO()
+    code, runs = 0, []
     try:
-        with contextlib.redirect_stdout(out):
-            worker.main()
+        for _ in range(passes):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                worker.main()
+            result = json.loads(out.getvalue().strip().splitlines()[-1])
+            code |= int(result["deviations"] > 0)
+            runs.append([h["sha256"] for h in solves[sum(map(len, runs)):]])
     finally:
         sys.argv = argv
-    result = json.loads(out.getvalue().strip().splitlines()[-1])
-    return int(result["deviations"] > 0), solves
+    for number, run in enumerate(runs[1:], 2):
+        equal = sum(a == b for a, b in zip(runs[0], run))
+        print(
+            f"pass {number}: {equal} of {len(run)} solve hashes equal to "
+            f"pass 1's ({len(runs[0])} solves)", file=sys.stderr,
+        )
+        code |= int(run != runs[0])
+    return code, solves[:len(runs[0])]
 
 
 def read_run(path: str) -> tuple[list[dict], Counter]:
@@ -313,16 +334,23 @@ def main() -> int:
     target.add_argument("--compare", nargs=2, metavar=("BASE.json", "CHANGE.json"))
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument(
+        "--passes", type=int, default=1,
+        help="with --workload: passes run in one process, each checked "
+        "against the first",
+    )
+    parser.add_argument(
         "--label", default="solves", help="name of the run in the --compare summary"
     )
     args = parser.parse_args()
+    if args.passes < 1 or (args.passes > 1 and not args.workload):
+        parser.error("--passes takes a count of 1 or more, and only with --workload")
     if args.compare:
         print("\n".join(compare(*args.compare, args.label)))
         return 0
     if args.tests:
         code, solves = run_tests()
     else:
-        code, solves = run_workload(args.workload, args.seed)
+        code, solves = run_workload(args.workload, args.seed, args.passes)
     exits = Counter((s["status"], s["exit"]) for s in solves)
     census = [
         {"status": status, "exit": reason, "count": count}

@@ -13,6 +13,7 @@ decide the underlying "for every eps" statements.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -20,6 +21,7 @@ import numpy as np
 
 from .cones import (
     ConeTruncation,
+    GramSdp,
     SemialgebraicSystem,
     build_truncation,
     gram_reconstruct,
@@ -148,13 +150,21 @@ def _membership_truncation(
     return build_truncation(system, k)
 
 
-def _solve_membership(
-    f: Polynomial,
-    trunc: ConeTruncation,
-    config: SolverConfig | None,
-    min_trace: bool = False,
-) -> MembershipResult:
-    """`membership` of f over a truncation already built."""
+# Membership's Gram SDPs with right-hand sides 0, by (system, level,
+# min_trace), least recently used first: only f_alpha differs between the
+# SDPs of one key, so each key's rows, objective and prepared solver
+# structure are built once (SdpProblem.with_rhs).
+_GRAM_SDPS: OrderedDict[tuple[SemialgebraicSystem, int, bool], GramSdp] = OrderedDict()
+GRAM_SDP_MEMO = 8
+
+
+def _membership_sdp(trunc: ConeTruncation, min_trace: bool) -> GramSdp:
+    """The Gram SDP of membership over trunc, with right-hand sides 0."""
+    key = (trunc.system, trunc.level, min_trace)
+    gs = _GRAM_SDPS.get(key)
+    if gs is not None:
+        _GRAM_SDPS.move_to_end(key)
+        return gs
     gs = gram_sdp(trunc)
     if min_trace:
         gs.sdp.set_objective(
@@ -163,10 +173,24 @@ def _solve_membership(
                 for b in trunc.blocks
             }
         )
-    for _alpha, entries, rhs in gs.rows(f):
-        gs.sdp.add_constraint(entries, rhs)
+    zero = Polynomial(trunc.system.dimension, {})
+    for _alpha, entries, _rhs in gs.rows(zero):
+        gs.sdp.add_constraint(entries, 0.0)
+    _GRAM_SDPS[key] = gs
+    if len(_GRAM_SDPS) > GRAM_SDP_MEMO:
+        _GRAM_SDPS.popitem(last=False)
+    return gs
 
-    sol = solve(gs.sdp, config)
+
+def _solve_membership(
+    f: Polynomial,
+    trunc: ConeTruncation,
+    config: SolverConfig | None,
+    min_trace: bool = False,
+) -> MembershipResult:
+    """`membership` of f over a truncation already built."""
+    gs = _membership_sdp(trunc, min_trace)
+    sol = solve(gs.sdp.with_rhs(map(f.coefficient, gs.row_exponents)), config)
     if sol.status is SdpStatus.OPTIMAL:
         result = validate_grams(f, trunc, gs.grams(sol))
     elif sol.status is SdpStatus.INFEASIBLE and sol.ray is not None:

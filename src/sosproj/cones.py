@@ -10,6 +10,7 @@ basis matrices needed to express sums blockwise, monomial by monomial.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
@@ -26,6 +27,8 @@ from .sdp import BlockEntries, SdpProblem, SdpSolution
 
 # Subset products blow up as 2^m; refuse preorderings past this many generators.
 PREORDER_CAP = 12
+# Truncations that build_truncation keeps for reuse.
+TRUNCATION_MEMO = 8
 
 
 class ConeKind(Enum):
@@ -119,8 +122,14 @@ class ConeTruncation:
     blocks: tuple[ConeBlock, ...]
 
 
+@functools.lru_cache(maxsize=TRUNCATION_MEMO)
 def build_truncation(system: SemialgebraicSystem, k: int) -> ConeTruncation:
-    """Blocks for the level-k cone; labels with k - v_J < 0 are excluded."""
+    """Blocks for the level-k cone; labels with k - v_J < 0 are excluded.
+
+    The TRUNCATION_MEMO truncations asked for last are kept and returned
+    again for an equal system and level: a truncation is immutable, and
+    searches and sweeps ask for the same few many times.
+    """
     if k < 0:
         raise ConeModelError(f"level must be >= 0, got {k}")
     blocks = []

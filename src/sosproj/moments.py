@@ -21,6 +21,7 @@ import numpy as np
 from .polynomials import (
     Exponent,
     Polynomial,
+    WeightOverflowError,
     WeightSequence,
     grevlex_key,
     half_degree,
@@ -279,11 +280,21 @@ def support_nonnegativity_test(
 
 def dual_norm(y: MomentSequence, w: WeightSequence, degree: int) -> float:
     """Finite truncation of sup |y_alpha| / w_alpha over the stored alpha
-    with |alpha| <= degree."""
+    with |alpha| <= degree.
+
+    A weight past double range (lw, |alpha| > 170) divides exactly: a
+    finite |y_alpha| over it is below 1.
+    """
     best = 0.0
     for alpha, v in y.values.items():
         if sum(alpha) <= degree:
-            best = max(best, abs(v) / w.weight(alpha))
+            try:
+                quotient = abs(v) / w.weight(alpha)
+            except WeightOverflowError:
+                # Python divides integers with one correct rounding.
+                num, den = abs(v).as_integer_ratio()
+                quotient = num / (den * w.exact_weight_of_degree(sum(alpha)))
+            best = max(best, quotient)
     return best
 
 

@@ -234,14 +234,18 @@ class WeightSequence:
     def from_name(cls, name: str) -> "WeightSequence":
         return cls(WeightKind(name.lower()))
 
-    def weight_of_degree(self, deg: int) -> float:
+    def exact_weight_of_degree(self, deg: int) -> int:
+        """The weight of degree deg as an integer, past double range too."""
         if self.kind is WeightKind.L1:
-            return 1.0
-        if deg > MAX_WEIGHT_DEGREE:
+            return 1
+        return math.factorial(2 * ((deg + 1) // 2))
+
+    def weight_of_degree(self, deg: int) -> float:
+        if self.kind is WeightKind.LW and deg > MAX_WEIGHT_DEGREE:
             raise WeightOverflowError(
                 f"(2*ceil({deg}/2))! exceeds double range (degree > {MAX_WEIGHT_DEGREE})"
             )
-        return float(math.factorial(2 * ((deg + 1) // 2)))
+        return float(self.exact_weight_of_degree(deg))
 
     def weight(self, alpha: Exponent) -> float:
         return self.weight_of_degree(sum(alpha))
@@ -342,20 +346,24 @@ class _Parser:
             raise PolynomialSyntaxError(f"expected {op!r}", tok[2])
 
     def parse_expr(self) -> Polynomial:
+        # The terms are summed into one dict in text order: each coefficient
+        # takes the sums that adding the terms one Polynomial at a time
+        # would, and no earlier term is copied and re-sorted at each one.
         sign = 1.0
         tok = self.peek()
         if tok is not None and tok[0] == "op" and tok[1] in "+-":
             self.next()
             if tok[1] == "-":
                 sign = -1.0
-        result = self.parse_term().scale(sign)
+        coeffs: dict[Exponent, float] = {}
         while True:
+            for alpha, c in self.parse_term().terms.items():
+                coeffs[alpha] = coeffs.get(alpha, 0.0) + sign * c
             tok = self.peek()
             if tok is None or tok[0] != "op" or tok[1] not in "+-":
-                return result
+                return Polynomial(self.n, coeffs)
             self.next()
-            term = self.parse_term()
-            result = result + (term if tok[1] == "+" else term.scale(-1.0))
+            sign = 1.0 if tok[1] == "+" else -1.0
 
     def parse_term(self) -> Polynomial:
         result = self.parse_factor()

@@ -120,11 +120,15 @@ class SdpProblem:
         self.blocks: list[BlockSpec] = []
         self.constraints: list[tuple[BlockEntries, float]] = []
         self.objective: BlockEntries = {}
+        # The _Prepared this problem shares with the problems with_rhs made
+        # from it or it from; None while it shares none.
+        self._prepared: _Prepared | None = None
 
     def add_block(self, side: int, kind: BlockKind) -> int:
         if side < 1:
             raise SdpModelError(f"block side must be >= 1, got {side}")
         self.blocks.append(BlockSpec(side, kind))
+        self._prepared = None
         return len(self.blocks) - 1
 
     def add_psd_block(self, side: int) -> int:
@@ -139,8 +143,13 @@ class SdpProblem:
             if not 0 <= blk < len(self.blocks):
                 raise SdpModelError(f"block index {blk} out of range")
             spec = self.blocks[blk]
-            merged: dict[tuple[int, int], float] = {}
-            for i, j, v in items:
+            # An entry that comes in its stored form, a tuple (i, j, v) with
+            # i <= j and a float v, is kept as that object, so that problems
+            # built from shared entries (a truncation's basis matrices) hold
+            # no copies of them.
+            merged: dict[tuple[int, int], Entry] = {}
+            for entry in items:
+                i, j, v = entry
                 if i > j:
                     i, j = j, i
                 if not 0 <= i <= j < spec.side:
@@ -152,12 +161,17 @@ class SdpProblem:
                         "nonnegative-diagonal blocks take diagonal entries only"
                     )
                 v = float(v)
-                if v != 0.0:
-                    merged[(i, j)] = merged.get((i, j), 0.0) + v
-            if not all(map(math.isfinite, merged.values())):
+                if v == 0.0:
+                    continue
+                if (i, j) in merged:
+                    entry = (i, j, merged[i, j][2] + v)
+                elif entry[2] is not v or entry != (i, j, v):
+                    entry = (i, j, v)
+                merged[i, j] = entry
+            if not all(math.isfinite(v) for _i, _j, v in merged.values()):
                 raise SdpModelError(f"block {blk} has a coefficient that is not finite")
             items_out = [
-                (i, j, v) for (i, j), v in sorted(merged.items()) if v != 0.0
+                entry for _ij, entry in sorted(merged.items()) if entry[2] != 0.0
             ]
             if items_out:
                 clean[blk] = items_out
@@ -171,10 +185,39 @@ class SdpProblem:
         if not math.isfinite(rhs):
             raise SdpModelError(f"right-hand side {rhs} is not finite")
         self.constraints.append((clean, rhs))
+        self._prepared = None
         return len(self.constraints) - 1
 
     def set_objective(self, entries: BlockEntries) -> None:
         self.objective = self._normalize(entries)
+        self._prepared = None
+
+    def with_rhs(self, rhs) -> SdpProblem:
+        """This problem with the right-hand sides rhs, one per constraint.
+
+        The two share what the solver prepares from the blocks, the
+        constraint matrices and the objective (_Prepared): it is built here
+        once for this problem and every problem made from it, and each
+        solve supplies only its right-hand side.  Their solves are the
+        ones of problems built afresh, to the bit.  A later add_block,
+        add_constraint or set_objective on either problem ends its sharing.
+        """
+        rhs = [float(v) for v in rhs]
+        if len(rhs) != self.num_constraints:
+            raise SdpModelError(
+                f"{len(rhs)} right-hand sides for {self.num_constraints} constraints"
+            )
+        if not all(map(math.isfinite, rhs)):
+            raise SdpModelError("a right-hand side is not finite")
+        if self._prepared is None:
+            self._prepared = _Prepared(self)
+        out = SdpProblem()
+        out.blocks, out.objective = list(self.blocks), dict(self.objective)
+        out.constraints = [
+            (entries, v) for (entries, _rhs), v in zip(self.constraints, rhs)
+        ]
+        out._prepared = self._prepared
+        return out
 
     @property
     def num_constraints(self) -> int:
@@ -318,16 +361,22 @@ class _PsdRows:
             self.v[at] = self.val
 
 
-class _Workspace:
-    """Per-call data for one solve; nothing is shared across calls.
+class _Prepared:
+    """The part of a solve that the constraint matrices A and the objective C
+    fix, whatever the right-hand side b.
 
-    A PSD block's constraints are kept as their nonzeros (_PsdRows) and
-    handed out as dense slabs of constraints by slabs(); a diagonal block's
-    are a dense (m, side) array, multiplied by BLAS gemv.
+    A PSD block's constraints are kept as their nonzeros (_PsdRows), a
+    diagonal block's as a dense (m, side) array.  A and C are stored
+    equilibrated, beside the factors that did it: the column factors
+    t_scale, the objective scale c_scale and the row factors of each Ruiz
+    round, which each _Workspace applies to its b round by round.  The
+    constraint-Gram factor is left to the first solve (_solve_once), which
+    keeps it here.  Nothing here holds a dense copy of A: the dense copies,
+    the row buffer and the scratch belong to each _Workspace.
     """
 
     def __init__(self, problem: SdpProblem):
-        self.blocks = problem.blocks
+        self.blocks = list(problem.blocks)
         self.m = problem.num_constraints
         self.psd: list[int] = []
         self.diag: list[int] = []
@@ -344,24 +393,23 @@ class _Workspace:
                     for entries, _rhs in problem.constraints
                 ]))
             self.C.append(problem.dense_coefficient(problem.objective, blk))
-        self.b = np.array([rhs for _e, rhs in problem.constraints])
         self.nu = sum(s.side for s in self.blocks)
         # Cone-preserving Ruiz equilibration: X' = T X T with diagonal T > 0
         # (a scalar per PSD block, entrywise on diagonal blocks) plus row
         # scalings.  The wildly mixed coefficient magnitudes of factorial
         # weights would otherwise wreck the Schur conditioning.
-        self.norm_b_user = float(np.linalg.norm(self.b))
         self.norm_C_user = math.sqrt(sum(float(np.sum(c * c)) for c in self.C))
         self.t_scale: list[float | np.ndarray] = [
             1.0 if spec.kind is BlockKind.PSD else np.ones(spec.side)
             for spec in self.blocks
         ]
         self.r_scale = np.ones(self.m)
+        self.row_factors: list[np.ndarray] = []
         self.c_scale = 1.0
-        self.b_scale = 1.0
-        # Scalar cost/rhs normalization in user units first, then Ruiz
-        # equilibration of the constraint data.  Convergence metrics are
-        # always evaluated in the user's units, independent of both.
+        # Scalar cost normalization in user units first (b's is _Workspace's),
+        # then Ruiz equilibration of the constraint data.  Convergence
+        # metrics are always evaluated in the user's units, independent of
+        # both.
         c_peak = max(
             (float(np.max(np.abs(c))) for c in self.C if c.size), default=0.0
         )
@@ -369,38 +417,18 @@ class _Workspace:
             self.c_scale = c_peak
             for c in self.C:
                 c /= c_peak
-        b_peak = float(np.max(np.abs(self.b)))
-        if b_peak > 0:
-            self.b_scale = b_peak
-            self.b = self.b / b_peak
         self._equilibrate()
         for blk in self.psd:
             self.A[blk].record_rows()
         self.t2 = [t * t for t in self.t_scale]
         # Near-equal slabs of constraints, each of at least SLAB_MIN_FLOPS
-        # in _scale_rows.  A block of one slab is densified once and kept;
-        # the others stream through one buffer of the largest slab.  Every
-        # slab is scaled in the two rows of one scratch of the largest slab.
+        # in _scale_rows.
         self.slab_bounds: dict[int, list[int]] = {}
-        self._dense: dict[int, np.ndarray] = {}
-        buffer_size = scratch_size = 0
         for blk in self.psd:
-            rows = self.A[blk]
-            size = rows.side * rows.side
-            parts = max(1, self.m // -(-SLAB_MIN_FLOPS // (size * rows.side)))
+            side = self.A[blk].side
+            parts = max(1, self.m // -(-SLAB_MIN_FLOPS // (side * side * side)))
             self.slab_bounds[blk] = [self.m * k // parts for k in range(parts + 1)]
-            slab_size = -(-self.m // parts) * size
-            scratch_size = max(scratch_size, slab_size)
-            if parts == 1:
-                dense = np.zeros((self.m, size))
-                dense[rows.row, rows.pos] = rows.val
-                self._dense[blk] = dense.reshape(self.m, rows.side, rows.side)
-            else:
-                buffer_size = max(buffer_size, slab_size)
-        self._buffer = np.zeros(buffer_size)
-        self.scale_scratch = np.empty((2, scratch_size))
-        self.obj_scale = self.c_scale * self.b_scale
-        self.row_unscale = self.b_scale / self.r_scale
+        self.repair_chol: np.ndarray | None = None
 
     def _equilibrate(self) -> None:
         # Each factor multiplies each stored value once and leaves zeros
@@ -446,11 +474,66 @@ class _Workspace:
                 rows.val *= factors[rows.row]
             for blk in self.diag:
                 self.A[blk] *= factors[:, None]
-            self.b *= factors
+            self.row_factors.append(factors)
             if not moved:
                 # A round of unit factors leaves the data as it was, so every
                 # later round would repeat it.
                 break
+
+
+class _Workspace:
+    """Per-call data for one solve: the problem's right-hand side b over its
+    _Prepared, which is the problem's shared one (SdpProblem.with_rhs) or
+    one built for this call.
+
+    A PSD block's constraints are handed out as dense slabs of constraints
+    by slabs(); a diagonal block's are multiplied by BLAS gemv.
+    """
+
+    def __init__(self, problem: SdpProblem):
+        self.prepared = prepared = problem._prepared or _Prepared(problem)
+        # The prepared fields that a solve reads; it writes none of them.
+        self.blocks, self.m, self.nu = prepared.blocks, prepared.m, prepared.nu
+        self.psd, self.diag, self.A, self.C = (
+            prepared.psd, prepared.diag, prepared.A, prepared.C
+        )
+        self.t_scale, self.t2, self.r_scale = (
+            prepared.t_scale, prepared.t2, prepared.r_scale
+        )
+        self.c_scale, self.norm_C_user = prepared.c_scale, prepared.norm_C_user
+        self.slab_bounds = prepared.slab_bounds
+        b = np.array([rhs for _e, rhs in problem.constraints])
+        self.norm_b_user = float(np.linalg.norm(b))
+        # b in user units is normalized by its peak, then takes the row
+        # factors of every equilibration round in turn, as A's rows did.
+        self.b_scale = 1.0
+        b_peak = float(np.max(np.abs(b)))
+        if b_peak > 0:
+            self.b_scale = b_peak
+            b = b / b_peak
+        for factors in prepared.row_factors:
+            b *= factors
+        self.b = b
+        # A block of one slab is densified once and kept; the others stream
+        # through one buffer of the largest slab.  Every slab is scaled in
+        # the two rows of one scratch of the largest slab.
+        self._dense: dict[int, np.ndarray] = {}
+        buffer_size = scratch_size = 0
+        for blk in self.psd:
+            rows, bounds = self.A[blk], self.slab_bounds[blk]
+            size = rows.side * rows.side
+            slab_size = -(-self.m // (len(bounds) - 1)) * size
+            scratch_size = max(scratch_size, slab_size)
+            if len(bounds) == 2:
+                dense = np.zeros((self.m, size))
+                dense[rows.row, rows.pos] = rows.val
+                self._dense[blk] = dense.reshape(self.m, rows.side, rows.side)
+            else:
+                buffer_size = max(buffer_size, slab_size)
+        self._buffer = np.zeros(buffer_size)
+        self.scale_scratch = np.empty((2, scratch_size))
+        self.obj_scale = self.c_scale * self.b_scale
+        self.row_unscale = self.b_scale / self.r_scale
 
     def slabs(self, blk: int):
         """Yield (lo, hi, A[lo:hi]) for PSD block blk, slab by slab, each
@@ -1009,21 +1092,24 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
     then steps along the predictor-corrector (or centering) direction of
     one _Newton system.  Every exit without convergence is _Exits.finish.
     """
-    # Gram of the constraint operator, factored once: initial-point solves
-    # and the per-iteration repair that keeps A dx = eta ry + b dtau exact.
+    # Gram of the constraint operator, factored once for every right-hand
+    # side: initial-point solves and the per-iteration repair that keeps
+    # A dx = eta ry + b dtau exact.
     rows, row_views = _row_buffer(ws)
-    for blk in ws.psd:
-        for lo, hi, a in ws.slabs(blk):
-            row_views[blk][lo:hi] = a
-    for blk in ws.diag:
-        row_views[blk][...] = ws.A[blk]
-    gram = rows @ rows.T
-    gram_scale = max(1.0, float(np.max(np.diag(gram))))
-    try:
-        repair_chol = _cho_factor(gram, 1e-14 * gram_scale)
-    except np.linalg.LinAlgError:
-        raise SdpModelError("constraint rows are numerically dependent") from None
-    del gram
+    if ws.prepared.repair_chol is None:
+        for blk in ws.psd:
+            for lo, hi, a in ws.slabs(blk):
+                row_views[blk][lo:hi] = a
+        for blk in ws.diag:
+            row_views[blk][...] = ws.A[blk]
+        gram = rows @ rows.T
+        gram_scale = max(1.0, float(np.max(np.diag(gram))))
+        try:
+            ws.prepared.repair_chol = _cho_factor(gram, 1e-14 * gram_scale)
+        except np.linalg.LinAlgError:
+            raise SdpModelError("constraint rows are numerically dependent") from None
+        del gram
+    repair_chol = ws.prepared.repair_chol
 
     # Least-squares initial point in the spirit of conelp: the min-norm
     # solution of A x = b shifted into the cone, and the least-squares

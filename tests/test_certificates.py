@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from sosproj.polynomials import (
 )
 from sosproj.projection import ProjectionProblem, project_lambda_form
 from sosproj import certificates as certificates_module
+from sosproj import cones as cones_module
 from sosproj import sdp as sdp_module
 from sosproj.sdp import SdpSolution, SdpStatus, SolverConfig
 
@@ -617,3 +620,108 @@ def test_seq_closure_rejects_t_max_below_first_level():
         seq_closure_probe(MOTZKIN, PLANE, 1, [1e-1], 2)
     with pytest.raises(ValueError):
         seq_closure_probe(parse_polynomial("x1^2", 2), PLANE, 3, [1e-1], 2)
+
+
+BALL2 = SemialgebraicSystem(2, (parse_polynomial("1 - x1^2 - x2^2", 2),))
+
+
+def _cold_memos():
+    certificates_module._GRAM_SDPS.clear()
+    cones_module.build_truncation.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "system, text, level, min_trace, verdict",
+    [
+        (PLANE, str(MOTZKIN), 3, False, MembershipVerdict.NOT_IN_CONE),
+        (PLANE, "(1 + x1 - x2^2)^2 + (x1*x2 - 1)^2", 3, False, MembershipVerdict.IN_CONE),
+        (PLANE, str(MOTZKIN), 4, False, MembershipVerdict.NOT_IN_CONE),
+        (BALL2, "x1^2 - 1/2", 3, False, MembershipVerdict.NOT_IN_CONE),
+        (BALL2, "(1 + x1 + x2)^2 + 2*(1 - x1^2 - x2^2)", 3, False, MembershipVerdict.IN_CONE),
+        (BALL2, "x1^2*x2 - 1/4", 4, False, MembershipVerdict.NOT_IN_CONE),
+        (BALL2, "1 + x1^3*x2 - x1^2*x2^2", 4, False, MembershipVerdict.IN_CONE),
+        (PLANE, "(1 + x1 - x2^2)^2 + (x1*x2 - 1)^2", 3, True, MembershipVerdict.IN_CONE),
+        (BALL2, "x1^2 - 1/2", 3, True, MembershipVerdict.NOT_IN_CONE),
+    ],
+    ids=[
+        "plane-3-motzkin", "plane-3-sos", "plane-4-motzkin", "ball2-3-negative",
+        "ball2-3-member", "ball2-4-negative", "ball2-4-member",
+        "plane-3-sos-min-trace", "ball2-3-negative-min-trace",
+    ],
+)
+def test_warm_membership_solves_as_a_cold_one(
+    monkeypatch, system, text, level, min_trace, verdict
+):
+    # A cell whose Gram SDP another cell of its (K, level) prepared solves
+    # to the bits of one prepared for it alone.
+    solutions = []
+    real = certificates_module.solve
+
+    def keep(problem, config=None):
+        solutions.append(real(problem, config))
+        return solutions[-1]
+
+    monkeypatch.setattr(certificates_module, "solve", keep)
+    f = parse_polynomial(text, 2)
+    _cold_memos()
+    cold = membership(f, system, level, min_trace=min_trace)
+    _cold_memos()
+    membership(parse_polynomial("1 + x1^2 + x2^4", 2), system, level, min_trace=min_trace)
+    warm = membership(f, system, level, min_trace=min_trace)
+    assert cold.verdict is warm.verdict is verdict
+    first, _other, second = solutions
+    assert (first.status, first.iterations, first.message) == (
+        second.status, second.iterations, second.message
+    )
+    for a, b in [
+        *zip(first.x_blocks, second.x_blocks),
+        (first.y, second.y),
+        *zip(first.s_blocks, second.s_blocks),
+    ]:
+        assert np.array_equal(a, b)
+    assert (first.ray is None) is (second.ray is None)
+    if first.ray is not None:
+        assert np.array_equal(first.ray[0], second.ray[0])
+        for a, b in zip(first.ray[1], second.ray[1]):
+            assert np.array_equal(a, b)
+
+
+def test_membership_memos_hold_at_most_their_bounds():
+    _cold_memos()
+    levels = range(1, certificates_module.GRAM_SDP_MEMO + 3)
+    for level in levels:
+        membership(parse_polynomial("1 + x1^2", 1), LINE, level)
+    # The least recently used keys went first.
+    assert list(certificates_module._GRAM_SDPS) == [
+        (LINE, level, False) for level in levels[-certificates_module.GRAM_SDP_MEMO:]
+    ]
+    info = cones_module.build_truncation.cache_info()
+    assert info.currsize == info.maxsize == cones_module.TRUNCATION_MEMO
+
+
+def test_search_pass_keeps_under_half_a_megabyte_in_its_memos(fresh_python):
+    # What one seed-1 pass of the benchmark's search workload leaves in the
+    # memos: rows, factors and Gram SDPs, no dense copy of A or scratch.
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    proc = fresh_python("-c", f"""
+import gc, sys, tracemalloc
+sys.path.insert(0, {str(perfbench)!r})
+import tracing, workloads
+from sosproj import certificates, cones
+tr = tracing.Tracer()
+calls = workloads.build_calls("search", 1, tr)
+tracemalloc.start()
+for call in calls:
+    call.run(tr)
+gc.collect()
+held = tracemalloc.get_traced_memory()[0]
+sdps = len(certificates._GRAM_SDPS)
+certificates._GRAM_SDPS.clear()
+cones.build_truncation.cache_clear()
+gc.collect()
+print(sdps, held - tracemalloc.get_traced_memory()[0])
+""")
+    assert proc.returncode == 0, proc.stderr
+    sdps, retained = map(int, proc.stdout.split())
+    assert sdps == 6
+    assert 0 < retained < 500_000, retained

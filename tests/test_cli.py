@@ -200,6 +200,21 @@ def test_moments_check_reads_moments_up_to_degree_2d(tmp_path, capsys):
     assert err == ""
 
 
+def test_moments_check_at_d_86_bounds_past_double_range(tmp_path, capsys):
+    # --d 86 reads degree 172, whose lw weight 172! is past double range.
+    system = tmp_path / "line.sys"
+    system.write_text("n 1\n")
+    moments = tmp_path / "deep.mom"
+    moments.write_text(format_moment_text(MomentSequence.dirac([0.5], 172)))
+    code, out, err = run(
+        capsys, "moments-check", "--moments", str(moments), "--system",
+        str(system), "--d", "86",
+    )
+    assert code == 0
+    assert out.startswith("NecessaryConditionsHold(M=1)\n")
+    assert err == ""
+
+
 # A 1-D moment file against a system in x1, x2: a generator's exponents
 # must not be truncated to the moments' one variable, and a system without
 # generators still names its variables.

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -357,6 +358,22 @@ def test_kmoment_bound_reads_only_the_checked_degrees():
     assert report.necessary_conditions_hold
     assert report.dual_norm_bound == 1.0
     assert str(report) == "NecessaryConditionsHold(M=1)"
+
+
+def test_kmoment_bound_divides_exactly_past_double_range():
+    # At d = 86 the bound reads degrees 171 and 172, whose lw weight 172! is
+    # past double range.
+    y = MomentSequence.dirac((0.5,), 172)
+    report = kmoment_condition_check(y, SemialgebraicSystem(1), 86)
+    assert report.necessary_conditions_hold
+    assert report.dual_norm_bound == 1.0
+    # Those two degrees divide exactly; every other keeps its float quotient.
+    top = MomentSequence.from_function(1, 172, lambda a: 1e300 if a[0] > 170 else 0.0)
+    assert dual_norm(top, WeightSequence.lw(), 172) == float(
+        Fraction(1e300) / math.factorial(172)
+    )
+    low = MomentSequence.from_function(1, 172, lambda a: 1e300 if a[0] == 170 else 0.0)
+    assert dual_norm(low, WeightSequence.lw(), 172) == 1e300 / float(math.factorial(170))
 
 
 def gaussian_moments_1d(max_degree):

@@ -1,4 +1,5 @@
 import math
+import random
 from itertools import product
 
 import pytest
@@ -86,6 +87,32 @@ def test_parse_zero_and_cancellation():
     assert parse_polynomial("x1 ", 1) == Polynomial.variable(1, 1)
     f = parse_polynomial("2*x2 - x2", 2)
     assert f.terms == {(0, 1): 1.0}
+
+
+def test_parse_455_terms_bit_exactly():
+    # A PROJECTION line of a degree-12 quartic in three variables has 455
+    # terms; it parses back to the same floats.  Terms that repeat a
+    # monomial add in text order, as adding one Polynomial per term would.
+    rng = random.Random(455)
+    exact = Polynomial(3, {a: rng.uniform(-1, 1) for a in monomial_basis(3, 12)})
+    assert len(exact.terms) == 455
+
+    def hexed(f):
+        return [(a, c.hex()) for a, c in f.terms.items()]
+
+    assert hexed(parse_polynomial(format_polynomial(exact), 3)) == hexed(exact)
+    terms = [
+        (rng.choice(monomial_basis(3, 2)), rng.uniform(0.1, 1.0) * rng.choice((-1, 1)))
+        for _ in range(455)
+    ]
+    text = " ".join(
+        f"{'-' if c < 0 else '+'} {abs(c)!r}*x1^{a[0]}*x2^{a[1]}*x3^{a[2]}"
+        for a, c in terms
+    )
+    summed = Polynomial(3, {})
+    for a, c in terms:
+        summed = summed + Polynomial(3, {a: c})
+    assert hexed(parse_polynomial(text, 3)) == hexed(summed)
 
 
 def test_parse_errors_report_position():

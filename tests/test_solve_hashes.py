@@ -284,3 +284,40 @@ def test_compare_sums_up_every_differing_place(fresh_python, tmp_path):
         "1 equal, 1 more), 1 changed status or exit, 1 with no base solve"
     )
     assert len([line for line in lines if line.startswith("- differs:")]) == 5
+
+
+def test_passes_check_each_later_pass_against_the_first(fresh_python):
+    # The second search pass solves its cells over the Gram SDPs and
+    # truncations that the first left behind, to the same hashes.
+    run = fresh_python(
+        str(SCRIPT), "--workload", "search", "--seed", "1", "--passes", "2"
+    )
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout)["solves"] == 23
+    assert run.stderr.splitlines()[-1] == (
+        "pass 2: 23 of 23 solve hashes equal to pass 1's (23 solves)"
+    )
+
+    # A later pass whose one solve differs fails the run.
+    run = fresh_python("-c", (
+        "import sys; sys.path.insert(0, sys.argv[1]); import solve_hashes; "
+        "from sosproj import sdp; inner = sdp._solve_once; count = [0]\n"
+        "def moved(ws, cfg):\n"
+        "    sol = inner(ws, cfg); count[0] += 1\n"
+        "    if count[0] == 30: sol.message += ' (moved)'\n"
+        "    return sol\n"
+        "sdp._solve_once = moved\n"
+        "code, solves = solve_hashes.run_workload('search', 1, 2)\n"
+        "print(code, len(solves))"
+    ), str(SCRIPT.parent))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "1 23\n"
+    assert run.stderr.splitlines()[-1] == (
+        "pass 2: 22 of 23 solve hashes equal to pass 1's (23 solves)"
+    )
+
+
+def test_passes_need_a_workload(fresh_python):
+    run = fresh_python(str(SCRIPT), "--tests", "--passes", "2")
+    assert run.returncode == 2
+    assert "--passes" in run.stderr
