@@ -7,6 +7,18 @@ SDPA sparse export, canonical weighted-l1 projection, and certificate
 searches for nonnegativity on the underlying set.
 """
 
+import os
+import sys
+
+# The solver's dense kernels are small, and on them one BLAS thread is
+# faster than a pool (README, Performance note).  OpenBLAS reads its thread
+# count when numpy loads it, so a count the user set, or a numpy already
+# imported, is left alone.
+if "numpy" not in sys.modules and not (
+    {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys()
+):
+    os.environ["OPENBLAS_NUM_THREADS"] = os.environ["OMP_NUM_THREADS"] = "1"
+
 from .polynomials import (
     Polynomial,
     WeightKind,

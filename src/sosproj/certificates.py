@@ -12,8 +12,8 @@ decide the underlying "for every eps" statements.
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -136,35 +136,42 @@ def membership(
     (`validate_separator`).  A numerical failure is reported as
     inconclusive, never as NotInCone.
     """
-    trunc = _membership_truncation(f, system, k)
-    return _solve_membership(f, trunc, config, min_trace)
-
-
-def _membership_truncation(
-    f: Polynomial, system: SemialgebraicSystem, k: int
-) -> ConeTruncation:
-    """The level-k truncation that membership of f solves over."""
     system.check_polynomial(f)
     if f.degree > 2 * k:
         raise ValueError(f"deg f = {f.degree} exceeds cone degree {2 * k}")
-    return build_truncation(system, k)
+    gs = _membership_sdp(system, k, min_trace)
+    sol = solve(gs.sdp.with_rhs(map(f.coefficient, gs.row_exponents)), config)
+    if sol.status is SdpStatus.OPTIMAL:
+        result = validate_grams(f, gs.truncation, gs.grams(sol))
+    elif sol.status is SdpStatus.INFEASIBLE and sol.ray is not None:
+        ray_y, _ray_s = sol.ray
+        peak = float(np.max(np.abs(ray_y)))
+        result = validate_separator(
+            f, gs.truncation, gs.functional(ray_y / peak if peak > 0 else ray_y)
+        )
+    else:
+        message = f"solver status {sol.status.value}: {sol.message}"
+        result = MembershipResult(MembershipVerdict.INCONCLUSIVE, k, message=message)
+    result.solver_status, result.solver_iterations = sol.status, sol.iterations
+    return result
 
 
-# Membership's Gram SDPs with right-hand sides 0, by (system, level,
-# min_trace), least recently used first: only f_alpha differs between the
-# SDPs of one key, so each key's rows, objective and prepared solver
-# structure are built once (SdpProblem.with_rhs).
-_GRAM_SDPS: OrderedDict[tuple[SemialgebraicSystem, int, bool], GramSdp] = OrderedDict()
+# Gram SDPs that _membership_sdp keeps for reuse.
 GRAM_SDP_MEMO = 8
 
 
-def _membership_sdp(trunc: ConeTruncation, min_trace: bool) -> GramSdp:
-    """The Gram SDP of membership over trunc, with right-hand sides 0."""
-    key = (trunc.system, trunc.level, min_trace)
-    gs = _GRAM_SDPS.get(key)
-    if gs is not None:
-        _GRAM_SDPS.move_to_end(key)
-        return gs
+@functools.lru_cache(maxsize=GRAM_SDP_MEMO)
+def _membership_sdp(
+    system: SemialgebraicSystem, level: int, min_trace: bool
+) -> GramSdp:
+    """Membership's Gram SDP at this level, with right-hand sides 0.
+
+    Only f_alpha differs between the SDPs of one key, so each key's rows,
+    objective and prepared solver structure are built once and shared
+    through SdpProblem.with_rhs.  Call it positionally: lru_cache files a
+    keyword call under another key.
+    """
+    trunc = build_truncation(system, level)
     gs = gram_sdp(trunc)
     if min_trace:
         gs.sdp.set_objective(
@@ -173,40 +180,10 @@ def _membership_sdp(trunc: ConeTruncation, min_trace: bool) -> GramSdp:
                 for b in trunc.blocks
             }
         )
-    zero = Polynomial(trunc.system.dimension, {})
+    zero = Polynomial(system.dimension, {})
     for _alpha, entries, _rhs in gs.rows(zero):
         gs.sdp.add_constraint(entries, 0.0)
-    _GRAM_SDPS[key] = gs
-    if len(_GRAM_SDPS) > GRAM_SDP_MEMO:
-        _GRAM_SDPS.popitem(last=False)
     return gs
-
-
-def _solve_membership(
-    f: Polynomial,
-    trunc: ConeTruncation,
-    config: SolverConfig | None,
-    min_trace: bool = False,
-) -> MembershipResult:
-    """`membership` of f over a truncation already built."""
-    gs = _membership_sdp(trunc, min_trace)
-    sol = solve(gs.sdp.with_rhs(map(f.coefficient, gs.row_exponents)), config)
-    if sol.status is SdpStatus.OPTIMAL:
-        result = validate_grams(f, trunc, gs.grams(sol))
-    elif sol.status is SdpStatus.INFEASIBLE and sol.ray is not None:
-        ray_y, _ray_s = sol.ray
-        peak = float(np.max(np.abs(ray_y)))
-        result = validate_separator(
-            f, trunc, gs.functional(ray_y / peak if peak > 0 else ray_y)
-        )
-    else:
-        result = MembershipResult(
-            MembershipVerdict.INCONCLUSIVE,
-            trunc.level,
-            message=f"solver status {sol.status.value}: {sol.message}",
-        )
-    result.solver_status, result.solver_iterations = sol.status, sol.iterations
-    return result
 
 
 @dataclass
@@ -216,7 +193,7 @@ class _ReusingMembership:
 
     A stored functional decides a cell only if its level is at least the
     cell's and `validate_separator` accepts it on the cell's candidate and
-    truncation; otherwise the cell is solved over that same truncation.
+    truncation; otherwise `membership` solves the cell.
     Only a validated NotInCone that carries its functional is stored.
     """
 
@@ -227,14 +204,14 @@ class _ReusingMembership:
     reused: int = 0
 
     def __call__(self, f: Polynomial, level: int) -> MembershipResult:
-        trunc = _membership_truncation(f, self.system, level)
         stored = [y for y in self.separators if y.max_degree >= 2 * level]
+        trunc = build_truncation(self.system, level) if stored else None
         for functional in reversed(stored):
             member = validate_separator(f, trunc, functional)
             if member.verdict is MembershipVerdict.NOT_IN_CONE:
                 self.reused += 1
                 return member
-        member = _solve_membership(f, trunc, self.config)
+        member = membership(f, self.system, level, self.config)
         self.solves += 1
         if (
             member.verdict is MembershipVerdict.NOT_IN_CONE

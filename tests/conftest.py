@@ -12,11 +12,20 @@ SRC = Path(sosproj.__file__).resolve().parents[1]
 
 @pytest.fixture
 def fresh_python():
-    """Run a fresh interpreter on the sosproj under test; return the process."""
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    """Run a fresh interpreter on the sosproj under test; return the process.
 
-    def run(*args):
+    Each keyword argument sets that environment variable, or unsets it when
+    given None.
+    """
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+
+    def run(*args, **variables):
+        env = dict(os.environ, PYTHONPATH=path)
+        for name, value in variables.items():
+            if value is None:
+                env.pop(name, None)
+            else:
+                env[name] = value
         return subprocess.run(
             [sys.executable, *args], env=env, capture_output=True, text=True
         )

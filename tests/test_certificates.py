@@ -229,17 +229,17 @@ def test_psatz_positive_constant():
 def _spy_membership(monkeypatch) -> tuple[list[tuple[int, int]], list]:
     """Record (d, level) and the result of every membership solve of a search."""
     calls, results = [], []
-    inner = certificates_module._solve_membership
+    inner = certificates_module.membership
 
-    def spy(f, trunc, *args):
+    def spy(f, system, k, *args, **kwargs):
         # The lift eps * x1^{2d} (top power) or its tower up to x1^{2d} holds
         # f's only pure powers of x1.
         d = max((a[0] // 2 for a in f.terms if a[0] and not any(a[1:])), default=0)
-        calls.append((d, trunc.level))
-        results.append(inner(f, trunc, *args))
+        calls.append((d, k))
+        results.append(inner(f, system, k, *args, **kwargs))
         return results[-1]
 
-    monkeypatch.setattr(certificates_module, "_solve_membership", spy)
+    monkeypatch.setattr(certificates_module, "membership", spy)
     return calls, results
 
 
@@ -281,11 +281,41 @@ def test_psatz_motzkin_certifies_top_power(monkeypatch):
     assert higher.verdict is MembershipVerdict.IN_CONE
 
 
+def _count_membership_and_solves(monkeypatch) -> dict[str, int]:
+    """Count the calls of membership and of the SDP solver from here on."""
+    counts = {"membership": 0, "solve": 0}
+    for name in counts:
+
+        def spy(*args, _name=name, _inner=getattr(certificates_module, name), **kw):
+            counts[_name] += 1
+            return _inner(*args, **kw)
+
+        monkeypatch.setattr(certificates_module, name, spy)
+    return counts
+
+
+@pytest.mark.parametrize("mode", list(PerturbationKind), ids=lambda m: m.value)
+def test_every_psatz_cell_solves_through_membership(monkeypatch, mode):
+    counts = _count_membership_and_solves(monkeypatch)
+    f = parse_polynomial("(x1 - 1/2)^2 - 1/100", 1)
+    res = psatz_search(PsatzQuery(f, SEGMENT, 0.005, 3, mode))
+    assert res.solves > 0
+    assert counts == {"membership": res.solves, "solve": res.solves}
+
+
+def test_every_closure_cell_solves_through_membership(monkeypatch):
+    counts = _count_membership_and_solves(monkeypatch)
+    rows = seq_closure_probe(MOTZKIN, PLANE, 3, [1e-1, 1e-2, 1e-3], 4)
+    assert counts["solve"] > 1
+    assert counts["membership"] == counts["solve"], rows
+
+
 def test_psatz_search_builds_each_cell_truncation_once(monkeypatch):
     # The search of test_psatz_motzkin_certifies_top_power meets the stored
     # separator of d = 1 at d = 2, where it decides the cell, and at d = 3,
-    # where it fails and the cell is solved: that cell revalidates and
-    # solves over one truncation.
+    # where it fails and the cell is solved.  From cold memos, d = 1 builds
+    # the level-3 truncation with its Gram SDP, d = 2 and d = 3 build it
+    # once each to revalidate, and d = 3 solves over the kept Gram SDP.
     levels = []
     inner = certificates_module.build_truncation
 
@@ -294,6 +324,7 @@ def test_psatz_search_builds_each_cell_truncation_once(monkeypatch):
         return inner(system, k)
 
     monkeypatch.setattr(certificates_module, "build_truncation", spy)
+    _cold_memos()
     query = PsatzQuery(MOTZKIN, PLANE, 1e-2, 4, PerturbationKind.TOP_EVEN_POWER)
     res = psatz_search(query)
     assert (res.d, res.solves, res.reused) == (3, 2, 1)
@@ -446,11 +477,11 @@ def _stored_cell(monkeypatch, functional, f, system, level):
     result and the levels that fell through to a solve."""
     solved = []
 
-    def fake_membership(f, trunc, config=None):
-        solved.append(trunc.level)
-        return MembershipResult(MembershipVerdict.INCONCLUSIVE, trunc.level)
+    def fake_membership(f, system, k, config=None):
+        solved.append(k)
+        return MembershipResult(MembershipVerdict.INCONCLUSIVE, k)
 
-    monkeypatch.setattr(certificates_module, "_solve_membership", fake_membership)
+    monkeypatch.setattr(certificates_module, "membership", fake_membership)
     cell = certificates_module._ReusingMembership(system, separators=[functional])
     return cell, cell(f, level), solved
 
@@ -498,13 +529,11 @@ def test_not_in_cone_without_functional_is_never_reused(monkeypatch):
     # cell: every cell is solved, the exponential tower's top cell first.
     calls = []
 
-    def fake_membership(f, trunc, config=None):
-        calls.append((max(a[0] for a in f.terms) // 2, trunc.level))
-        return MembershipResult(
-            MembershipVerdict.NOT_IN_CONE, trunc.level, message="forced"
-        )
+    def fake_membership(f, system, k, config=None):
+        calls.append((max(a[0] for a in f.terms) // 2, k))
+        return MembershipResult(MembershipVerdict.NOT_IN_CONE, k, message="forced")
 
-    monkeypatch.setattr(certificates_module, "_solve_membership", fake_membership)
+    monkeypatch.setattr(certificates_module, "membership", fake_membership)
     res = psatz_search(PsatzQuery(Polynomial.constant(1, -1.0), LINE, 0.1, 4))
     assert not res.certified
     assert calls == [(4, 4), (1, 1), (2, 2), (3, 3)]
@@ -552,7 +581,7 @@ def test_psatz_exp_tower_past_weight_range_is_a_weight_error(monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("membership ran past the weight range")
 
-    monkeypatch.setattr(certificates_module, "_solve_membership", no_solve)
+    monkeypatch.setattr(certificates_module, "membership", no_solve)
     query = PsatzQuery(Polynomial.constant(1, 1.0), LINE, 0.5, 86)
     with pytest.raises(WeightOverflowError, match="degree > 170"):
         psatz_search(query)
@@ -594,12 +623,12 @@ def test_seq_closure_stops_at_inconclusive_level(monkeypatch):
     }
     calls = []
 
-    def fake_membership(f, trunc, config=None):
+    def fake_membership(f, system, k, config=None):
         eps = f.coefficient((6,))  # the lift is eps * (1 + x1^6)
-        calls.append((eps, trunc.level))
-        return MembershipResult(verdicts[eps][trunc.level - 3], trunc.level)
+        calls.append((eps, k))
+        return MembershipResult(verdicts[eps][k - 3], k)
 
-    monkeypatch.setattr(certificates_module, "_solve_membership", fake_membership)
+    monkeypatch.setattr(certificates_module, "membership", fake_membership)
     f = parse_polynomial("x1 - x1^2", 1)
     rows = seq_closure_probe(f, SEGMENT, 3, [1e-1, 1e-2], 4)
     assert rows == [(1e-1, 4), (1e-2, None)]
@@ -626,7 +655,7 @@ BALL2 = SemialgebraicSystem(2, (parse_polynomial("1 - x1^2 - x2^2", 2),))
 
 
 def _cold_memos():
-    certificates_module._GRAM_SDPS.clear()
+    certificates_module._membership_sdp.cache_clear()
     cones_module.build_truncation.cache_clear()
 
 
@@ -688,15 +717,24 @@ def test_warm_membership_solves_as_a_cold_one(
 
 def test_membership_memos_hold_at_most_their_bounds():
     _cold_memos()
-    levels = range(1, certificates_module.GRAM_SDP_MEMO + 3)
+    memo = certificates_module.GRAM_SDP_MEMO
+    levels = range(1, memo + 3)
     for level in levels:
         membership(parse_polynomial("1 + x1^2", 1), LINE, level)
-    # The least recently used keys went first.
-    assert list(certificates_module._GRAM_SDPS) == [
-        (LINE, level, False) for level in levels[-certificates_module.GRAM_SDP_MEMO:]
-    ]
     info = cones_module.build_truncation.cache_info()
     assert info.currsize == info.maxsize == cones_module.TRUNCATION_MEMO
+    sdps = certificates_module._membership_sdp
+    assert sdps.cache_info().currsize == sdps.cache_info().maxsize == memo
+
+    def hit(level):
+        hits = sdps.cache_info().hits
+        sdps(LINE, level, False)
+        return sdps.cache_info().hits > hits
+
+    # The least recently used keys went first: each kept key, oldest
+    # first, is a hit, and each evicted key a miss.
+    assert [hit(level) for level in levels[-memo:]] == [True] * memo
+    assert [hit(level) for level in levels[:-memo]] == [False, False]
 
 
 def test_search_pass_keeps_under_half_a_megabyte_in_its_memos(fresh_python):
@@ -715,8 +753,8 @@ for call in calls:
     call.run(tr)
 gc.collect()
 held = tracemalloc.get_traced_memory()[0]
-sdps = len(certificates._GRAM_SDPS)
-certificates._GRAM_SDPS.clear()
+sdps = certificates._membership_sdp.cache_info().currsize
+certificates._membership_sdp.cache_clear()
 cones.build_truncation.cache_clear()
 gc.collect()
 print(sdps, held - tracemalloc.get_traced_memory()[0])

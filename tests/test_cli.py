@@ -491,12 +491,10 @@ def test_certify_not_in_cone_writes_verdict(tmp_path, capsys):
 def test_psatz_all_inconclusive_exits_numerical(monkeypatch, capsys):
     # Every membership solve inconclusive: exit 2, not "searched, not
     # certified" (3), whatever the number of (d, level) pairs searched.
-    def fake_membership(f, trunc, config=None):
-        return MembershipResult(
-            MembershipVerdict.INCONCLUSIVE, trunc.level, message="forced"
-        )
+    def fake_membership(f, system, k, config=None):
+        return MembershipResult(MembershipVerdict.INCONCLUSIVE, k, message="forced")
 
-    monkeypatch.setattr(certificates_module, "_solve_membership", fake_membership)
+    monkeypatch.setattr(certificates_module, "membership", fake_membership)
     code, out, err = run(
         capsys, "psatz", "--f", MOTZKIN, "--eps", "0.01", "--dmax", "4"
     )
@@ -508,11 +506,11 @@ def test_psatz_all_inconclusive_exits_numerical(monkeypatch, capsys):
 def test_psatz_some_inconclusive_exits_not_certified(monkeypatch, capsys):
     verdicts = iter([MembershipVerdict.INCONCLUSIVE])
 
-    def fake_membership(f, trunc, config=None):
+    def fake_membership(f, system, k, config=None):
         verdict = next(verdicts, MembershipVerdict.NOT_IN_CONE)
-        return MembershipResult(verdict, trunc.level, message="forced")
+        return MembershipResult(verdict, k, message="forced")
 
-    monkeypatch.setattr(certificates_module, "_solve_membership", fake_membership)
+    monkeypatch.setattr(certificates_module, "membership", fake_membership)
     code, out, err = run(
         capsys, "psatz", "--f", MOTZKIN, "--eps", "0.01", "--dmax", "4"
     )
