@@ -123,11 +123,16 @@ def membership(
 ) -> MembershipResult:
     """Level-k Gram feasibility for f; validated either way.
 
-    The SDP has no objective (C = 0), so the solver's central path ends in
-    the relative interior of the feasible Grams, at their analytic centre,
-    and no low-rank face is left for the interior-point method to stall
-    on.  With min_trace the objective is the Grams' total trace instead,
-    and the Grams returned are the low-rank decomposition on that face
+    The SDP has no objective (C = 0), so the solver's central path heads
+    for the relative interior of the feasible Grams, their analytic
+    centre, and no low-rank face is left for the interior-point method to
+    stall on.  It stops short of the centre, at its first iterate whose
+    projection onto the coefficient equations is positive definite, and
+    returns that projection: Grams that reproduce f to roundoff.  A Gram
+    SDP with no interior has no such point and stops at its first iterate
+    within both tolerances.  With min_trace the objective is the Grams'
+    total trace instead, and the Grams returned are the low-rank
+    decomposition on that face
     (for a sum of squares, often its own squares); such a face has no
     strictly complementary solution, so the solve takes more iterations
     and can end without converging.  InCone answers are revalidated by

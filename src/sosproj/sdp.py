@@ -14,7 +14,11 @@ Every SDP sosproj builds either minimizes an objective that is bounded
 below or has no objective at all (C = 0, a feasibility problem), so there
 is no maximization sense and no unboundedness exit: a problem that is
 unbounded below ends without convergence.  A feasibility problem stops
-at its first iterate within both tolerances.
+at its first primal certificate: an iterate whose projection onto
+A x = b is positive definite (Cholesky on every PSD block, every diagonal
+entry positive), which is the point returned.  A feasible problem with no
+interior has no such point; it stops at its first iterate within both
+tolerances.
 """
 
 from __future__ import annotations
@@ -50,6 +54,8 @@ MAX_ITER = 200
 # A failed run whose best iterate meets gap_tol with residuals within this
 # multiple of feas_tol is returned as INACCURATE.
 INACCURATE_FACTOR = 10.0
+# The message of a feasibility solve that ends at a primal certificate.
+PRIMAL_CERTIFICATE = "primal certificate (projected iterate is positive definite)"
 # Cap on Ruiz equilibration rounds; a round of unit factors ends it sooner.
 EQUILIBRATE_ROUNDS = 8
 # Least multiply-add count (constraints * side**3) of one constraint slab in
@@ -237,8 +243,9 @@ class SdpProblem:
 class SolverConfig:
     # The feasibility repair keeps the equality residual near roundoff.  With
     # an objective the gap polishes well past gap_tol whenever the instance
-    # allows it; a problem with no objective stops once within both.  The
-    # ray check takes neither: a ray holds by psd_accepted (_Exits._dual_ray).
+    # allows it; a problem with no objective stops at a positive definite
+    # projection within feas_tol, or else once within both.  The ray check
+    # takes neither: a ray holds by psd_accepted (_Exits._dual_ray).
     feas_tol: float = 1e-8
     gap_tol: float = 1e-6
 
@@ -1005,6 +1012,11 @@ class _Exits:
         else:
             self.stagnant += 1
 
+        if self.feasibility:
+            sol = self._primal_certificate(res)
+            if sol is not None:
+                return sol
+
         if feasible_now and gap_now <= cfg.gap_tol:
             # Inside tolerance; with an objective, keep polishing while the
             # gap still drops.
@@ -1041,14 +1053,16 @@ class _Exits:
             )
         return sol
 
-    def _pack(self, res: _Residuals, status: SdpStatus, message: str, ray=None):
-        """The solution at (X, y, S) / tau of res's iterate."""
+    def _pack(self, res: _Residuals, status: SdpStatus, message: str, ray=None,
+              x=None):
+        """The solution at (X, y, S) / tau of res's iterate, or at the
+        solver-space primal point x and res's (y, S) / tau."""
         ws, it = self.ws, res.it
         t = max(it.tau, 1e-300)
         yu, Su = ws.unscale_dual(it.y / t, [sb / t for sb in it.s])
         return SdpSolution(
             status=status,
-            x_blocks=ws.unscale_primal([xb / t for xb in it.x]),
+            x_blocks=ws.unscale_primal(x or [xb / t for xb in it.x]),
             y=yu,
             s_blocks=Su,
             primal_objective=res.pobj,
@@ -1060,6 +1074,34 @@ class _Exits:
             iterations=self.iterations,
             ray=ray,
             message=message,
+        )
+
+    def _primal_certificate(self, res: _Residuals) -> SdpSolution | None:
+        """The OPTIMAL solution at the projection of res's x / tau onto
+        {A x = b}, x / tau + A^T (A A^T)^-1 (b - A x / tau) through the
+        constraint-Gram factor, if that point is a primal certificate: each
+        PSD block has a Cholesky factor with a positive diagonal, each
+        diagonal block is positive and the relative primal residual is
+        within feas_tol."""
+        ws, it = self.ws, res.it
+        x = [xb / it.tau for xb in it.x]
+        defect = ws.b - ws.apply_A(x)
+        corr = ws.apply_AT(_cho_solve(ws.prepared.repair_chol, defect))
+        x = [_sym(xb + c) for xb, c in zip(x, corr)]
+        for xb in x:
+            # A NaN passes numpy's Cholesky; it fails the test on the pivots.
+            try:
+                pivots = xb if xb.ndim == 1 else np.diag(np.linalg.cholesky(xb))
+            except np.linalg.LinAlgError:
+                return None
+            if not np.all(pivots > 0):
+                return None
+        ry = ws.row_unscale * (ws.b - ws.apply_A(x))
+        relp = float(np.linalg.norm(ry)) / (1.0 + ws.norm_b_user)
+        if not relp <= self.cfg.feas_tol:
+            return None
+        return self._pack(
+            res._replace(relp=relp), SdpStatus.OPTIMAL, PRIMAL_CERTIFICATE, x=x
         )
 
     def _dual_ray(self, res: _Residuals) -> tuple[np.ndarray, list[np.ndarray]] | None:
@@ -1085,8 +1127,12 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
     measure.  At every iteration the dual iterate y / b.y is a candidate
     improving ray, an infeasibility certificate: it ends the run once
     b.y > 0 and -A^T y / b.y is PSD, with an objective or without.  With no
-    objective (C = 0) a feasible run stops at its first iterate within
-    feas_tol and gap_tol instead of polishing the gap.
+    objective (C = 0) each iterate is first projected onto A x = b through
+    the constraint-Gram factor, and the run returns that projection once it
+    is positive definite and within feas_tol (_Exits._primal_certificate);
+    a feasible run whose projections never are, on a problem with no
+    interior, stops at its first iterate within feas_tol and gap_tol.
+    Neither polishes the gap.
 
     Each iteration hands the _residuals of its _Iterate to _Exits.check,
     then steps along the predictor-corrector (or centering) direction of

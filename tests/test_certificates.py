@@ -417,10 +417,51 @@ def test_membership_exp_tower_top_cell_refutes_at_an_early_ray():
     assert check.verdict is MembershipVerdict.NOT_IN_CONE
 
 
+def test_exp_tower_second_top_cell_stays_refuted_past_the_primal_certificate():
+    # The seed-1 search's other exponential-tower top cell (the test above
+    # has eps = 0.01256): its mid-run Gram iterates pass validate_grams, yet
+    # no projection of one is a primal certificate, so the run still ends
+    # at a validated separator.
+    theta = perturbation_polynomial(2, 5, PerturbationKind.EXP_PARTIAL_SUM)
+    f = MOTZKIN + theta.scale(0.01475)
+    res = membership(f, PLANE, 5)
+    assert res.verdict is MembershipVerdict.NOT_IN_CONE
+    assert res.solver_status is SdpStatus.INFEASIBLE
+    check = validate_separator(f, build_truncation(PLANE, 5), res.separating)
+    assert check.verdict is MembershipVerdict.NOT_IN_CONE
+
+
+def test_interior_membership_ends_at_a_primal_certificate(monkeypatch):
+    # A quartic on R^2 that the soundness census found refuted at level 3
+    # lies strictly inside Q_2: its level-2 solve ends at a projected
+    # iterate, whose Grams reproduce f to roundoff and are positive definite.
+    messages = []
+    inner = certificates_module.solve
+
+    def spy(problem, config=None):
+        sol = inner(problem, config)
+        messages.append(sol.message)
+        return sol
+
+    monkeypatch.setattr(certificates_module, "solve", spy)
+    f = parse_polynomial(
+        "0.61 - 0.25*x2 + 1.27*x2^2 - 0.35*x2^3 + 0.94*x2^4 + 1.03*x1"
+        " - 0.25*x1*x2 + 1.59*x1*x2^2 + 0.31*x1*x2^3 + 2.13*x1^2 + 0.8*x1^2*x2"
+        " + 0.12*x1^2*x2^2 - 1.42*x1^3 - 0.82*x1^3*x2 + 2*x1^4",
+        2,
+    )
+    res = membership(f, PLANE, 2)
+    assert res.verdict is MembershipVerdict.IN_CONE
+    assert messages == [sdp_module.PRIMAL_CERTIFICATE]
+    assert res.reconstruction_error <= 1e-12
+    np.linalg.cholesky(res.grams[()])
+
+
 def test_feasible_membership_exits_at_its_first_converged_iterate(monkeypatch):
-    # The certify example at its default Grams: a solve with no objective
-    # stops at the first iterate within feas_tol and gap_tol, with no
-    # polishing step after it.
+    # The certify example at its default Grams: f has real zeros, so no
+    # Gram is positive definite and no projected iterate is a primal
+    # certificate.  A solve with no objective then stops at the first
+    # iterate within feas_tol and gap_tol, with no polishing step after it.
     records = []
     residuals = sdp_module._residuals
 

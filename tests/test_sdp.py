@@ -263,6 +263,60 @@ def test_every_ray_exit_reads_one_message():
         assert sol.message == "improving ray certifies primal infeasibility"
 
 
+def strictly_feasible_mixed_problem():
+    """X00 + d0 = 2, X11 + d1 = 3, X01 = 1/2 over a 2x2 PSD block X and a
+    diagonal block d of side 2: X = [[1, 1/2], [1/2, 1]], d = (1, 2) is
+    interior.  No objective."""
+    p = SdpProblem()
+    x = p.add_psd_block(2)
+    d = p.add_diag_block(2)
+    p.add_constraint({x: [(0, 0, 1.0)], d: [(0, 0, 1.0)]}, 2.0)
+    p.add_constraint({x: [(1, 1, 1.0)], d: [(1, 1, 1.0)]}, 3.0)
+    p.add_constraint({x: [(0, 1, 1.0)]}, 1.0)
+    return p
+
+
+def test_feasibility_solve_ends_at_a_primal_certificate():
+    # The run ends at its first iterate whose projection onto A x = b is
+    # positive definite, and returns that projection: the constraints hold
+    # to roundoff and every PSD block has a Cholesky factor.
+    prob = strictly_feasible_mixed_problem()
+    sol = solve(prob, DEFAULT)
+    assert (sol.status, sol.message) == (
+        SdpStatus.OPTIMAL, sdp_module.PRIMAL_CERTIFICATE
+    )
+    b = np.array([rhs for _e, rhs in prob.constraints])
+    rep = check_certificate(prob, sol)
+    assert rep.constraint_residual <= 1e-12 * (1.0 + np.linalg.norm(b))
+    assert sol.primal_residual <= DEFAULT.feas_tol
+    for spec, x in zip(prob.blocks, sol.x_blocks):
+        if spec.kind is BlockKind.PSD:
+            np.linalg.cholesky(x)
+        else:
+            assert np.all(x > 0)
+
+
+def test_a_solve_with_an_objective_never_tests_for_a_primal_certificate(monkeypatch):
+    calls = []
+    certificate = sdp_module._Exits._primal_certificate
+
+    def spy(self, res):
+        calls.append(certificate(self, res))
+        return calls[-1]
+
+    monkeypatch.setattr(sdp_module._Exits, "_primal_certificate", spy)
+    prob = strictly_feasible_mixed_problem()
+    trace = [(0, 0, 1.0), (1, 1, 1.0)]
+    prob.set_objective({0: trace, 1: trace})
+    sol = solve(prob, DEFAULT)
+    assert sol.status is SdpStatus.OPTIMAL
+    assert sol.message != sdp_module.PRIMAL_CERTIFICATE
+    assert calls == []
+    prob.set_objective({})
+    assert solve(prob, DEFAULT).message == sdp_module.PRIMAL_CERTIFICATE
+    assert calls[-1] is not None
+
+
 def test_eig_range_of_a_matrix_and_of_a_diagonal_block():
     assert eig_range(np.array([3.0, -2.0, 5.0])) == (-2.0, 5.0)
     assert eig_range(np.array([[2.0, 1.0], [1.0, 2.0]])) == pytest.approx((1.0, 3.0))
