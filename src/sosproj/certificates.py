@@ -12,7 +12,6 @@ decide the underlying "for every eps" statements.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -21,11 +20,9 @@ import numpy as np
 
 from .cones import (
     ConeTruncation,
-    GramSdp,
     SemialgebraicSystem,
     build_truncation,
     gram_reconstruct,
-    gram_sdp,
 )
 from .moments import MomentSequence, localizing_matrix, riesz
 from .polynomials import Polynomial, WeightSequence, half_degree
@@ -132,19 +129,25 @@ def membership(
     SDP with no interior has no such point and stops at its first iterate
     within both tolerances.  With min_trace the objective is the Grams'
     total trace instead, and the Grams returned are the low-rank
-    decomposition on that face
-    (for a sum of squares, often its own squares); such a face has no
-    strictly complementary solution, so the solve takes more iterations
-    and can end without converging.  InCone answers are revalidated by
-    reconstructing f from the returned Grams (`validate_grams`); NotInCone
-    answers are revalidated through the separating functional
-    (`validate_separator`).  A numerical failure is reported as
-    inconclusive, never as NotInCone.
+    decomposition on that face (for a sum of squares, often its own
+    squares); such a face has no strictly complementary solution, so the
+    solve takes more iterations and can end without converging.  InCone
+    answers are revalidated by reconstructing f from the returned Grams
+    (`validate_grams`); NotInCone answers are revalidated through the
+    separating functional (`validate_separator`).  A numerical failure is
+    reported as inconclusive, never as NotInCone.  The Gram SDP is the
+    one kept by the truncation that `build_truncation(system, k)` returns.
+
+    On R^n a level above ceil(deg f / 2) repeats that level's answer, but
+    its Gram SDP has no interior, so the solve can end inconclusive, as
+    (1 + x1^2*x2 - x2^2)^2 + (x1*x2)^2 does at k = 4 and 5 (in the cone
+    at k = 3).  Searches skip such levels through
+    `SemialgebraicSystem.distinct_levels`; direct callers should too.
     """
     system.check_polynomial(f)
     if f.degree > 2 * k:
         raise ValueError(f"deg f = {f.degree} exceeds cone degree {2 * k}")
-    gs = _membership_sdp(system, k, min_trace)
+    gs = build_truncation(system, k).membership_sdp(min_trace)
     sol = solve(gs.sdp.with_rhs(map(f.coefficient, gs.row_exponents)), config)
     if sol.status is SdpStatus.OPTIMAL:
         result = validate_grams(f, gs.truncation, gs.grams(sol))
@@ -159,36 +162,6 @@ def membership(
         result = MembershipResult(MembershipVerdict.INCONCLUSIVE, k, message=message)
     result.solver_status, result.solver_iterations = sol.status, sol.iterations
     return result
-
-
-# Gram SDPs that _membership_sdp keeps for reuse.
-GRAM_SDP_MEMO = 8
-
-
-@functools.lru_cache(maxsize=GRAM_SDP_MEMO)
-def _membership_sdp(
-    system: SemialgebraicSystem, level: int, min_trace: bool
-) -> GramSdp:
-    """Membership's Gram SDP at this level, with right-hand sides 0.
-
-    Only f_alpha differs between the SDPs of one key, so each key's rows,
-    objective and prepared solver structure are built once and shared
-    through SdpProblem.with_rhs.  Call it positionally: lru_cache files a
-    keyword call under another key.
-    """
-    trunc = build_truncation(system, level)
-    gs = gram_sdp(trunc)
-    if min_trace:
-        gs.sdp.set_objective(
-            {
-                gs.block_ids[b.label]: [(i, i, 1.0) for i in range(b.side)]
-                for b in trunc.blocks
-            }
-        )
-    zero = Polynomial(system.dimension, {})
-    for _alpha, entries, _rhs in gs.rows(zero):
-        gs.sdp.add_constraint(entries, 0.0)
-    return gs
 
 
 @dataclass

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
 from typing import Sequence
@@ -120,6 +120,28 @@ class ConeTruncation:
     system: SemialgebraicSystem
     level: int
     blocks: tuple[ConeBlock, ...]
+    gram_sdps: dict[bool, GramSdp] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
+
+    def membership_sdp(self, min_trace: bool) -> GramSdp:
+        """Membership's Gram SDP over this truncation, right-hand sides 0:
+        built on first use, kept in gram_sdps and shared via with_rhs."""
+        gs = self.gram_sdps.get(min_trace)
+        if gs is None:
+            gs = gram_sdp(self)
+            if min_trace:
+                gs.sdp.set_objective(
+                    {
+                        gs.block_ids[b.label]: [(i, i, 1.0) for i in range(b.side)]
+                        for b in self.blocks
+                    }
+                )
+            zero = Polynomial(self.system.dimension, {})
+            for _alpha, entries, _rhs in gs.rows(zero):
+                gs.sdp.add_constraint(entries, 0.0)
+            self.gram_sdps[min_trace] = gs
+        return gs
 
 
 @functools.lru_cache(maxsize=TRUNCATION_MEMO)
@@ -127,7 +149,8 @@ def build_truncation(system: SemialgebraicSystem, k: int) -> ConeTruncation:
     """Blocks for the level-k cone; labels with k - v_J < 0 are excluded.
 
     The TRUNCATION_MEMO truncations asked for last are kept and returned
-    again for an equal system and level: a truncation is immutable, and
+    again for an equal system and level: a truncation's blocks are
+    immutable, it keeps the membership Gram SDPs built over it, and
     searches and sweeps ask for the same few many times.
     """
     if k < 0:

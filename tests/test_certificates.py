@@ -313,9 +313,10 @@ def test_every_closure_cell_solves_through_membership(monkeypatch):
 def test_psatz_search_builds_each_cell_truncation_once(monkeypatch):
     # The search of test_psatz_motzkin_certifies_top_power meets the stored
     # separator of d = 1 at d = 2, where it decides the cell, and at d = 3,
-    # where it fails and the cell is solved.  From cold memos, d = 1 builds
-    # the level-3 truncation with its Gram SDP, d = 2 and d = 3 build it
-    # once each to revalidate, and d = 3 solves over the kept Gram SDP.
+    # where it fails and the cell is solved.  From a cold memo, d = 1 builds
+    # the level-3 truncation with its Gram SDP, d = 2 and d = 3 ask for it
+    # to revalidate, and d = 3 asks again to solve over its kept Gram SDP:
+    # one truncation serves every cell.
     levels = []
     inner = certificates_module.build_truncation
 
@@ -328,7 +329,8 @@ def test_psatz_search_builds_each_cell_truncation_once(monkeypatch):
     query = PsatzQuery(MOTZKIN, PLANE, 1e-2, 4, PerturbationKind.TOP_EVEN_POWER)
     res = psatz_search(query)
     assert (res.d, res.solves, res.reused) == (3, 2, 1)
-    assert levels == [3, 3, 3]
+    assert levels == [3, 3, 3, 3]
+    assert inner.cache_info().misses == 1
 
 
 def test_psatz_certified_polynomial_nonnegative_on_samples():
@@ -696,7 +698,6 @@ BALL2 = SemialgebraicSystem(2, (parse_polynomial("1 - x1^2 - x2^2", 2),))
 
 
 def _cold_memos():
-    certificates_module._membership_sdp.cache_clear()
     cones_module.build_truncation.cache_clear()
 
 
@@ -757,36 +758,40 @@ def test_warm_membership_solves_as_a_cold_one(
 
 
 def test_membership_memos_hold_at_most_their_bounds():
+    # The Gram SDPs live in the truncations that build_truncation keeps,
+    # so its one bound holds both.
     _cold_memos()
-    memo = certificates_module.GRAM_SDP_MEMO
+    memo = cones_module.TRUNCATION_MEMO
     levels = range(1, memo + 3)
     for level in levels:
         membership(parse_polynomial("1 + x1^2", 1), LINE, level)
-    info = cones_module.build_truncation.cache_info()
-    assert info.currsize == info.maxsize == cones_module.TRUNCATION_MEMO
-    sdps = certificates_module._membership_sdp
-    assert sdps.cache_info().currsize == sdps.cache_info().maxsize == memo
+    truncations = cones_module.build_truncation
+    info = truncations.cache_info()
+    assert info.currsize == info.maxsize == memo
 
-    def hit(level):
-        hits = sdps.cache_info().hits
-        sdps(LINE, level, False)
-        return sdps.cache_info().hits > hits
+    def lookup(level):
+        hits = truncations.cache_info().hits
+        trunc = truncations(LINE, level)
+        return truncations.cache_info().hits > hits, list(trunc.gram_sdps)
 
     # The least recently used keys went first: each kept key, oldest
-    # first, is a hit, and each evicted key a miss.
-    assert [hit(level) for level in levels[-memo:]] == [True] * memo
-    assert [hit(level) for level in levels[:-memo]] == [False, False]
+    # first, is a hit that still holds its Gram SDP, and each evicted key
+    # a miss whose fresh truncation holds none.
+    assert [lookup(level) for level in levels[-memo:]] == [(True, [False])] * memo
+    assert [lookup(level) for level in levels[:-memo]] == [(False, [])] * 2
 
 
 def test_search_pass_keeps_under_half_a_megabyte_in_its_memos(fresh_python):
     # What one seed-1 pass of the benchmark's search workload leaves in the
-    # memos: rows, factors and Gram SDPs, no dense copy of A or scratch.
+    # truncation memo: the kept truncations' Gram SDPs with their rows and
+    # factors, no dense copy of A or scratch.  It leaves out the six
+    # truncations that the workload's setup builds before tracing starts.
     perfbench = Path(__file__).resolve().parents[1] / "perfbench"
     proc = fresh_python("-c", f"""
 import gc, sys, tracemalloc
 sys.path.insert(0, {str(perfbench)!r})
 import tracing, workloads
-from sosproj import certificates, cones
+from sosproj import cones
 tr = tracing.Tracer()
 calls = workloads.build_calls("search", 1, tr)
 tracemalloc.start()
@@ -794,8 +799,9 @@ for call in calls:
     call.run(tr)
 gc.collect()
 held = tracemalloc.get_traced_memory()[0]
-sdps = certificates._membership_sdp.cache_info().currsize
-certificates._membership_sdp.cache_clear()
+sdps = sum(
+    len(t.gram_sdps) for t in gc.get_objects() if isinstance(t, cones.ConeTruncation)
+)
 cones.build_truncation.cache_clear()
 gc.collect()
 print(sdps, held - tracemalloc.get_traced_memory()[0])

@@ -317,6 +317,60 @@ def test_a_solve_with_an_objective_never_tests_for_a_primal_certificate(monkeypa
     assert calls[-1] is not None
 
 
+def _certifying_call(monkeypatch):
+    """The _Exits and residuals of the call that ends a solve of
+    strictly_feasible_mixed_problem() at its primal certificate."""
+    calls = []
+    certificate = sdp_module._Exits._primal_certificate
+
+    def spy(self, res):
+        calls.append((self, res))
+        return certificate(self, res)
+
+    monkeypatch.setattr(sdp_module._Exits, "_primal_certificate", spy)
+    sol = solve(strictly_feasible_mixed_problem(), DEFAULT)
+    monkeypatch.undo()
+    assert sol.message == sdp_module.PRIMAL_CERTIFICATE
+    exits, res = calls[-1]
+    assert exits._primal_certificate(res) is not None
+    return exits, res
+
+
+def test_primal_certificate_rejects_a_nan_block_on_its_pivots(monkeypatch):
+    exits, res = _certifying_call(monkeypatch)
+    x = [xb.copy() for xb in res.it.x]
+    x[exits.ws.psd[0]][0, 0] = np.nan
+    factors = []
+    real = np.linalg.cholesky
+
+    def cholesky(a):
+        factors.append(real(a))
+        return factors[-1]
+
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+    assert exits._primal_certificate(res._replace(it=res.it._replace(x=x))) is None
+    # numpy returns NaNs for a NaN block rather than raising, so the point
+    # is turned down by the test on the pivots.
+    assert len(factors) == 1 and np.isnan(np.diag(factors[0])).any()
+
+
+def test_primal_certificate_rejects_a_residual_above_feas_tol(monkeypatch):
+    exits, res = _certifying_call(monkeypatch)
+    strict = sdp_module._Exits(exits.ws, SolverConfig(feas_tol=1e-300))
+    assert strict._primal_certificate(res) is None
+
+
+def test_with_rhs_rejects_a_wrong_count_and_a_non_finite_entry():
+    p = strictly_feasible_mixed_problem()
+    for rhs in ([2.0, 3.0], [2.0, 3.0, 0.5, 1.0]):
+        with pytest.raises(SdpModelError, match=f"{len(rhs)} right-hand sides for 3"):
+            p.with_rhs(rhs)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(SdpModelError, match="not finite"):
+            p.with_rhs([2.0, bad, 1.0])
+    assert p.with_rhs([2.0, 3.0, 0.5]).constraints[2][1] == 0.5
+
+
 def test_eig_range_of_a_matrix_and_of_a_diagonal_block():
     assert eig_range(np.array([3.0, -2.0, 5.0])) == (-2.0, 5.0)
     assert eig_range(np.array([[2.0, 1.0], [1.0, 2.0]])) == pytest.approx((1.0, 3.0))
