@@ -9,16 +9,17 @@ block.  Free variables are not supported; formulate with slacks.
 Primal infeasibility is reported with a dual improving ray (y, S): S PSD,
 A^T y + S = 0 and b^T y = 1, which certifies that no feasible X exists.
 Every iteration checks whether its dual iterate y is such a Farkas
-certificate (b.y > 0 and -A^T y PSD), with or without an objective.
-Every SDP sosproj builds either minimizes an objective that is bounded
-below or has no objective at all (C = 0, a feasibility problem), so there
-is no maximization sense and no unboundedness exit: a problem that is
-unbounded below ends without convergence.  A feasibility problem stops
-at its first primal certificate: an iterate whose projection onto
-A x = b is positive definite (Cholesky on every PSD block, every diagonal
-entry positive), which is the point returned.  A feasible problem with no
+certificate (b.y > 0 and -A^T y positive definite where a constraint
+touches it), with or without an objective.  Every SDP sosproj builds
+either minimizes an objective that is bounded below or has no objective
+at all (C = 0, a feasibility problem), so there is no maximization sense
+and no unboundedness exit: a problem that is unbounded below ends without
+convergence.  A feasibility problem stops at its first primal
+certificate: an iterate whose projection onto A x = b is positive
+definite, which is the point returned.  A feasible problem with no
 interior has no such point; it stops at its first iterate within both
-tolerances.
+tolerances.  Both certificates and the Nesterov-Todd scaling decide
+"interior" by one test, _interior_factor.
 """
 
 from __future__ import annotations
@@ -245,7 +246,7 @@ class SolverConfig:
     # an objective the gap polishes well past gap_tol whenever the instance
     # allows it; a problem with no objective stops at a positive definite
     # projection within feas_tol, or else once within both.  The ray check
-    # takes neither: a ray holds by psd_accepted (_Exits._dual_ray).
+    # takes neither: a ray holds by the interior test (_Exits._dual_ray).
     feas_tol: float = 1e-8
     gap_tol: float = 1e-6
 
@@ -745,20 +746,29 @@ def _scale_rows(ws: _Workspace, G: list[np.ndarray], views: list[np.ndarray]) ->
         np.multiply(ws.A[blk], G[blk][None, :], out=views[blk])
 
 
+def _interior_factor(blk: np.ndarray) -> np.ndarray | None:
+    """The solver's one interior test: blk's lower Cholesky factor if every
+    pivot is positive, a diagonal block itself if every entry is, else
+    None.  A NaN fails (numpy's Cholesky passes it through)."""
+    try:
+        fac = blk if blk.ndim == 1 else np.linalg.cholesky(blk)
+    except np.linalg.LinAlgError:
+        return None
+    pivots = fac if fac.ndim == 1 else np.diag(fac)
+    return fac if np.all(pivots > 0) else None
+
+
 def _nt_scaling(x_blk: np.ndarray, s_blk: np.ndarray):
     """Nesterov-Todd scaling of one block, or None if it is not interior:
     (G, sigma, x factor, s factor) with G^T S G = G^-1 X G^-T = diag(sigma)
     and the Cholesky factors of X and S; on a diagonal block, the vector
     w = sqrt(x / s), sigma = sqrt(x * s), and x and s themselves."""
-    if x_blk.ndim == 1:
-        if np.any(x_blk <= 0) or np.any(s_blk <= 0):
-            return None
-        return np.sqrt(x_blk / s_blk), np.sqrt(x_blk * s_blk), x_blk, s_blk
-    try:
-        lx = np.linalg.cholesky(x_blk)
-        ls = np.linalg.cholesky(s_blk)
-    except np.linalg.LinAlgError:
+    lx = _interior_factor(x_blk)
+    ls = None if lx is None else _interior_factor(s_blk)
+    if ls is None:
         return None
+    if x_blk.ndim == 1:
+        return np.sqrt(x_blk / s_blk), np.sqrt(x_blk * s_blk), x_blk, s_blk
     _u, sig, vt = np.linalg.svd(ls.T @ lx)
     if sig[-1] <= 0:
         return None
@@ -1079,23 +1089,16 @@ class _Exits:
     def _primal_certificate(self, res: _Residuals) -> SdpSolution | None:
         """The OPTIMAL solution at the projection of res's x / tau onto
         {A x = b}, x / tau + A^T (A A^T)^-1 (b - A x / tau) through the
-        constraint-Gram factor, if that point is a primal certificate: each
-        PSD block has a Cholesky factor with a positive diagonal, each
-        diagonal block is positive and the relative primal residual is
+        constraint-Gram factor, if that point is a primal certificate: every
+        block passes _interior_factor and the relative primal residual is
         within feas_tol."""
         ws, it = self.ws, res.it
         x = [xb / it.tau for xb in it.x]
         defect = ws.b - ws.apply_A(x)
         corr = ws.apply_AT(_cho_solve(ws.prepared.repair_chol, defect))
         x = [_sym(xb + c) for xb, c in zip(x, corr)]
-        for xb in x:
-            # A NaN passes numpy's Cholesky; it fails the test on the pivots.
-            try:
-                pivots = xb if xb.ndim == 1 else np.diag(np.linalg.cholesky(xb))
-            except np.linalg.LinAlgError:
-                return None
-            if not np.all(pivots > 0):
-                return None
+        if any(_interior_factor(xb) is None for xb in x):
+            return None
         ry = ws.row_unscale * (ws.b - ws.apply_A(x))
         relp = float(np.linalg.norm(ry)) / (1.0 + ws.norm_b_user)
         if not relp <= self.cfg.feas_tol:
@@ -1107,13 +1110,17 @@ class _Exits:
     def _dual_ray(self, res: _Residuals) -> tuple[np.ndarray, list[np.ndarray]] | None:
         """The improving ray (y, -A^T y) / b.y of res's iterate, if it is a
         Farkas certificate of primal infeasibility: b.y > 0 and every block
-        of -A^T y / b.y PSD by psd_accepted."""
+        of -A^T y / b.y passes _interior_factor."""
         ws, by = self.ws, res.by
         if not 0.0 < by < math.inf:
             return None
         rS = [-a / by for a in res.ATy]
-        if not all(psd_accepted(*eig_range(s_blk)) for s_blk in rS):
-            return None
+        for s_blk in rS:
+            # An exactly zero row, a coordinate that no constraint touches,
+            # is PSD on its own: it is tested with 1 on its diagonal.
+            zero = s_blk == 0 if s_blk.ndim == 1 else np.diag(~s_blk.any(axis=1))
+            if _interior_factor(s_blk + zero) is None:
+                return None
         # Renormalize so the user-space ray has b . y = 1 exactly.
         yu, Su = ws.unscale_dual(res.it.y / by, rS)
         return yu / ws.obj_scale, [sb / ws.obj_scale for sb in Su]
@@ -1126,7 +1133,8 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
     embedding and residuals shrink proportionally to the complementarity
     measure.  At every iteration the dual iterate y / b.y is a candidate
     improving ray, an infeasibility certificate: it ends the run once
-    b.y > 0 and -A^T y / b.y is PSD, with an objective or without.  With no
+    b.y > 0 and -A^T y / b.y is positive definite on the coordinates that
+    some constraint touches, with an objective or without.  With no
     objective (C = 0) each iterate is first projected onto A x = b through
     the constraint-Gram factor, and the run returns that projection once it
     is positive definite and within feas_tol (_Exits._primal_certificate);

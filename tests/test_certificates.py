@@ -118,6 +118,28 @@ def test_membership_random_cone_elements_revalidate():
             )
 
 
+# A quartic strictly inside Q_2 on R^2 (its level-2 Gram has lambda_min
+# 0.35), so inside Q_3 too, that the soundness census found refuted at
+# level 3 by a dual iterate whose moment matrix was PSD only to roundoff.
+CENSUS_QUARTIC = parse_polynomial(
+    "0.61 - 0.25*x2 + 1.27*x2^2 - 0.35*x2^3 + 0.94*x2^4 + 1.03*x1"
+    " - 0.25*x1*x2 + 1.59*x1*x2^2 + 0.31*x1*x2^3 + 2.13*x1^2 + 0.8*x1^2*x2"
+    " + 0.12*x1^2*x2^2 - 1.42*x1^3 - 0.82*x1^3*x2 + 2*x1^4",
+    2,
+)
+
+
+def test_membership_never_refutes_an_interior_quartic_at_a_higher_level():
+    assert membership(CENSUS_QUARTIC, PLANE, 2).verdict is MembershipVerdict.IN_CONE
+    level3 = membership(CENSUS_QUARTIC, PLANE, 3)
+    assert level3.verdict is not MembershipVerdict.NOT_IN_CONE
+
+
+def test_membership_of_a_square_sum_above_its_half_degree_is_in_cone():
+    f = parse_polynomial("1 + x1^2", 1)
+    assert membership(f, LINE, 4).verdict is MembershipVerdict.IN_CONE
+
+
 def test_membership_degree_guard():
     with pytest.raises(ValueError):
         membership(MOTZKIN, PLANE, 2)

@@ -127,6 +127,13 @@ def test_certify_exit_codes(capsys):
     assert "not_in_cone" in out
 
 
+def test_certify_never_refutes_a_sum_of_squares_above_its_half_degree(capsys):
+    # 1 + x1^2 + x2^4 lies in the level-2 cone on R^2, so in the level-3 one.
+    code, out, _err = run(capsys, "certify", "--f", "1 + x1^2 + x2^4", "--d", "3")
+    assert "not_in_cone" not in out
+    assert code != 3
+
+
 def test_psatz_certifies_and_rejects(tmp_path, capsys):
     code, out, _err = run(
         capsys, "psatz", "--f", MOTZKIN, "--eps", "1e-2", "--dmax", "4"

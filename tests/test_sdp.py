@@ -210,9 +210,23 @@ def test_infeasible_lp_detected():
     assert sol.ray is not None
 
 
-def test_ray_check_reads_the_shared_psd_rule(monkeypatch):
-    # A ray whose slack the PSD rule turns away certifies nothing.
-    monkeypatch.setattr(sdp_module, "psd_accepted", lambda lmin, lmax: False)
+def test_ray_check_reads_the_interior_test(monkeypatch):
+    # A ray whose slack the interior test turns away certifies nothing; the
+    # test turns away only the ray check's blocks.
+    dual_ray, interior = sdp_module._Exits._dual_ray, sdp_module._interior_factor
+    in_ray_check = [False]
+
+    def ray_check(self, res):
+        in_ray_check[0] = True
+        ray = dual_ray(self, res)
+        in_ray_check[0] = False
+        return ray
+
+    monkeypatch.setattr(sdp_module._Exits, "_dual_ray", ray_check)
+    monkeypatch.setattr(
+        sdp_module, "_interior_factor",
+        lambda blk: None if in_ray_check[0] else interior(blk),
+    )
     sol = solve(infeasible_lp(), DEFAULT)
     assert sol.status is not SdpStatus.INFEASIBLE
     assert sol.ray is None
@@ -261,6 +275,24 @@ def test_every_ray_exit_reads_one_message():
         sol = solve(problem, DEFAULT)
         assert sol.status is SdpStatus.INFEASIBLE
         assert sol.message == "improving ray certifies primal infeasibility"
+
+
+@pytest.mark.parametrize("objective", [False, True])
+@pytest.mark.parametrize("kind", [BlockKind.NONNEG_DIAG, BlockKind.PSD])
+def test_a_coordinate_no_constraint_touches_keeps_the_ray(kind, objective):
+    # x00 = -1 over a side-2 block whose second coordinate no constraint
+    # touches: the ray's slack is exactly zero there, which is PSD on its
+    # own, so the run still ends at a ray (and stalls without one).
+    p = SdpProblem()
+    blk = p.add_block(2, kind)
+    p.add_constraint({blk: [(0, 0, 1.0)]}, -1.0)
+    if objective:
+        p.set_objective({blk: [(0, 0, 1.0)]})
+    sol = solve(p, DEFAULT)
+    assert (sol.status, sol.iterations) == (SdpStatus.INFEASIBLE, 2)
+    y, (slack,) = sol.ray
+    assert y[0] < 0
+    assert not slack[1].any()
 
 
 def strictly_feasible_mixed_problem():
@@ -551,18 +583,17 @@ def test_jammed_centering_rescue_steps_without_repair():
     assert sol.status is SdpStatus.OPTIMAL, sol.message
 
 
-def _fail_cholesky_after(monkeypatch, calls: int) -> None:
-    """Make every np.linalg.cholesky call after the first `calls` fail."""
-    real = np.linalg.cholesky
+def _fail_nt_scaling_after(monkeypatch, calls: int) -> None:
+    """Make every block's NT scaling after the first `calls` fail, as when
+    the block's Cholesky factorization fails."""
+    real = sdp_module._nt_scaling
     count = [0]
 
-    def cholesky(a):
+    def nt_scaling(x_blk, s_blk):
         count[0] += 1
-        if count[0] > calls:
-            raise np.linalg.LinAlgError("forced factorization failure")
-        return real(a)
+        return real(x_blk, s_blk) if count[0] <= calls else None
 
-    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+    monkeypatch.setattr(sdp_module, "_nt_scaling", nt_scaling)
 
 
 # The boundary Gram problem converges in 7 iterations.  Its iterates 2 to 6
@@ -577,9 +608,9 @@ def _boundary_workspace():
 
 
 def test_late_factorization_failure_is_inaccurate(monkeypatch):
-    # One PSD block takes two Cholesky factorizations per iteration, so the
-    # fifth iteration's factorization is the first to fail.
-    _fail_cholesky_after(monkeypatch, 8)
+    # One PSD block takes one NT scaling per iteration, so the fifth
+    # iteration's factorization is the first to fail.
+    _fail_nt_scaling_after(monkeypatch, 4)
     sol = sdp_module._solve_once(_boundary_workspace(), NEAR)
     assert sol.status is SdpStatus.INACCURATE
     assert sol.iterations == 5
@@ -590,7 +621,7 @@ def test_late_factorization_failure_is_inaccurate(monkeypatch):
 
 
 def test_early_failure_keeps_its_status(monkeypatch):
-    _fail_cholesky_after(monkeypatch, 2)
+    _fail_nt_scaling_after(monkeypatch, 1)
     sol = sdp_module._solve_once(_boundary_workspace(), NEAR)
     assert sol.status is SdpStatus.NUMERICAL_FAILURE
     assert sol.message == "block factorization failed"
