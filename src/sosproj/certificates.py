@@ -118,7 +118,18 @@ def membership(
     *,
     min_trace: bool = False,
 ) -> MembershipResult:
-    """Level-k Gram feasibility for f; validated either way.
+    """Level-k cone membership for f, decided by one Gram feasibility SDP
+    and validated either way.
+
+    The level solved is the highest of ceil(deg f / 2)..k whose answer can
+    differ (`SemialgebraicSystem.distinct_levels`): k when K has
+    generators, and ceil(deg f / 2) on R^n, where every higher level
+    repeats that level's answer but has a Gram SDP with no interior (its
+    top-degree Gram entries are forced to zero).  `MembershipResult.level`
+    is the level solved, inconclusive answers included; the Grams or the
+    separating functional live on its truncation,
+    `build_truncation(system, level)`, whose kept Gram SDP is the one
+    solved.  Only the degree check reads k.
 
     The SDP has no objective (C = 0), so the solver's central path heads
     for the relative interior of the feasible Grams, their analytic
@@ -135,19 +146,13 @@ def membership(
     answers are revalidated by reconstructing f from the returned Grams
     (`validate_grams`); NotInCone answers are revalidated through the
     separating functional (`validate_separator`).  A numerical failure is
-    reported as inconclusive, never as NotInCone.  The Gram SDP is the
-    one kept by the truncation that `build_truncation(system, k)` returns.
-
-    On R^n a level above ceil(deg f / 2) repeats that level's answer, but
-    its Gram SDP has no interior, so the solve can end inconclusive, as
-    (1 + x1^2*x2 - x2^2)^2 + (x1*x2)^2 does at k = 4 and 5 (in the cone
-    at k = 3).  Searches skip such levels through
-    `SemialgebraicSystem.distinct_levels`; direct callers should too.
+    reported as inconclusive, never as NotInCone.
     """
     system.check_polynomial(f)
     if f.degree > 2 * k:
         raise ValueError(f"deg f = {f.degree} exceeds cone degree {2 * k}")
-    gs = build_truncation(system, k).membership_sdp(min_trace)
+    level = system.distinct_levels(range(half_degree(f), k + 1))[-1]
+    gs = build_truncation(system, level).membership_sdp(min_trace)
     sol = solve(gs.sdp.with_rhs(map(f.coefficient, gs.row_exponents)), config)
     if sol.status is SdpStatus.OPTIMAL:
         result = validate_grams(f, gs.truncation, gs.grams(sol))
@@ -159,7 +164,9 @@ def membership(
         )
     else:
         message = f"solver status {sol.status.value}: {sol.message}"
-        result = MembershipResult(MembershipVerdict.INCONCLUSIVE, k, message=message)
+        result = MembershipResult(
+            MembershipVerdict.INCONCLUSIVE, level, message=message
+        )
     result.solver_status, result.solver_iterations = sol.status, sol.iterations
     return result
 

@@ -226,7 +226,9 @@ def cmd_certify(args) -> int:
         print(f"separation L_y(f) = {result.separation:.6e}")
     if args.out or args.format == "structured":
         doc = CertificateDocument(
-            verdict=verdict_line(args.d, None if in_cone else result.separation),
+            verdict=verdict_line(
+                result.level, None if in_cone else result.separation
+            ),
             grams=result.grams or {}, p_value=0.0,
             projection_text=str(f), separating_moments=result.separating,
         )

@@ -140,6 +140,31 @@ def test_membership_of_a_square_sum_above_its_half_degree_is_in_cone():
     assert membership(f, LINE, 4).verdict is MembershipVerdict.IN_CONE
 
 
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_membership_on_the_plane_solves_the_half_degree_level(k):
+    # A sum of two squares of degree 6.  Above level 3 its level-k Gram SDP
+    # has no interior (the top-degree Gram entries are forced to zero), and
+    # the solver can stall there; every level above ceil(deg f / 2) repeats
+    # level 3's answer, so level 3 is the one solved.
+    f = parse_polynomial("(1 + x1^2*x2 - x2^2)^2 + (x1*x2)^2", 2)
+    res = membership(f, PLANE, k)
+    assert res.verdict is MembershipVerdict.IN_CONE
+    assert res.level == 3
+    assert res.grams[()].shape == (10, 10)
+
+
+def test_membership_with_generators_solves_the_requested_level():
+    # On the unit disc a higher level can certify what a lower one cannot,
+    # so the level asked for is the level solved.
+    res = membership(parse_polynomial("1 + x1^2 + x2^4", 2), BALL2, 3)
+    assert res.verdict is MembershipVerdict.IN_CONE
+    assert res.level == 3
+    assert {label: g.shape for label, g in res.grams.items()} == {
+        block.label: (block.side, block.side)
+        for block in build_truncation(BALL2, 3).blocks
+    }
+
+
 def test_membership_degree_guard():
     with pytest.raises(ValueError):
         membership(MOTZKIN, PLANE, 2)
@@ -759,9 +784,16 @@ def test_warm_membership_solves_as_a_cold_one(
     _cold_memos()
     cold = membership(f, system, level, min_trace=min_trace)
     _cold_memos()
-    membership(parse_polynomial("1 + x1^2 + x2^4", 2), system, level, min_trace=min_trace)
+    # The other cell decides at the cell's level: the kept truncation and
+    # Gram SDP it prepared are the ones the warm solve reuses.
+    other = membership(
+        parse_polynomial(f"(1 + x1^2 + x2^2)^{cold.level}", 2),
+        system, level, min_trace=min_trace,
+    )
     warm = membership(f, system, level, min_trace=min_trace)
     assert cold.verdict is warm.verdict is verdict
+    assert other.verdict is MembershipVerdict.IN_CONE
+    assert other.level == cold.level == warm.level
     first, _other, second = solutions
     assert (first.status, first.iterations, first.message) == (
         second.status, second.iterations, second.message
@@ -786,7 +818,10 @@ def test_membership_memos_hold_at_most_their_bounds():
     memo = cones_module.TRUNCATION_MEMO
     levels = range(1, memo + 3)
     for level in levels:
-        membership(parse_polynomial("1 + x1^2", 1), LINE, level)
+        # 1 + x1^(2k) decides at level k, so each call keeps its own level.
+        f = parse_polynomial(f"1 + x1^{2 * level}", 1)
+        res = membership(f, LINE, level)
+        assert (res.verdict, res.level) == (MembershipVerdict.IN_CONE, level)
     truncations = cones_module.build_truncation
     info = truncations.cache_info()
     assert info.currsize == info.maxsize == memo

@@ -129,9 +129,19 @@ def test_certify_exit_codes(capsys):
 
 def test_certify_never_refutes_a_sum_of_squares_above_its_half_degree(capsys):
     # 1 + x1^2 + x2^4 lies in the level-2 cone on R^2, so in the level-3 one.
-    code, out, _err = run(capsys, "certify", "--f", "1 + x1^2 + x2^4", "--d", "3")
-    assert "not_in_cone" not in out
-    assert code != 3
+    # Level 3 repeats level 2's answer, so certify solves level 2 and its
+    # certificate names that level, the one its Gram sides belong to.
+    code, out, _err = run(
+        capsys, "certify", "--f", "1 + x1^2 + x2^4", "--d", "3",
+        "--format", "structured",
+    )
+    assert code == 0
+    assert out.startswith("verdict in_cone level 2\n")
+    text = out[out.index("VERDICT\n"):]
+    assert text.startswith("VERDICT\nin_cone level 2\n")
+    doc = parse_certificate(text)
+    assert doc.grams[()].shape == (6, 6)
+    assert format_certificate_document(doc) == text
 
 
 def test_psatz_certifies_and_rejects(tmp_path, capsys):
