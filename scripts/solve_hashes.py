@@ -1,58 +1,33 @@
 #!/usr/bin/env python3
 """Print the sha256 of every SDP solve of a run, as one JSON object.
 
-Each solve's hash covers its x, y, s and ray, its status, iteration count,
-message and objectives.  Two commits whose solver iterates are bit-identical
-print the same object, so a change that must not move an iterate is checked
-by running this on both commits and comparing the output.
-
-Each solve also lists its status, its interior-point iterations and its
-exit (its message up to the first ";" outside parentheses, so that
-"converged (best iterate; ...)" keeps the failure exit that led there), and
-"exits" counts the solves per (status, exit): which solver exits a run
-reaches, and how often.
+Each solve's record holds its place ("where"), a sha256 over its x, y, s,
+ray, status, iteration count, message and objectives, and its status,
+interior-point iterations and exit (the message up to the first ";"
+outside parentheses).  Two commits whose solver iterates are bit-identical
+print the same object.
 
 Example:
     PYTHONPATH=src python scripts/solve_hashes.py --workload search --seed 1
 
 --workload runs one pass of the benchmark's `perfbench/worker.py --mode
 measure --seconds 0` in this process (the cli workload solves in child
-processes, so it is not offered); --tests runs the tier-1 suite instead.
-Both pin BLAS to one thread, as the benchmark does.  The exit status is
-that of the run: pytest's, or 1 if a benchmark call deviated.
+processes, so it is not offered); --tests runs the tier-1 suite.  Both pin
+BLAS to one thread, and the exit status is that of the run: pytest's, or 1
+if a benchmark call deviated.  --passes N (with --workload) runs N
+passes in one process, prints the first and exits 1 unless every later
+pass, which meets what the first left behind, solves to the same hashes
+in the same order (stderr reads how many match).
 
---passes N (with --workload) runs N such passes in this one process and
-prints the first pass's solves.  Later passes meet what the first left
-behind, such as the membership SDPs and truncations sosproj keeps, so each
-later pass must solve to the same hashes in the same order: stderr reads
-how many of each later pass's solve hashes equal the first pass's, and the
-exit status is 1 unless all of them do.
-
---compare BASE.json CHANGE.json reads two such outputs and prints how many
-of the change's solves have the sha256 of the base's solve at the same
-place: the same "where" and the same position among the solves of that
-"where" (all solves of one tier-1 test share its test id, so a solve is
-matched by its order within its test).  It also prints how many of the
-change's solves appear in the base's list in order (the longest common
-subsequence of the two sha256 lists): a change that drops solves and keeps
-every other one reads all of its solves here, though the places after the
-first dropped solve differ.  Below the counts come the total iterations
-of the base's solves and of the change's ("unknown" for a run whose solves
-do not all record them, such as one printed before they were recorded;
-the line is left out when neither run records them), the same totals per
-status (optimal, infeasible, and every other status as "other"), one line
-over every place whose hash differs (how many keep their status and exit,
-of those how many took fewer, equal and more iterations, how many
-changed status or exit, and how many have no base solve; left out when
-no such solve records its status), up to five places whose hash differs,
-then every (status, exit) whose count differs between the two "exits"
-censuses, so a change that moves solves from one exit to another shows
-which.  Each place that differs also reads its
-status, iterations and exit at the base -> at the change (when either
-solve records its status; "unknown" for a field a solve does not record,
-"no solve" for a place the base lacks), so a change that moves only
-messages reads as such.  A file that cannot be read counts as no
-solves.  It only reports, exits 0 and needs no sosproj on the path.
+--compare BASE.json CHANGE.json reports, from the two runs' records alone:
+how many of the change's solves equal the base's solve at the same place
+(the same "where" and position within it) and how many appear in the
+base's list in order, with the total iterations of each run; one line per
+(status, exit) whose solve count or iteration sum moved; then, over the
+places whose hash differs, how many kept their status and exit (with
+fewer, equal or more iterations), and up to five of those places with
+their status, iterations and exit at the base -> at the change.  A file
+that cannot be read counts as no solves.  It exits 0 and needs no sosproj.
 """
 
 import argparse
@@ -71,8 +46,6 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
-# The statuses whose iterations --compare totals apart; the rest are "other".
-STATUS_GROUPS = ("optimal", "infeasible", "other")
 
 
 def solution_hash(sol) -> str:
@@ -181,19 +154,13 @@ def run_workload(name: str, seed: int, passes: int = 1) -> tuple[int, list[dict]
     return code, solves[:len(runs[0])]
 
 
-def read_run(path: str) -> tuple[list[dict], Counter]:
-    """The solves and the (status, exit) counts of a printed run; none if
-    the file cannot be read."""
+def read_run(path: str) -> list[dict]:
+    """The solves of a printed run; none if the file cannot be read."""
     try:
         with open(path) as fh:
-            run = json.load(fh)
-        solves = run["hashes"]
-        exits = Counter(
-            {(e["status"], e["exit"]): e["count"] for e in run.get("exits", [])}
-        )
+            return json.load(fh)["hashes"]
     except (OSError, ValueError, KeyError):
-        return [], Counter()
-    return solves, exits
+        return []
 
 
 def solves_by_place(solves: list[dict]) -> dict[tuple[str, int], dict]:
@@ -206,32 +173,21 @@ def solves_by_place(solves: list[dict]) -> dict[tuple[str, int], dict]:
     return out
 
 
+def exit_table(solves: list[dict]) -> dict[tuple[str, str], tuple[int, int]]:
+    """The solve count and iteration sum per (status, exit)."""
+    counts: Counter = Counter()
+    iterations: Counter = Counter()
+    for h in solves:
+        counts[h["status"], h["exit"]] += 1
+        iterations[h["status"], h["exit"]] += h["iterations"]
+    return {key: (counts[key], iterations[key]) for key in counts}
+
+
 def outcome(solve: dict | None) -> str:
     """A solve's status, iterations and exit, for a place that differs."""
     if solve is None:
         return "no solve"
-    status, iterations, reason = (
-        solve.get(key, "unknown") for key in ("status", "iterations", "exit")
-    )
-    return f"{status}, {iterations} iterations, {reason}"
-
-
-def total_iterations(solves: list[dict]) -> int | None:
-    """The solves' summed iterations; None unless every solve records them."""
-    counts = [h.get("iterations") for h in solves]
-    return None if None in counts else sum(counts)
-
-
-def iterations_by_status(solves: list[dict]) -> dict[str, int] | None:
-    """The solves' summed iterations per status, every status other than
-    optimal and infeasible as "other"; None unless every solve records its
-    status and iterations."""
-    totals = dict.fromkeys(STATUS_GROUPS, 0)
-    for h in solves:
-        if h.get("status") is None or h.get("iterations") is None:
-            return None
-        totals[h["status"] if h["status"] in totals else "other"] += h["iterations"]
-    return totals
+    return f"{solve['status']}, {solve['iterations']} iterations, {solve['exit']}"
 
 
 def differing_summary(
@@ -241,17 +197,13 @@ def differing_summary(
     """One line over every place that differs: how many keep their status
     and exit, split by whether the change took fewer, equal or more
     iterations, how many changed status or exit, and how many the base
-    lacks.  A place whose solves do not both record status, exit and
-    iterations counts as changed."""
+    lacks."""
     steps = Counter()
     for place in differ:
         was, now = base.get(place), change[place]
-        fields = ("status", "exit", "iterations")
         if was is None:
             steps["new"] += 1
-        elif any(key not in was or key not in now for key in fields) or (
-            (was["status"], was["exit"]) != (now["status"], now["exit"])
-        ):
+        elif (was["status"], was["exit"]) != (now["status"], now["exit"]):
             steps["changed"] += 1
         elif now["iterations"] < was["iterations"]:
             steps["fewer"] += 1
@@ -281,8 +233,7 @@ def in_order(base: list[str], change: list[str]) -> int:
 
 def compare(base_path: str, change_path: str, label: str) -> list[str]:
     """The summary lines of --compare."""
-    base_solves, base_exits = read_run(base_path)
-    change_solves, change_exits = read_run(change_path)
+    base_solves, change_solves = read_run(base_path), read_run(change_path)
     base, change = solves_by_place(base_solves), solves_by_place(change_solves)
     differ = [
         place for place, h in change.items()
@@ -294,34 +245,25 @@ def compare(base_path: str, change_path: str, label: str) -> list[str]:
     lines = [
         f"{label}: {len(change) - len(differ)} of {len(change)} solve hashes "
         f"equal to base ({len(base)} base solves); {kept} of {len(change)} "
-        f"in the base's order"
+        f"in the base's order; "
+        f"{sum(h['iterations'] for h in base_solves)} -> "
+        f"{sum(h['iterations'] for h in change_solves)} iterations"
     ]
-    totals = [total_iterations(base_solves), total_iterations(change_solves)]
-    if totals != [None, None]:
-        base_total, change_total = ("unknown" if t is None else t for t in totals)
-        lines.append(f"- iterations: {base_total} -> {change_total}")
-    by_status = [iterations_by_status(base_solves), iterations_by_status(change_solves)]
-    if by_status != [None, None]:
-        base_by, change_by = ({} if t is None else t for t in by_status)
-        lines.append("- iterations by status: " + ", ".join(
-            f"{status} {base_by.get(status, 'unknown')} -> "
-            f"{change_by.get(status, 'unknown')}"
-            for status in STATUS_GROUPS
-        ))
-    if any("status" in (base.get(place) or {}) or "status" in change[place]
-           for place in differ):
+    base_exits, change_exits = exit_table(base_solves), exit_table(change_solves)
+    for status, reason in {**base_exits, **change_exits}:
+        was = base_exits.get((status, reason), (0, 0))
+        now = change_exits.get((status, reason), (0, 0))
+        if was != now:
+            lines.append(
+                f"- {status}, {reason}: {was[0]} solves, {was[1]} iterations "
+                f"-> {now[0]} solves, {now[1]} iterations"
+            )
+    if differ:
         lines.append(differing_summary(base, change, differ))
-    for place in differ[:5]:
-        was, now = base.get(place), change[place]
-        line = f"- differs: {place[0]}, solve {place[1]}"
-        if "status" in (was or {}) or "status" in now:
-            line += f": {outcome(was)} -> {outcome(now)}"
-        lines.append(line)
     lines += [
-        f"- exit count moved: {status}, {reason}: "
-        f"{base_exits[status, reason]} -> {change_exits[status, reason]}"
-        for status, reason in {**base_exits, **change_exits}
-        if base_exits[status, reason] != change_exits[status, reason]
+        f"- differs: {where}, solve {at}: "
+        f"{outcome(base.get((where, at)))} -> {outcome(change[where, at])}"
+        for where, at in differ[:5]
     ]
     return lines
 
@@ -351,14 +293,7 @@ def main() -> int:
         code, solves = run_tests()
     else:
         code, solves = run_workload(args.workload, args.seed, args.passes)
-    exits = Counter((s["status"], s["exit"]) for s in solves)
-    census = [
-        {"status": status, "exit": reason, "count": count}
-        for (status, reason), count in exits.most_common()
-    ]
-    print(json.dumps(
-        {"solves": len(solves), "exits": census, "hashes": solves}, indent=1
-    ))
+    print(json.dumps({"solves": len(solves), "hashes": solves}, indent=1))
     return code
 
 

@@ -263,6 +263,7 @@ def project_general_form(problem: ProjectionProblem) -> ProjectionCertificate:
     sol = solve(sdp)
     _require_optimal(sol, "general-form projection")
 
+    # Looked up at call time so a tracer that rebinds cones.gram_reconstruct sees it.
     from .cones import gram_reconstruct
 
     grams = gs.grams(sol)

@@ -129,28 +129,28 @@ CENSUS_QUARTIC = parse_polynomial(
 )
 
 
-def test_membership_never_refutes_an_interior_quartic_at_a_higher_level():
-    assert membership(CENSUS_QUARTIC, PLANE, 2).verdict is MembershipVerdict.IN_CONE
-    level3 = membership(CENSUS_QUARTIC, PLANE, 3)
-    assert level3.verdict is not MembershipVerdict.NOT_IN_CONE
+SEXTIC_SQUARE_SUM = parse_polynomial("(1 + x1^2*x2 - x2^2)^2 + (x1*x2)^2", 2)
 
 
-def test_membership_of_a_square_sum_above_its_half_degree_is_in_cone():
-    f = parse_polynomial("1 + x1^2", 1)
-    assert membership(f, LINE, 4).verdict is MembershipVerdict.IN_CONE
-
-
-@pytest.mark.parametrize("k", [3, 4, 5, 6])
-def test_membership_on_the_plane_solves_the_half_degree_level(k):
-    # A sum of two squares of degree 6.  Above level 3 its level-k Gram SDP
-    # has no interior (the top-degree Gram entries are forced to zero), and
-    # the solver can stall there; every level above ceil(deg f / 2) repeats
-    # level 3's answer, so level 3 is the one solved.
-    f = parse_polynomial("(1 + x1^2*x2 - x2^2)^2 + (x1*x2)^2", 2)
+@pytest.mark.parametrize(
+    "f, k, level, side",
+    [
+        *[(SEXTIC_SQUARE_SUM, k, 3, 10) for k in (3, 4, 5, 6)],
+        (CENSUS_QUARTIC, 2, 2, 6),
+        (CENSUS_QUARTIC, 3, 2, 6),
+        (parse_polynomial("1 + x1^2", 2), 4, 1, 3),
+    ],
+    ids=["3", "4", "5", "6", "census-quartic-2", "census-quartic-3", "square-sum-4"],
+)
+def test_membership_on_the_plane_solves_the_half_degree_level(f, k, level, side):
+    # Above level ceil(deg f / 2) the level-k Gram SDP has no interior (the
+    # top-degree Gram entries are forced to zero), and the solver can stall
+    # or refute there; every higher level repeats the half-degree level's
+    # answer, so that level is the one solved.
     res = membership(f, PLANE, k)
     assert res.verdict is MembershipVerdict.IN_CONE
-    assert res.level == 3
-    assert res.grams[()].shape == (10, 10)
+    assert res.level == level
+    assert res.grams[()].shape == (side, side)
 
 
 def test_membership_with_generators_solves_the_requested_level():
@@ -753,7 +753,7 @@ def _cold_memos():
     [
         (PLANE, str(MOTZKIN), 3, False, MembershipVerdict.NOT_IN_CONE),
         (PLANE, "(1 + x1 - x2^2)^2 + (x1*x2 - 1)^2", 3, False, MembershipVerdict.IN_CONE),
-        (PLANE, str(MOTZKIN), 4, False, MembershipVerdict.NOT_IN_CONE),
+        (PLANE, "x1^8 + x2^8 - 1", 4, False, MembershipVerdict.NOT_IN_CONE),
         (BALL2, "x1^2 - 1/2", 3, False, MembershipVerdict.NOT_IN_CONE),
         (BALL2, "(1 + x1 + x2)^2 + 2*(1 - x1^2 - x2^2)", 3, False, MembershipVerdict.IN_CONE),
         (BALL2, "x1^2*x2 - 1/4", 4, False, MembershipVerdict.NOT_IN_CONE),
@@ -762,7 +762,7 @@ def _cold_memos():
         (BALL2, "x1^2 - 1/2", 3, True, MembershipVerdict.NOT_IN_CONE),
     ],
     ids=[
-        "plane-3-motzkin", "plane-3-sos", "plane-4-motzkin", "ball2-3-negative",
+        "plane-3-motzkin", "plane-3-sos", "plane-4-negative", "ball2-3-negative",
         "ball2-3-member", "ball2-4-negative", "ball2-4-member",
         "plane-3-sos-min-trace", "ball2-3-negative-min-trace",
     ],
