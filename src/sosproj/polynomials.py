@@ -459,6 +459,6 @@ def text_dimension(text: str) -> int:
 
 
 def format_float(v: float) -> str:
-    """A float in every text format: 17 significant digits, so it reads back
-    as the same double."""
+    """A certificate or SDPA number: 17 significant digits, so it reads back
+    as the same double (polynomial and moment text write repr)."""
     return "%.17g" % v

@@ -247,16 +247,13 @@ def project_general_form(problem: ProjectionProblem) -> ProjectionCertificate:
     # Two rows give r_alpha >= |f - h|_alpha up to degree 2d; above it h_alpha = 0.
     for i, (_alpha, h_entries, falpha) in enumerate(gs.rows(f)):
         if i < N:
-            minus = {
-                blk: [(r, c, -v) for r, c, v in items]
-                for blk, items in h_entries.items()
-            }
-            sdp.add_constraint(
-                {**h_entries, lam_blk: [(i, i, 1.0)], sp_blk: [(i, i, -1.0)]}, falpha
-            )
-            sdp.add_constraint(
-                {**minus, lam_blk: [(i, i, 1.0)], sm_blk: [(i, i, -1.0)]}, -falpha
-            )
+            for sign, slack_blk in ((1.0, sp_blk), (-1.0, sm_blk)):
+                row = {
+                    blk: [(r, c, sign * v) for r, c, v in items]
+                    for blk, items in h_entries.items()
+                }
+                row[lam_blk], row[slack_blk] = [(i, i, 1.0)], [(i, i, -1.0)]
+                sdp.add_constraint(row, sign * falpha)
         else:
             sdp.add_constraint(h_entries, falpha)
 

@@ -379,8 +379,9 @@ class _Prepared:
     t_scale, the objective scale c_scale and the row factors of each Ruiz
     round, which each _Workspace applies to its b round by round.  The
     constraint-Gram factor is left to the first solve (_solve_once), which
-    keeps it here.  Nothing here holds a dense copy of A: the dense copies,
-    the row buffer and the scratch belong to each _Workspace.
+    keeps it here for the initial point and for _Workspace.project (the
+    feasibility repair and the primal certificate).  The dense copies of
+    A, the row buffer and the scratch belong to each _Workspace.
     """
 
     def __init__(self, problem: SdpProblem):
@@ -618,6 +619,13 @@ class _Workspace:
     def inner(self, X: list[np.ndarray], S: list[np.ndarray]) -> float:
         return sum(float(np.vdot(X[blk], S[blk])) for blk in self.psd + self.diag)
 
+    def project(self, x: list[np.ndarray], target: np.ndarray) -> list[np.ndarray]:
+        """x + A^T (A A^T)^-1 (target - A x), symmetrized: the projection of
+        x onto {A x = target}, through the kept constraint-Gram factor."""
+        defect = target - self.apply_A(x)
+        corr = self.apply_AT(_cho_solve(self.prepared.repair_chol, defect))
+        return [_sym(xb + c) for xb, c in zip(x, corr)]
+
 
 def _row_buffer(ws: _Workspace) -> tuple[np.ndarray, list[np.ndarray]]:
     """One (m, sum of block widths) array and its per-block views.
@@ -804,11 +812,6 @@ def _max_step_diag(x: np.ndarray, dx: np.ndarray) -> float:
     return float(np.min(-x[neg] / dx[neg]))
 
 
-def _step_length(step: float, fraction: float = 1.0) -> float:
-    """min(1, fraction * step), NaN for a NaN step (min(1.0, nan) is 1.0)."""
-    return min(1.0, fraction * step) if step == step else math.nan
-
-
 def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolution:
     """Solve the block SDP with one interior-point run.
 
@@ -840,6 +843,15 @@ _Iterate = namedtuple("_Iterate", "x y s tau kappa")
 _Residuals = namedtuple(
     "_Residuals", "it ATy rx ry rt by mu pobj dobj relp reld relgap relmu"
 )
+
+
+def _step(it: _Iterate, d: _Iterate, alpha: float) -> _Iterate:
+    """The point it + alpha * d."""
+    return _Iterate(
+        [b + alpha * v for b, v in zip(it.x, d.x)], it.y + alpha * d.y,
+        [b + alpha * v for b, v in zip(it.s, d.s)], it.tau + alpha * d.tau,
+        it.kappa + alpha * d.kappa,
+    )
 
 
 def _residuals(ws: _Workspace, it: _Iterate) -> _Residuals:
@@ -876,8 +888,8 @@ class _Newton:
     or M cannot be factored."""
 
     def __init__(self, ws: _Workspace, res: _Residuals, rows: np.ndarray,
-                 row_views: list[np.ndarray], repair_chol: np.ndarray):
-        self.ws, self.res, self.rows, self.repair_chol = ws, res, rows, repair_chol
+                 row_views: list[np.ndarray]):
+        self.ws, self.res, self.rows = ws, res, rows
         # Nesterov-Todd scaling per block, plus the scalar pair (tau, kappa).
         scalings = []
         for xb, sb in zip(res.it.x, res.it.s):
@@ -939,15 +951,13 @@ class _Newton:
         dx = [_sym(_congruence(g.T, n)) for g, n in zip(self.G, dxhat)]
         if repair:
             # Correct dx so that A dx = eta ry + b dtau holds to roundoff.
-            defect = eta * res.ry + ws.b * dtau - ws.apply_A(dx)
-            corr = ws.apply_AT(_cho_solve(self.repair_chol, defect))
-            dx = [_sym(d + c) for d, c in zip(dx, corr)]
+            dx = ws.project(dx, eta * res.ry + ws.b * dtau)
         dkappa = (rc_tk - it.kappa * dtau) / it.tau
         return _Iterate(dx, dy, ds, dtau, dkappa), dxhat, dshat
 
-    def max_step(self, d: _Iterate) -> float:
-        """Largest step along d that stays in the cone; NaN if d is not
-        finite (min() would drop a NaN bound that is not first)."""
+    def max_step(self, d: _Iterate, fraction: float = 1.0) -> float:
+        """min(1, fraction * the largest step along d that stays in the
+        cone); NaN if d is not finite (min() drops a NaN that is not first)."""
         it = self.res.it
         bounds = [np.inf]
         for fx, fs, dxb, dsb in zip(self.Fx, self.Fs, d.x, d.s):
@@ -957,7 +967,7 @@ class _Newton:
         bounds += [-v / dv for v, dv in pairs if dv < 0]
         if any(b != b for b in (*bounds, d.tau, d.kappa)):
             return math.nan
-        return min(bounds)
+        return min(1.0, fraction * min(bounds))
 
     def rc(self, target_mu: float, predictor, second_order: bool):
         """Scaled complementarity right-hand side toward target_mu; with
@@ -1088,15 +1098,14 @@ class _Exits:
 
     def _primal_certificate(self, res: _Residuals) -> SdpSolution | None:
         """The OPTIMAL solution at the projection of res's x / tau onto
-        {A x = b}, x / tau + A^T (A A^T)^-1 (b - A x / tau) through the
-        constraint-Gram factor, if that point is a primal certificate: every
-        block passes _interior_factor and the relative primal residual is
-        within feas_tol."""
+        {A x = b} (_Workspace.project), if that point is a primal
+        certificate: every block passes _interior_factor and the relative
+        primal residual is within feas_tol.  The interior test has no
+        margin: the level-1 Gram SDP of (1+x1+x2)^2 on R^2, whose one Gram
+        is rank 1, ends here at iteration 1 with eigenvalues 3.9e-14,
+        4.0e-14 and 3 (pivots 1, 2.8e-7, 2.4e-7), a right verdict."""
         ws, it = self.ws, res.it
-        x = [xb / it.tau for xb in it.x]
-        defect = ws.b - ws.apply_A(x)
-        corr = ws.apply_AT(_cho_solve(ws.prepared.repair_chol, defect))
-        x = [_sym(xb + c) for xb, c in zip(x, corr)]
+        x = ws.project([xb / it.tau for xb in it.x], ws.b)
         if any(_interior_factor(xb) is None for xb in x):
             return None
         ry = ws.row_unscale * (ws.b - ws.apply_A(x))
@@ -1147,8 +1156,8 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
     one _Newton system.  Every exit without convergence is _Exits.finish.
     """
     # Gram of the constraint operator, factored once for every right-hand
-    # side: initial-point solves and the per-iteration repair that keeps
-    # A dx = eta ry + b dtau exact.
+    # side; read by the initial point and by _Workspace.project (the repair
+    # that keeps A dx = eta ry + b dtau exact, and the primal certificate).
     rows, row_views = _row_buffer(ws)
     if ws.prepared.repair_chol is None:
         for blk in ws.psd:
@@ -1163,14 +1172,12 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
         except np.linalg.LinAlgError:
             raise SdpModelError("constraint rows are numerically dependent") from None
         del gram
-    repair_chol = ws.prepared.repair_chol
 
     # Least-squares initial point in the spirit of conelp: the min-norm
     # solution of A x = b shifted into the cone, and the least-squares
     # dual pair (y, c - A^T y) shifted likewise.
-    u0 = _cho_solve(repair_chol, ws.b)
-    x = _shift_to_cone(ws.apply_AT(u0))
-    y = _cho_solve(repair_chol, ws.apply_A(ws.C))
+    x = _shift_to_cone(ws.apply_AT(_cho_solve(ws.prepared.repair_chol, ws.b)))
+    y = _cho_solve(ws.prepared.repair_chol, ws.apply_A(ws.C))
     s = _shift_to_cone([c - a for c, a in zip(ws.C, ws.apply_AT(y))])
     it = _Iterate(x, y, s, 1.0, 1.0)
 
@@ -1186,7 +1193,7 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
         # and M's factor.
         newton = None
         try:
-            newton = _Newton(ws, res, rows, row_views, repair_chol)
+            newton = _Newton(ws, res, rows, row_views)
         except _Failure as failure:
             return exits.finish(str(failure))
         if abs(newton.denom) < 1e-300:
@@ -1199,15 +1206,11 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
         ]
         predictor = newton.direction(1.0, Rc_aff, -it.tau * it.kappa)
         d_a = predictor[0]
-        alpha_aff = _step_length(newton.max_step(d_a))
+        alpha_aff = newton.max_step(d_a)
         if math.isnan(alpha_aff):
             return exits.finish("nonfinite step length")
-        xa = [b + alpha_aff * d for b, d in zip(it.x, d_a.x)]
-        sa = [b + alpha_aff * d for b, d in zip(it.s, d_a.s)]
-        mu_aff = (
-            ws.inner(xa, sa)
-            + (it.tau + alpha_aff * d_a.tau) * (it.kappa + alpha_aff * d_a.kappa)
-        ) / (ws.nu + 1.0)
+        trial = _step(it, d_a, alpha_aff)
+        mu_aff = (ws.inner(trial.x, trial.s) + trial.tau * trial.kappa) / (ws.nu + 1.0)
         mu_aff = max(mu_aff, 0.0)
         sigma = (mu_aff / res.mu) ** 3 if res.mu > 0 else SIGMA_MAX
         sigma = min(max(sigma, SIGMA_MIN), SIGMA_MAX)
@@ -1215,7 +1218,7 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
         Rc, rc_tk = newton.rc(sigma * res.mu, predictor, True)
         d = newton.direction(1.0 - sigma, Rc, rc_tk)[0]
 
-        alpha = _step_length(newton.max_step(d), STEP_FRACTION)
+        alpha = newton.max_step(d, STEP_FRACTION)
         if alpha < 1e-4:
             # Rescue: a pure centering direction at the current mu restores
             # room to move when the combined step jams on the cone boundary.
@@ -1224,7 +1227,7 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
             # the step jammed; then the centering step goes without it.
             for repair in (True, False):
                 d_c = newton.direction(0.0, Rc_center, rc_center_tk, repair)[0]
-                alpha_c = _step_length(newton.max_step(d_c), STEP_FRACTION)
+                alpha_c = newton.max_step(d_c, STEP_FRACTION)
                 if alpha_c > alpha:
                     d, alpha = d_c, alpha_c
                 if alpha >= 1e-4:
@@ -1232,13 +1235,7 @@ def _solve_once(ws: _Workspace, cfg: SolverConfig) -> SdpSolution:
         if not np.isfinite(alpha):
             return exits.finish("nonfinite step length")
 
-        it = _Iterate(
-            [b + alpha * v for b, v in zip(it.x, d.x)],
-            it.y + alpha * d.y,
-            [b + alpha * v for b, v in zip(it.s, d.s)],
-            it.tau + alpha * d.tau,
-            it.kappa + alpha * d.kappa,
-        )
+        it = _step(it, d, alpha)
 
     return exits.finish(f"no convergence in {MAX_ITER} iterations", SdpStatus.MAX_ITER)
 

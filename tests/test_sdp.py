@@ -2,6 +2,7 @@ import importlib.machinery
 import importlib.metadata
 import math
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -823,9 +824,37 @@ def test_max_step_bounds_are_nan_for_a_nonfinite_direction():
     x = np.ones(3)
     assert sdp_module._max_step_diag(x, np.array([-1.0, 0.0, 1.0])) == 1.0
     assert math.isnan(sdp_module._max_step_diag(x, np.array([-1.0, np.nan, 1.0])))
-    assert sdp_module._step_length(0.5, 0.98) == 0.49
-    assert sdp_module._step_length(np.inf, 0.98) == 1.0
-    assert math.isnan(sdp_module._step_length(math.nan, 0.98))
+    # _Newton.max_step clamps fraction * bound to 1 and keeps a NaN, over
+    # one diagonal block at x = s = (1, 1, 1) and tau = kappa = 1.
+    newton = object.__new__(sdp_module._Newton)
+    newton.Fx, newton.Fs = (x,), (x,)
+    newton.res = SimpleNamespace(it=sdp_module._Iterate([x], None, [x], 1.0, 1.0))
+
+    def direction(dx):
+        return sdp_module._Iterate([np.array(dx)], None, [np.zeros(3)], 0.0, 0.0)
+
+    assert newton.max_step(direction([-2.0, 0.0, 1.0]), 0.98) == 0.49
+    assert newton.max_step(direction([0.0, 0.0, 1.0]), 0.98) == 1.0
+    assert math.isnan(newton.max_step(direction([-1.0, np.nan, 1.0]), 0.98))
+
+
+def test_workspace_project_lands_on_the_target():
+    # A random point over a PSD and a diagonal block, its PSD block not
+    # symmetric, projected onto A x = t through a factor of A A^T, which
+    # the first solve would keep (this test runs none).
+    ws = sdp_module._Workspace(strictly_feasible_mixed_problem())
+    rows = np.array([sdp_module._flat(ws.apply_AT(e)) for e in np.eye(ws.m)])
+    ws.prepared.repair_chol = sdp_module._cho_factor(rows @ rows.T, 0.0)
+    rng = np.random.default_rng(42)
+    x = [rng.normal(size=(2, 2)), rng.normal(size=2)]
+    t = rng.normal(size=ws.m)
+    p = ws.project(x, t)
+    assert np.linalg.norm(ws.apply_A(p) - t) <= 1e-12 * (1.0 + np.linalg.norm(t))
+    for blk in ws.psd:
+        assert np.array_equal(p[blk], p[blk].T)
+    again = ws.project(p, t)
+    moved = np.linalg.norm(sdp_module._flat(again) - sdp_module._flat(p))
+    assert moved <= 1e-12 * (1.0 + np.linalg.norm(sdp_module._flat(p)))
 
 
 def test_nt_scaling_of_a_diagonal_block():
